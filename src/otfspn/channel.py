@@ -4,9 +4,12 @@ Tap delays come from a power-delay profile (3GPP TDL-C by default, scaled by
 the configured delay spread) quantized to the sample grid; taps sharing a
 sample point have their powers summed.  Each retained tap is an independent
 stationary complex Gaussian process with Jakes autocorrelation
-``J_0(2*pi*f_D*T_s*lag)``, synthesized by circulant embedding of the Bessel
-covariance so the second-order statistics are exact -- the Wiener-filter
-estimator assumes exactly these statistics.
+``J_0(2*pi*f_D*T_s*lag)``, drawn through a low-rank pivoted Cholesky factor
+F of the Bessel covariance C.  The factorization stops when the residual
+diagonal falls to 1e-12, so every entry of C - F F^T is at most 1e-12 and the
+second-order statistics are exact to that level -- the Wiener-filter
+estimator assumes exactly these statistics.  The rank is about
+2*f_D*T_s*n + O(log n) for an n-sample window.
 
 The receive model is
 
@@ -20,6 +23,7 @@ samples only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,28 +125,38 @@ class ChannelRealization:
         return out
 
 
-_JAKES_FACTORS: dict = {}
-
-
+@functools.lru_cache(maxsize=16)
 def _jakes_factor(n_samples: int, f_d_norm: float) -> np.ndarray:
-    """Factor F with F F^H equal to the Bessel Toeplitz covariance.
+    """Read-only n x r factor F with F F^T equal to the Bessel covariance.
 
-    Eigendecomposition of J_0(2*pi*f_d_norm*|i-j|) with the numerically-zero
-    tail dropped; the band-limited Jakes spectrum makes the covariance close
-    to low rank, so F is n x r with r roughly 2*f_d_norm*n + O(log n).
-    Cached per (length, Doppler) because building it dominates drawing from
-    it.  (A plain circulant embedding of the Bessel sequence is not PSD --
-    clipping its negative modes biases the tap power by several percent.)
+    Pivoted Cholesky of C[i, j] = c[|i - j|], c = J_0(2*pi*f_d_norm*lag),
+    reading one column of C per step: pivot on the largest residual diagonal
+    d[j], orthogonalize that column against the chosen ones and scale it by
+    1/sqrt(d[j]).  It stops when the residual diagonal falls to 1e-12 * c[0];
+    the residual C - F F^T is PSD, so every entry is then at most 1e-12.  The
+    band-limited Jakes spectrum makes r about 2*f_d_norm*n + O(log n), so the
+    cost is O(n r^2) and no n x n array is formed.  Cached per (length,
+    Doppler) because building it dominates drawing from it.
     """
-    key = (n_samples, f_d_norm)
-    fac = _JAKES_FACTORS.get(key)
-    if fac is None:
-        lag = np.arange(n_samples)
-        cov = j0(2.0 * np.pi * f_d_norm * np.abs(lag[:, None] - lag[None, :]))
-        w, v = np.linalg.eigh(cov)
-        keep = w > 1e-12 * w[-1]
-        fac = v[:, keep] * np.sqrt(w[keep])
-        _JAKES_FACTORS[key] = fac
+    lag = np.arange(n_samples)
+    c = j0(2.0 * np.pi * f_d_norm * lag)
+    d = np.full(n_samples, c[0])
+    rows = np.empty((min(32, n_samples), n_samples))   # F^T, grown on demand
+    r = 0
+    while r < n_samples:
+        j = int(np.argmax(d))
+        if d[j] <= 1e-12 * c[0]:
+            break
+        if r == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty_like(rows)])[:n_samples]
+        col = c[np.abs(lag - j)] - rows[:r].T @ rows[:r, j]
+        col /= np.sqrt(d[j])
+        rows[r] = col
+        d -= col * col
+        d[j] = 0.0
+        r += 1
+    fac = np.ascontiguousarray(rows[:r].T)
+    fac.setflags(write=False)
     return fac
 
 

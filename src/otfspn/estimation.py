@@ -17,7 +17,7 @@ channel.  Estimation runs in two stages:
   same configuration.
 
 Baselines from the interpolation literature (complex-exponential BEM,
-natural cubic splines, zero-order hold of the stage-1 snapshots) and the
+not-a-knot cubic splines, zero-order hold of the stage-1 snapshots) and the
 OFDM phase-tracking-pilot estimator are provided for comparison.  BEM and
 splines assume the tap trajectories are smooth between pilots, which holds
 for Doppler spread but not for the wideband phase-noise component; the

@@ -97,6 +97,14 @@ class Scenario:
             raise ValueError("trials must be >= 1")
         if len(self.sweep_values) == 0:
             raise ValueError("sweep_values must not be empty")
+        # a sweep axis the scenario ignores would repeat one point
+        if self.sweep == "f_pll" and self.oscillator == "FRO":
+            raise ValueError("sweep f_pll has no effect on the FRO oscillator")
+        if self.sweep == "velocity" and self.f_D is not None:
+            raise ValueError("sweep velocity has no effect while f_D is set")
+        if self.kind == "sinr" and self.sweep in ("velocity", "f_D", "f_D_norm"):
+            raise ValueError(f"sweep {self.sweep} has no effect on kind 'sinr', "
+                             "which draws no channel")
 
     def to_dict(self) -> dict:
         d = asdict(self)

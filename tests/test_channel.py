@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import j0
 
 from otfspn.channel import (ChannelProfile, ChannelRealization, SPEED_OF_LIGHT,
-                            apply_channel, delay_time_matrix,
+                            _jakes_factor, apply_channel, delay_time_matrix,
                             doppler_from_velocity, effective_channel,
                             effective_dd_channel, realize_channel)
 from otfspn.grid import Frame, GridConfig, otfs_demodulate, otfs_modulate
@@ -68,6 +70,65 @@ def test_jakes_autocorrelation():
     emp = acc / trials
     theory = j0(2 * np.pi * f_D * TS * np.arange(33))
     assert np.abs(emp - theory).max() < 0.03
+
+
+# (M, N, window): the desk and full grids, each as the M*N OTFS window and as
+# the N*(M + n_cp) OFDM stream with n_cp = 16
+JAKES_WINDOWS = [(32, 16, 512), (32, 16, 768), (128, 32, 4096), (128, 32, 4608)]
+
+
+def _f_d_norms(M, N):
+    """Per-sample Doppler at 500 km/h and at fig9's top point f_D_norm = 2."""
+    cfg = GridConfig(M=M, N=N, n_cp=16)
+    return [doppler_from_velocity(500.0, 5.9e9) * cfg.T_s,
+            2.0 * cfg.doppler_spacing * cfg.T_s]
+
+
+@pytest.mark.parametrize("M,N,n", JAKES_WINDOWS)
+def test_jakes_factor_reproduces_bessel_covariance(M, N, n):
+    lag = np.arange(n)
+    for f in _f_d_norms(M, N):
+        F = _jakes_factor(n, f)
+        assert F.shape[0] == n and F.shape[1] < 40
+        assert not F.flags.writeable
+        c = j0(2 * np.pi * f * lag)
+        for a in range(0, n, 512):      # row blocks: no n x n array here either
+            rows = lag[a:a + 512]
+            cov = c[np.abs(rows[:, None] - lag[None, :])]
+            assert np.abs(F[a:a + 512] @ F.T - cov).max() <= 1e-10
+
+
+def test_jakes_factor_deterministic():
+    f = _f_d_norms(128, 32)[0]
+    _jakes_factor.cache_clear()
+    first = _jakes_factor(4096, f)
+    _jakes_factor.cache_clear()
+    assert np.array_equal(_jakes_factor(4096, f), first)
+
+
+def test_jakes_factor_memory_is_low_rank():
+    # a dense n x n covariance at n = 4608 alone takes 170 MB
+    f = _f_d_norms(128, 32)[0]
+    _jakes_factor.cache_clear()
+    tracemalloc.start()
+    try:
+        _jakes_factor(4608, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+def test_full_grid_tap_power():
+    cfg = GridConfig(M=128, N=32, n_cp=16)
+    prof = ChannelProfile.tdl_c(100e-9, doppler_from_velocity(500.0, cfg.f_c))
+    _, powers = prof.quantized(cfg.T_s)
+    rng = np.random.default_rng(9)
+    # per-trial sd of the total is 0.38, so SE = 0.006 and 0.025 is 4 SE
+    per_tap = np.array([np.mean(np.abs(realize_channel(prof, cfg, rng).taps) ** 2,
+                                axis=0) for _ in range(4000)])
+    assert per_tap.sum(axis=1).mean() == pytest.approx(1.0, abs=0.025)
+    np.testing.assert_allclose(per_tap.mean(axis=0), powers, rtol=0.05)
 
 
 def test_cp_length_guard():
@@ -148,7 +209,7 @@ def test_effective_dd_channel_energy():
     cfg = GridConfig(M=8, N=4, n_cp=8)
     rng = np.random.default_rng(7)
     vals = []
-    for _ in range(400):
+    for _ in range(4000):
         chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
         path = sample_path(PhaseNoiseModel("FRO", 2e3, TS), 40, rng)
         G = effective_dd_channel(chan, path, cfg)

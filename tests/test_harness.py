@@ -29,6 +29,27 @@ def test_scenario_validation():
         Scenario.from_dict({"name": "x", "bogus_key": 1})
 
 
+@pytest.mark.parametrize("kw", [
+    {"sweep": "f_pll", "oscillator": "FRO"},
+    {"sweep": "velocity", "f_D": 1e3},
+    {"sweep": "velocity", "kind": "sinr"},
+    {"sweep": "f_D", "kind": "sinr"},
+    {"sweep": "f_D_norm", "kind": "sinr"},
+])
+def test_scenario_rejects_ineffective_sweep(kw):
+    with pytest.raises(ValueError, match="no effect"):
+        Scenario(**kw)
+
+
+def test_scenario_accepts_effective_sweeps():
+    Scenario(sweep="f_pll", oscillator="CPLL")
+    Scenario(sweep="velocity")
+    Scenario(sweep="f_D", f_D=1e3)
+    Scenario(sweep="beta_pn", kind="sinr")
+    # the Wiener filter of the proposed estimator still sees the Doppler
+    Scenario(sweep="f_D_norm", channel="awgn")
+
+
 def test_scenario_roundtrip_and_hash(tmp_path):
     s = Scenario(name="demo", sweep_values=(1.0, 2.0), trials=5)
     p = tmp_path / "s.yaml"
@@ -131,10 +152,11 @@ def test_label_prefixes_metrics():
 
 def test_presets_constructible():
     for name in PRESETS:
-        scenarios = preset(name, trials=2, seed=1)
-        assert len(scenarios) >= 1
-        for s in scenarios:
-            assert s.trials == 2
+        for full in (False, True):
+            scenarios = preset(name, trials=2, seed=1, full=full)
+            assert len(scenarios) >= 1
+            for s in scenarios:
+                assert s.trials == 2
     with pytest.raises(ValueError):
         preset("fig99")
 
@@ -176,3 +198,15 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
     bad.write_text("estimator: genie\n")
     assert cli_main(["run", str(bad)]) == 1
     assert "estimator" in capsys.readouterr().err
+
+
+def test_cli_rejects_ineffective_sweep_before_any_trial(tmp_path, capsys,
+                                                       monkeypatch):
+    ran = []
+    monkeypatch.setattr("otfspn.cli.run_scenario",
+                        lambda *a, **k: ran.append(a) or [])
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("oscillator: FRO\nsweep: f_pll\nsweep_values: [1.0e5, 1.0e6]\n")
+    assert cli_main(["run", str(bad)]) == 1
+    assert ran == []
+    assert "f_pll has no effect" in capsys.readouterr().err
