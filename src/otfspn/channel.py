@@ -27,6 +27,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import j0
 
 from .dd_analysis import dd_transform
@@ -87,11 +88,6 @@ class ChannelProfile:
         p = 10.0 ** (np.array([row[1] for row in TDL_C]) / 10.0)
         return cls(tuple(d), tuple(p / p.sum()), f_D)
 
-    @classmethod
-    def ideal(cls) -> "ChannelProfile":
-        """Single unit tap, no Doppler (AWGN once noise is added)."""
-        return cls((0.0,), (1.0,), 0.0)
-
     def quantized(self, T_s: float):
         """(tap sample indices, tap powers) on the T_s grid, coincident taps merged."""
         idx = np.rint(np.asarray(self.delays) / T_s).astype(int)
@@ -100,6 +96,15 @@ class ChannelProfile:
             out[i] = out.get(i, 0.0) + p
         keys = sorted(out)
         return np.array(keys), np.array([out[k] for k in keys])
+
+    def length(self, cfg: GridConfig) -> int:
+        """Channel length L (largest quantized delay + 1) on cfg's sample
+        grid; raises unless the CP covers the channel memory, n_cp >= L - 1."""
+        delays, _ = self.quantized(cfg.T_s)
+        L = int(delays.max()) + 1
+        if L - 1 > cfg.n_cp:
+            raise ValueError(f"channel length {L} exceeds CP ({cfg.n_cp} samples)")
+        return L
 
 
 @dataclass
@@ -185,10 +190,8 @@ def realize_channel(profile: ChannelProfile, cfg: GridConfig, seed,
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     if n_samples is None:
         n_samples = cfg.frame_len
+    profile.length(cfg)
     delays, powers = profile.quantized(cfg.T_s)
-    L = int(delays.max()) + 1
-    if L - 1 > cfg.n_cp:
-        raise ValueError(f"channel length {L} exceeds CP ({cfg.n_cp} samples)")
     procs = _jakes_process(n_samples, profile.f_D * cfg.T_s, rng, len(delays))
     taps = (np.sqrt(powers)[:, None] * procs).T
     return ChannelRealization(taps, delays)
@@ -233,18 +236,28 @@ def apply_channel(s: np.ndarray, chan: ChannelRealization, path: PhasePath,
     return r
 
 
-def delay_time_matrix(taps: np.ndarray, mn: int) -> np.ndarray:
-    """Dense circular delay-time channel matrix from (mn, L) tap gains.
+def banded_circular(taps: np.ndarray) -> sp.csr_matrix:
+    """Banded circular delay-time matrix of (mn, L) tap gains, as CSR.
 
-    Row n has h[n, l] at column (n - l) mod mn.  Oracle-scale only.
+    Row n holds taps[n, l] at column (n - l) mod mn.  Every row lists its L
+    entries in lag order l = 0..L-1 and keeps explicit zeros, so a product
+    sums the taps in that order.  The data is a complex copy of ``taps``.
     """
+    taps = np.asarray(taps)
+    mn, n_taps = taps.shape
+    cols = (np.arange(mn)[:, None] - np.arange(n_taps)) % mn
+    return sp.csr_matrix((taps.astype(complex).ravel(), cols.ravel(),
+                          np.arange(0, mn * n_taps + 1, n_taps)), shape=(mn, mn))
+
+
+def delay_time_matrix(taps: np.ndarray, mn: int) -> np.ndarray:
+    """Dense ``banded_circular`` matrix of (mn, L) tap gains.  Oracle-scale
+    only."""
     if mn > 4096:
         raise ValueError("dense delay-time matrix limited to M*N <= 4096")
-    H = np.zeros((mn, mn), dtype=complex)
-    rows = np.arange(mn)
-    for l in range(taps.shape[1]):
-        H[rows, (rows - l) % mn] += taps[:, l]
-    return H
+    if np.shape(taps)[0] != mn:
+        raise ValueError(f"expected {mn} rows of tap gains, got {np.shape(taps)[0]}")
+    return banded_circular(taps).toarray()
 
 
 def effective_dd_channel(chan: ChannelRealization, path: PhasePath,

@@ -1,21 +1,26 @@
 """Symbol recovery: linear MMSE, LSMR with interference cancellation,
 rate-1/2 convolutional coding and the frame-level metrics.
 
-The effective delay-time channel matrix is banded circular (row n holds the
-tap gains g[n, l] at columns (n - l) mod MN), so equalization defaults to
-that domain: MMSE solves the sparse normal equations, LSMR-IC works
-matrix-free through the tap columns.  The known pilot/guard content is
-reconstructed and cancelled before detection.
+The effective delay-time channel matrix G is banded circular (row n holds
+the tap gains g[n, l] at columns (n - l) mod MN), so equalization defaults
+to that domain.  ``ChannelOp`` holds G and G^H as CSR matrices whose rows
+list the taps in lag order, so every product sums exactly as the tap-gather
+formula does.  MMSE solves the sparse normal equations; LSMR-IC runs an
+in-house LSMR (Fong & Saunders, SIAM J. Sci. Comput. 2011) whose iterates
+are bitwise equal to ``scipy.sparse.linalg.lsmr``'s.  The known
+pilot/guard content is reconstructed and cancelled before detection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, sqrt
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, lsmr, spsolve
+from scipy.sparse.linalg import LinearOperator, spsolve
 
+from .channel import banded_circular
 from .estimation import PilotLayout, extract_data
 from .grid import Frame, GridConfig, QamConfig, constellation, otfs_demodulate, otfs_modulate, qam_demap
 
@@ -46,41 +51,172 @@ class DetectionResult:
 
 
 class ChannelOp:
-    """Matrix-free banded-circular delay-time channel from tap columns.
+    """Banded-circular delay-time channel G and its adjoint, as CSR.
 
-    Gather indices and conjugate gains are precomputed once per frame; the
-    per-iteration cost inside LSMR is two fancy gathers and a reduction.
+    G is ``banded_circular(g_dt)``: row n holds g[n, l] at column
+    (n - l) mod MN.  G^H row m holds conj(g[(m + l) mod MN, l]) at column
+    (m + l) mod MN.  Both are built once per frame, list each row's entries
+    in lag order l = 0..L-1 and keep explicit zeros, so ``matvec`` and
+    ``rmatvec`` equal the tap-gather sums sum_l g[n, l] x[(n - l) mod MN]
+    bit for bit.  ``g_dt`` is not modified.
     """
 
     def __init__(self, g_dt: np.ndarray):
-        self.g = np.asarray(g_dt)
-        self.mn, n_taps = self.g.shape
-        lags = np.arange(n_taps)[:, None]
-        pos = np.arange(self.mn)[None, :]
-        self._idx_f = (pos - lags) % self.mn      # x index feeding output n
-        self._idx_r = (pos + lags) % self.mn      # y index feeding output m
-        self._gf = self.g.T
-        self._gr = np.conj(self.g[self._idx_r, lags])
+        g = np.asarray(g_dt)
+        self.mn, n_taps = g.shape
+        self._G = banded_circular(g)
+        cols = (np.arange(self.mn)[:, None] + np.arange(n_taps)) % self.mn
+        self._GH = sp.csr_matrix(
+            (np.conj(g[cols, np.arange(n_taps)]).ravel(), cols.ravel(),
+             self._G.indptr), shape=(self.mn, self.mn))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return np.einsum("ln,ln->n", self._gf, x[self._idx_f])
+        return self._G @ x
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return np.einsum("lm,lm->m", self._gr, y[self._idx_r])
+        return self._GH @ y
 
     def as_linear_operator(self) -> LinearOperator:
         return LinearOperator((self.mn, self.mn), matvec=self.matvec,
                               rmatvec=self.rmatvec, dtype=complex)
 
     def to_sparse(self) -> sp.csr_matrix:
-        rows = np.arange(self.mn)
-        mats = [sp.csr_matrix((self.g[:, l], (rows, (rows - l) % self.mn)),
-                              shape=(self.mn, self.mn))
-                for l in range(self.g.shape[1])]
-        out = mats[0]
-        for m in mats[1:]:
-            out = out + m
-        return out
+        """G in canonical CSR (explicit zeros dropped, columns sorted)."""
+        G = self._G.copy()
+        G.eliminate_zeros()
+        G.sort_indices()
+        return G
+
+
+def _norm(v: np.ndarray) -> float:
+    """numpy.linalg.norm of a 1-D complex vector, by its own formula."""
+    return sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
+def _sym_ortho(a: float, b: float):
+    """Stable Givens rotation (c, s, r) of (a, b), as in scipy's LSQR/LSMR."""
+    if b == 0:
+        return float(np.sign(a)), 0, abs(a)
+    if a == 0:
+        return 0, float(np.sign(b)), abs(b)
+    if abs(b) > abs(a):
+        tau = a / b
+        s = (1.0 if b > 0 else -1.0) / sqrt(1 + tau * tau)
+        c = s * tau
+        return c, s, b / s
+    tau = b / a
+    c = (1.0 if a > 0 else -1.0) / sqrt(1 + tau * tau)
+    s = c * tau
+    return c, s, a / c
+
+
+def _lsmr(op: ChannelOp, b: np.ndarray, damp: float, maxiter: int) -> np.ndarray:
+    """min ||G x - b||^2 + damp^2 ||x||^2 by LSMR from x0 = 0.
+
+    ``scipy.sparse.linalg.lsmr`` with atol = btol = 1e-6 and conlim = 1e8,
+    restated without its operator wrapper and numpy scalars: the same
+    recurrences, the same in-place array operations in the same order, the
+    same norms and all seven stopping tests, so the returned iterate is
+    bitwise equal to scipy's.  Scalars are Python floats, which round as
+    numpy's float64 scalars do.
+    """
+    atol = btol = 1e-6
+    ctol = 1e-8                                  # 1 / conlim
+    x = np.zeros(op.mn, dtype=complex)
+    normb = beta = _norm(b)
+    if beta == 0:
+        return x
+    u = (1 / beta) * b
+    v = op.rmatvec(u)
+    alpha = _norm(v)
+    if alpha == 0:
+        return x
+    v = (1 / alpha) * v
+
+    zetabar = alpha * beta
+    alphabar = alpha
+    rho = rhobar = cbar = 1.0
+    sbar = 0.0
+    h = v.copy()
+    hbar = np.zeros(op.mn, dtype=complex)
+    # estimation of ||r||
+    betadd = beta
+    betad = tautildeold = thetatilde = zeta = d = 0.0
+    rhodold = 1.0
+    # estimation of ||A|| and cond(A)
+    normA2 = alpha * alpha
+    maxrbar = 0.0
+    minrbar = 1e100
+
+    for itn in range(1, maxiter + 1):
+        # bidiagonalization: beta*u = A v - alpha*u, alpha*v = A^H u - beta*v
+        u *= -alpha
+        u += op.matvec(v)
+        beta = _norm(u)
+        if beta > 0:
+            u *= (1 / beta)
+            v *= -beta
+            v += op.rmatvec(u)
+            alpha = _norm(v)
+            if alpha > 0:
+                v *= (1 / alpha)
+
+        # rotations Qhat (damping), Q (B to R) and Qbar (R^T to Rbar)
+        chat, shat, alphahat = _sym_ortho(alphabar, damp)
+        rhoold = rho
+        c, s, rho = _sym_ortho(alphahat, beta)
+        thetanew = s * alpha
+        alphabar = c * alpha
+        rhobarold = rhobar
+        zetaold = zeta
+        thetabar = sbar * rho
+        rhotemp = cbar * rho
+        cbar, sbar, rhobar = _sym_ortho(cbar * rho, thetanew)
+        zeta = cbar * zetabar
+        zetabar = - sbar * zetabar
+
+        hbar *= - (thetabar * rho / (rhoold * rhobarold))
+        hbar += h
+        x += (zeta / (rho * rhobar)) * hbar
+        h *= - (thetanew / rho)
+        h += v
+
+        # estimate of ||r||
+        betaacute = chat * betadd
+        betacheck = -shat * betadd
+        betahat = c * betaacute
+        betadd = -s * betaacute
+        thetatildeold = thetatilde
+        ctildeold, stildeold, rhotildeold = _sym_ortho(rhodold, thetabar)
+        thetatilde = stildeold * rhobar
+        rhodold = ctildeold * rhobar
+        betad = - stildeold * betad + ctildeold * betahat
+        tautildeold = (zetaold - thetatildeold * tautildeold) / rhotildeold
+        taud = (zeta - thetatilde * tautildeold) / rhodold
+        d = d + betacheck * betacheck
+        normr = sqrt(d + (betad - taud)**2 + betadd * betadd)
+
+        # estimates of ||A|| and cond(A)
+        normA2 = normA2 + beta * beta
+        normA = sqrt(normA2)
+        normA2 = normA2 + alpha * alpha
+        maxrbar = max(maxrbar, rhobarold)
+        if itn > 1:
+            minrbar = min(minrbar, rhobarold)
+        condA = max(maxrbar, rhotemp) / min(minrbar, rhotemp)
+
+        # stopping tests (scipy's istop 1..7)
+        normar = abs(zetabar)
+        normx = _norm(x)
+        test1 = normr / normb
+        test2 = normar / (normA * normr) if (normA * normr) != 0 else inf
+        test3 = 1 / condA
+        t1 = test1 / (1 + normA * normx / normb)
+        rtol = btol + atol * normA * normx / normb
+        if (itn >= maxiter or 1 + test3 <= 1 or 1 + test2 <= 1 or 1 + t1 <= 1
+                or test3 <= ctol or test2 <= atol or test1 <= rtol):
+            break
+    return x
 
 
 def _known_grid(layout: PilotLayout | None, cfg: GridConfig) -> np.ndarray:
@@ -156,14 +292,13 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     eq = eq or EqualizerConfig(kind="lsmr_ic")
     layout = layout.resolved(cfg)
     op = ChannelOp(g_dt)
-    lin_op = op.as_linear_operator()
     damp = float(np.sqrt(noise_var))
     points = constellation(qam)
     mask = layout.data_mask(cfg)
     y = np.asarray(r).ravel() - op.matvec(
         otfs_modulate(Frame(layout.pilot_frame(cfg).dd), cfg, with_cp=False))
 
-    x_dt = lsmr(lin_op, y, damp=damp, maxiter=eq.i_lsmr)[0]
+    x_dt = _lsmr(op, y, damp, eq.i_lsmr)
     x_dd = otfs_demodulate(x_dt, cfg).dd
     best_res = float(np.linalg.norm(y - op.matvec(x_dt)))
     best_dd = x_dd
@@ -180,7 +315,7 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
             hard = np.where(keep, hard, 0.0)
         s_hard = otfs_modulate(Frame(hard), cfg, with_cp=False)
         resid = y - op.matvec(s_hard)
-        delta = lsmr(lin_op, resid, damp=damp, maxiter=eq.i_lsmr)[0]
+        delta = _lsmr(op, resid, damp, eq.i_lsmr)
         cand_dt = s_hard + delta
         cand_dd = otfs_demodulate(cand_dt, cfg).dd
         cand_res = float(np.linalg.norm(y - op.matvec(cand_dt)))

@@ -35,6 +35,7 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import solve
 from scipy.special import j0
 
+from .channel import banded_circular
 from .dd_analysis import dd_transform
 from .grid import Frame, GridConfig
 from .oscillator import PhaseNoiseModel, expected_rotation
@@ -207,12 +208,7 @@ class FullEstimate:
     def dd_matrix(self, cfg: GridConfig) -> np.ndarray:
         """Dense delay-Doppler estimate (small grids), the DD-domain view of
         the banded circular delay-time matrix built from the tap columns."""
-        mn = cfg.frame_len
-        G = np.zeros((mn, mn), dtype=complex)
-        rows = np.arange(mn)
-        for l in range(self.g_dt.shape[1]):
-            G[rows, (rows - l) % mn] += self.g_dt[:, l]
-        return dd_transform(G, cfg)
+        return dd_transform(banded_circular(self.g_dt).toarray(), cfg)
 
 
 def stage2_estimate(partial: PartialEstimate, wiener: WienerFilter) -> FullEstimate:

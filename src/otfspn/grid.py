@@ -189,14 +189,6 @@ def otfs_demodulate(r: np.ndarray, cfg: GridConfig) -> Frame:
     return Frame(Y)
 
 
-def delay_time_grid(r: np.ndarray, cfg: GridConfig) -> np.ndarray:
-    """Reshape a CP-free sample vector to the M x N delay-time grid."""
-    r = np.asarray(r).ravel()
-    if r.size != cfg.frame_len:
-        raise ValueError(f"expected {cfg.frame_len} samples, got {r.size}")
-    return r.reshape(cfg.M, cfg.N, order="F")
-
-
 def ofdm_modulate(frame: Frame, cfg: GridConfig) -> np.ndarray:
     """M-subcarrier, N-symbol OFDM with per-symbol CP.
 

@@ -202,13 +202,9 @@ class SweepPoint:
     sweep_value: float
 
 
-def _resolve_point(s: Scenario, value: float) -> SweepPoint:
-    params = {s.sweep: value}
+def _channel_at(s: Scenario, params: dict):
+    """Grid, Doppler shift and channel profile at one sweep point."""
     cfg = GridConfig(s.M, s.N, s.n_cp, s.f_c, s.bandwidth)
-    beta = params.get("beta_pn", s.beta_pn)
-    f_pll = params.get("f_pll", s.f_pll)
-    model = PhaseNoiseModel(s.oscillator, beta, cfg.T_s, f_pll)
-
     if "f_D_norm" in params:
         f_D = params["f_D_norm"] * cfg.doppler_spacing
     elif "f_D" in params:
@@ -225,6 +221,36 @@ def _resolve_point(s: Scenario, value: float) -> SweepPoint:
         profile = ch.ChannelProfile((0.0,), (1.0,), f_D)
     else:
         raise ValueError(f"unknown channel {s.channel!r}")
+    return cfg, f_D, profile
+
+
+def _check_point(s: Scenario, value: float) -> None:
+    """Raise what resolving and running this sweep point would raise: the
+    pilot guard check (2L-1 <= M) of non-OFDM link points, then the CP check
+    (n_cp >= L-1) of every channel a link trial draws.  Builds no Wiener
+    filter."""
+    if s.kind != "link":
+        return
+    cfg, _, profile = _channel_at(s, {s.sweep: value})
+    if not s.estimator.startswith("ofdm"):
+        est.PilotLayout(L=_pilot_length(s, profile, cfg)).resolved(cfg)
+    if s.channel == "tdl_c":
+        profile.length(cfg)
+
+
+def _pilot_length(s: Scenario, profile: ch.ChannelProfile, cfg: GridConfig) -> int:
+    if s.pilot_L is not None:
+        return s.pilot_L
+    delays, _ = profile.quantized(cfg.T_s)
+    return int(delays.max()) + 1
+
+
+def _resolve_point(s: Scenario, value: float) -> SweepPoint:
+    params = {s.sweep: value}
+    cfg, f_D, profile = _channel_at(s, params)
+    beta = params.get("beta_pn", s.beta_pn)
+    f_pll = params.get("f_pll", s.f_pll)
+    model = PhaseNoiseModel(s.oscillator, beta, cfg.T_s, f_pll)
 
     snr_db = params.get("snr_db", s.snr_db)
     snr = 10.0 ** (snr_db / 10.0)
@@ -238,10 +264,9 @@ def _resolve_point(s: Scenario, value: float) -> SweepPoint:
         if s.estimator.startswith("ofdm"):
             ptrp = est.PtrpLayout(spacing=s.ptrp_spacing)
         else:
-            delays, _ = profile.quantized(cfg.T_s)
-            L = s.pilot_L if s.pilot_L is not None else int(delays.max()) + 1
             sigma2_p = cfg.N * 10.0 ** (s.pilot_boost_db / 10.0)
-            layout = est.PilotLayout(L=L, sigma2_p=sigma2_p).resolved(cfg)
+            layout = est.PilotLayout(L=_pilot_length(s, profile, cfg),
+                                     sigma2_p=sigma2_p).resolved(cfg)
             if s.estimator == "proposed":
                 noise_ratio = noise_var * cfg.N / layout.sigma2_p
                 wiener = est.build_wiener(model, f_D, noise_ratio, cfg, layout)
@@ -451,20 +476,25 @@ def _run_sinr_point(point: SweepPoint, workers: int) -> list:
 
 def run_scenario(scenario: Scenario, workers: int = 1) -> list:
     """Run every sweep point; returns ResultRow list in sweep order."""
-    rows = []
-    for value in scenario.sweep_values:
-        point = _resolve_point(scenario, float(value))
-        if scenario.kind == "sinr":
-            rows.extend(_run_sinr_point(point, workers))
-        else:
-            rows.extend(_run_link_point(point, workers))
-    return rows
+    return run_scenarios([scenario], workers)
 
 
 def run_scenarios(scenarios, workers: int = 1) -> list:
+    """Run every sweep point of every scenario, in order.  Every point is
+    checked before the first trial runs, so a configuration error is
+    reported before any work is done."""
+    scenarios = list(scenarios)
+    for s in scenarios:
+        for value in s.sweep_values:
+            _check_point(s, float(value))
     rows = []
     for s in scenarios:
-        rows.extend(run_scenario(s, workers))
+        for value in s.sweep_values:
+            point = _resolve_point(s, float(value))
+            if s.kind == "sinr":
+                rows.extend(_run_sinr_point(point, workers))
+            else:
+                rows.extend(_run_link_point(point, workers))
     return rows
 
 

@@ -26,6 +26,7 @@ measurements behind both criteria.
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import norm
 
 from otfspn.channel import (ChannelProfile, apply_channel, doppler_from_velocity,
@@ -317,6 +318,7 @@ def test_criterion_07_nmse_ordering_vs_beta():
     assert spline_interpolates, f"NMSE means {means}"
 
 
+@pytest.mark.slow
 def test_criterion_08_ber_ordering_lsmr_ic():
     """Equalized BER ordering (fig11 settings, desk scale), 5000 trials."""
     cfg = DESK

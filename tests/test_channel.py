@@ -8,6 +8,8 @@ from otfspn.channel import (ChannelProfile, ChannelRealization, SPEED_OF_LIGHT,
                             _jakes_factor, apply_channel, delay_time_matrix,
                             doppler_from_velocity, effective_channel,
                             effective_dd_channel, realize_channel)
+from otfspn.dd_analysis import dd_transform
+from otfspn.estimation import FullEstimate
 from otfspn.grid import Frame, GridConfig, otfs_demodulate, otfs_modulate
 from otfspn.oscillator import PhaseNoiseModel, PhasePath, sample_path
 
@@ -180,6 +182,22 @@ def test_apply_channel_matches_dense_matrices():
     # receiver-side model: phase multiplies after the channel, not before
     swapped = H @ Phi @ s[cfg.n_cp:]
     assert np.abs(r - swapped).max() > 1e-3
+
+
+def test_banded_circular_builders_match_lag_loop():
+    cfg = GridConfig(M=16, N=4, n_cp=8)
+    mn = cfg.frame_len
+    rng = np.random.default_rng(8)
+    taps = rng.standard_normal((mn, 8)) + 1j * rng.standard_normal((mn, 8))
+    taps[:, 5] = 0.0
+    loop = np.zeros((mn, mn), dtype=complex)
+    rows = np.arange(mn)
+    for l in range(taps.shape[1]):
+        loop[rows, (rows - l) % mn] += taps[:, l]
+    assert np.array_equal(delay_time_matrix(taps, mn), loop)
+    assert np.array_equal(FullEstimate(taps).dd_matrix(cfg), dd_transform(loop, cfg))
+    with pytest.raises(ValueError):
+        delay_time_matrix(taps, mn + 1)
 
 
 def test_effective_dd_channel_identity():

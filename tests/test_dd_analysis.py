@@ -100,6 +100,7 @@ def test_k_phi_structure():
                                    atol=1e-12)
 
 
+@pytest.mark.slow
 def test_k_phi_diag_monte_carlo():
     # empirical E|phi_p|^2 over 1e5 paths, FRO beta=100 Hz, 128x32 grid
     cfg = GridConfig(M=128, N=32, n_cp=0)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import lsmr
 
 from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
     effective_channel, realize_channel
-from otfspn.equalization import (ChannelOp, EqualizerConfig, ber, conv_encode,
-                                 evm, lsmr_ic_equalize, mmse_equalize, nmse,
-                                 qam_llrs, viterbi_decode)
+from otfspn.equalization import (ChannelOp, EqualizerConfig, _lsmr, ber,
+                                 conv_encode, evm, lsmr_ic_equalize,
+                                 mmse_equalize, nmse, qam_llrs, viterbi_decode)
 from otfspn.estimation import PilotLayout, build_pilot_frame
 from otfspn.grid import Frame, GridConfig, QamConfig, otfs_modulate, qam_demap, qam_map
 from otfspn.oscillator import PhaseNoiseModel, PhasePath, sample_path
@@ -33,6 +34,111 @@ def test_channel_op_adjoint():
     assert lhs == pytest.approx(rhs, rel=1e-12)
     dense = op.to_sparse().toarray()
     np.testing.assert_allclose(op.matvec(x), dense @ x, atol=1e-12)
+
+
+def _random_taps(rng, mn, n_taps, zero_tap=None):
+    g = rng.standard_normal((mn, n_taps)) + 1j * rng.standard_normal((mn, n_taps))
+    if zero_tap is not None:
+        g[:, zero_tap] = 0.0
+    return g
+
+
+def _tap_gather(g, x, adjoint=False):
+    """sum_l g[n, l] x[(n - l) mod MN], or the adjoint sum, by gathers."""
+    mn, n_taps = g.shape
+    lags = np.arange(n_taps)[:, None]
+    pos = np.arange(mn)[None, :]
+    if adjoint:
+        idx = (pos + lags) % mn
+        return np.einsum("lm,lm->m", np.conj(g[idx, lags]), x[idx])
+    return np.einsum("ln,ln->n", g.T, x[(pos - lags) % mn])
+
+
+@pytest.mark.parametrize("n_taps,zero_tap", [(1, None), (8, None), (8, 3)])
+def test_channel_op_equals_tap_gather(n_taps, zero_tap):
+    rng = np.random.default_rng(20)
+    g = _random_taps(rng, 512, n_taps, zero_tap)
+    op = ChannelOp(g)
+    x = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    assert np.array_equal(op.matvec(x), _tap_gather(g, x))
+    assert np.array_equal(op.rmatvec(x), _tap_gather(g, x, adjoint=True))
+
+
+def _sum_of_lag_matrices(g):
+    """One COO-built CSR matrix per lag, summed."""
+    mn = g.shape[0]
+    rows = np.arange(mn)
+    out = None
+    for l in range(g.shape[1]):
+        m = sp.csr_matrix((g[:, l], (rows, (rows - l) % mn)), shape=(mn, mn))
+        out = m if out is None else out + m
+    return out
+
+
+@pytest.mark.parametrize("n_taps,zero_tap", [(1, None), (8, None), (8, 3)])
+def test_to_sparse_matches_sum_of_lag_matrices(n_taps, zero_tap):
+    g = _random_taps(np.random.default_rng(21), 512, n_taps, zero_tap)
+    new, old = ChannelOp(g).to_sparse(), _sum_of_lag_matrices(g)
+    assert np.array_equal(new.indptr, old.indptr)
+    assert np.array_equal(new.indices, old.indices)
+    assert np.array_equal(new.data, old.data)
+
+
+def test_channel_op_leaves_taps_untouched():
+    rng = np.random.default_rng(22)
+    g = _random_taps(rng, 64, 8, zero_tap=2)
+    before = g.copy()
+    op = ChannelOp(g)
+    op.to_sparse()
+    x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    op.matvec(x)
+    op.rmatvec(x)
+    _lsmr(op, x, 0.1, 20)
+    assert g.tobytes() == before.tobytes()
+
+
+class _CountingOp(ChannelOp):
+    def __init__(self, g):
+        super().__init__(g)
+        self.calls = 0
+
+    def matvec(self, x):
+        self.calls += 1
+        return super().matvec(x)
+
+    def rmatvec(self, y):
+        self.calls += 1
+        return super().rmatvec(y)
+
+
+@pytest.mark.parametrize("damp", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("mn", [64, 512])
+@pytest.mark.parametrize("n_taps", [1, 8])
+def test_lsmr_bitwise_equal_to_scipy(n_taps, mn, damp):
+    rng = np.random.default_rng(23 + n_taps + mn)
+    op = _CountingOp(_random_taps(rng, mn, n_taps))
+    b = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
+    for rhs in (b, np.zeros(mn, dtype=complex)):
+        op.calls = 0
+        ref, istop = lsmr(op.as_linear_operator(), rhs, damp=damp, maxiter=20)[:2]
+        ref_calls, op.calls = op.calls, 0
+        assert np.array_equal(_lsmr(op, rhs, damp, 20), ref)
+        assert op.calls == ref_calls
+    assert istop == 0          # b = 0 returns before the first iteration
+
+
+def test_lsmr_bitwise_equal_to_scipy_on_early_stop():
+    # a near-identity channel converges in a few iterations: scipy stops on
+    # its tolerance tests (istop 1 or 2) long before maxiter
+    rng = np.random.default_rng(24)
+    g = np.ones((512, 2), dtype=complex)
+    g[:, 1] = 0.01 * (rng.standard_normal(512) + 1j * rng.standard_normal(512))
+    op = ChannelOp(g)
+    b = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    for damp in (0.0, 0.1):
+        ref, istop, itn = lsmr(op.as_linear_operator(), b, damp=damp, maxiter=200)[:3]
+        assert istop < 7 and itn < 200
+        assert np.array_equal(_lsmr(op, b, damp, 200), ref)
 
 
 def test_mmse_identity_channel_low_noise():

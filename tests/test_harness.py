@@ -210,3 +210,54 @@ def test_cli_rejects_ineffective_sweep_before_any_trial(tmp_path, capsys,
     assert cli_main(["run", str(bad)]) == 1
     assert ran == []
     assert "f_pll has no effect" in capsys.readouterr().err
+
+
+def _count_trials(monkeypatch):
+    import otfspn.harness as harness
+    calls = []
+    for name in ("_run_otfs_trial", "_run_ofdm_trial", "_run_sinr_point"):
+        fn = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda *a, _fn=fn, **k: calls.append(a) or _fn(*a, **k))
+    return calls
+
+
+GOOD = Scenario(name="good", channel="awgn", n_cp=0, beta_pn=0.0,
+                estimator="perfect", sweep="snr_db", sweep_values=(6.0,),
+                trials=2)
+
+
+@pytest.mark.parametrize("bad,message", [
+    # TDL-C at 100 ns and 7.68 MHz spans L = 8 samples
+    (dict(n_cp=4), "exceeds CP"),
+    (dict(n_cp=4, estimator="ofdm_ptrp"), "exceeds CP"),
+    (dict(M=8), "guard region"),
+    (dict(pilot_L=20), "guard region"),
+])
+def test_run_scenarios_checks_every_point_before_any_trial(monkeypatch, bad,
+                                                           message):
+    calls = _count_trials(monkeypatch)
+    late = Scenario(name="late", velocity=100.0, sweep="snr_db",
+                    sweep_values=(0.0, 10.0), trials=2, **bad)
+    with pytest.raises(ValueError, match=message):
+        run_scenarios([GOOD, late])
+    assert calls == []
+
+
+def test_fail_fast_check_accepts_what_trials_accept(monkeypatch):
+    # no channel is drawn for awgn links or sinr runs, so a short CP is fine
+    calls = _count_trials(monkeypatch)
+    sinr = Scenario(name="sinr", kind="sinr", n_cp=0, sweep="beta_pn",
+                    sweep_values=(10.0,), trials=2)
+    rows = run_scenarios([GOOD, sinr])
+    assert len(calls) == 3 and len(rows) == 3 + 4
+
+
+def test_cli_rejects_short_cp_before_any_trial(tmp_path, capsys, monkeypatch):
+    calls = _count_trials(monkeypatch)
+    bad = tmp_path / "bad.yaml"
+    save_scenario(Scenario(name="bad", n_cp=4, sweep="snr_db",
+                           sweep_values=(0.0, 10.0), trials=2), str(bad))
+    assert cli_main(["run", str(bad)]) == 1
+    assert calls == []
+    assert "exceeds CP" in capsys.readouterr().err
