@@ -16,9 +16,9 @@ The receive model is
     r[n] = exp(j*theta[n]) * sum_l h[n, l] * s[n - l] + eta[n],
 
 i.e. phase noise multiplies at the receiver after the channel.  With a cyclic
-prefix at least as long as the channel memory, the retained window sees a
-circular convolution, so taps and phase are generated for the M*N retained
-samples only.
+prefix at least as long as the channel memory, the retained OTFS window sees
+a circular convolution, so its taps are generated for the M*N retained
+samples only; an OFDM stream draws taps for every sample.
 """
 
 from __future__ import annotations
@@ -210,29 +210,33 @@ def effective_channel(chan: ChannelRealization, path: PhasePath) -> np.ndarray:
 
 
 def apply_channel(s: np.ndarray, chan: ChannelRealization, path: PhasePath,
-                  noise_var: float, seed, cfg: GridConfig) -> np.ndarray:
-    """Transmit CP-prefixed samples through the LTV channel plus phase noise.
+                  noise_var: float, seed) -> np.ndarray:
+    """Pass transmit samples through the LTV channel plus phase noise.
 
-    Returns the post-CP-removal window of length M*N.  With n_cp >= L - 1
-    the linear time-varying convolution restricted to that window equals a
-    circular one in the CP-free transmit block, which is how it is computed.
+    The output covers the channel window, the last ``n = len(chan.taps)``
+    samples of ``s``: with ``off = len(s) - n``,
+
+        r[k] = psi[k] * sum_l h[k, l] * s[off + k - l] + eta[k],  k < n,
+
+    where samples before ``s[0]`` are zero and psi is the trailing n samples
+    of the path.  An OTFS block with its CP (off = n_cp >= L - 1) thus sees
+    a circular convolution of the CP-free block; an OFDM stream with
+    ``n = len(s)`` (off = 0) sees a linear one.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     s = np.asarray(s).ravel()
-    mn = cfg.frame_len
-    if s.size == mn + cfg.n_cp:
-        s = s[cfg.n_cp:]
-    elif s.size != mn:
-        raise ValueError(f"expected {mn + cfg.n_cp} or {mn} samples, got {s.size}")
-    if chan.taps.shape[0] != mn:
-        raise ValueError("channel window does not match the grid")
-    acc = np.zeros(mn, dtype=complex)
+    n = chan.taps.shape[0]
+    off = s.size - n
+    if off < 0:
+        raise ValueError(f"{s.size} samples cannot fill a {n}-sample channel window")
+    acc = np.zeros(n, dtype=complex)
     for col, l in enumerate(chan.tap_delays):
-        acc += chan.taps[:, col] * np.roll(s, l)
-    r = path.psi[-mn:] * acc
+        k = max(l - off, 0)             # outputs before k see no sample of s
+        acc[k:] += chan.taps[k:, col] * s[off + k - l:off + n - l]
+    r = path.psi[-n:] * acc
     if noise_var > 0:
-        r = r + np.sqrt(noise_var / 2.0) * (rng.standard_normal(mn)
-                                            + 1j * rng.standard_normal(mn))
+        r = r + np.sqrt(noise_var / 2.0) * (rng.standard_normal(n)
+                                            + 1j * rng.standard_normal(n))
     return r
 
 

@@ -13,7 +13,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--trials", type=int, default=None, help="trials per sweep point")
     p.add_argument("--seed", type=int, default=None, help="base seed")
     p.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    p.add_argument("--workers", type=int, default=1, help="parallel trial workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,12 +41,12 @@ def main(argv=None) -> int:
                 scenario = replace(scenario, trials=args.trials)
             if args.seed is not None:
                 scenario = replace(scenario, seed=args.seed)
-            rows = run_scenario(scenario, workers=args.workers)
+            rows = run_scenario(scenario)
         else:
             scenarios = preset(args.name, trials=args.trials,
                                seed=args.seed if args.seed is not None else 0,
                                full=args.full)
-            rows = run_scenarios(scenarios, workers=args.workers)
+            rows = run_scenarios(scenarios)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

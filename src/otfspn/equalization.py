@@ -3,11 +3,12 @@ rate-1/2 convolutional coding and the frame-level metrics.
 
 The effective delay-time channel matrix G is banded circular (row n holds
 the tap gains g[n, l] at columns (n - l) mod MN), so equalization defaults
-to that domain.  ``ChannelOp`` holds G and G^H as CSR matrices whose rows
-list the taps in lag order, so every product sums exactly as the tap-gather
-formula does.  MMSE solves the sparse normal equations; LSMR-IC runs an
-in-house LSMR (Fong & Saunders, SIAM J. Sci. Comput. 2011) whose iterates
-are bitwise equal to ``scipy.sparse.linalg.lsmr``'s.  The known
+to that domain.  MMSE builds G once and solves the sparse normal
+equations.  LSMR-IC runs an in-house LSMR (Fong & Saunders, SIAM J. Sci.
+Comput. 2011) on ``ChannelOp``, which holds G and G^H as CSR matrices whose
+rows list the taps in lag order, so every product sums exactly as the
+tap-gather formula does and the iterates are bitwise equal to
+``scipy.sparse.linalg.lsmr``'s.  The known
 pilot/guard content is reconstructed and cancelled before detection.
 """
 
@@ -21,24 +22,9 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, spsolve
 
 from .channel import banded_circular
+from .dd_analysis import dd_transform
 from .estimation import PilotLayout, extract_data
 from .grid import Frame, GridConfig, QamConfig, constellation, otfs_demodulate, otfs_modulate, qam_demap
-
-
-@dataclass(frozen=True)
-class EqualizerConfig:
-    kind: str = "mmse"            # "mmse" | "lsmr_ic"
-    i_ic: int = 10
-    i_lsmr: int = 20
-    domain: str = "delay_time"    # "delay_time" | "delay_doppler" (mmse only)
-
-    def __post_init__(self):
-        if self.kind not in ("mmse", "lsmr_ic"):
-            raise ValueError(f"unknown equalizer kind {self.kind!r}")
-        if self.i_ic < 1 or self.i_lsmr < 1:
-            raise ValueError("iteration counts must be >= 1")
-        if self.domain not in ("delay_time", "delay_doppler"):
-            raise ValueError(f"unknown equalization domain {self.domain!r}")
 
 
 @dataclass
@@ -51,7 +37,7 @@ class DetectionResult:
 
 
 class ChannelOp:
-    """Banded-circular delay-time channel G and its adjoint, as CSR.
+    """Banded-circular delay-time channel G and its adjoint, as CSR, for LSMR.
 
     G is ``banded_circular(g_dt)``: row n holds g[n, l] at column
     (n - l) mod MN.  G^H row m holds conj(g[(m + l) mod MN, l]) at column
@@ -80,12 +66,13 @@ class ChannelOp:
         return LinearOperator((self.mn, self.mn), matvec=self.matvec,
                               rmatvec=self.rmatvec, dtype=complex)
 
-    def to_sparse(self) -> sp.csr_matrix:
-        """G in canonical CSR (explicit zeros dropped, columns sorted)."""
-        G = self._G.copy()
-        G.eliminate_zeros()
-        G.sort_indices()
-        return G
+
+def _canonical(G: sp.csr_matrix) -> sp.csr_matrix:
+    """Copy of G in canonical CSR (explicit zeros dropped, columns sorted)."""
+    G = G.copy()
+    G.eliminate_zeros()
+    G.sort_indices()
+    return G
 
 
 def _norm(v: np.ndarray) -> float:
@@ -235,36 +222,34 @@ def mmse_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     from y first; the solve runs on the sparse banded system in delay-time
     (or on the dense DD matrix when domain="delay_doppler", small grids).
     """
-    op = ChannelOp(g_dt)
-    y = np.asarray(r).ravel() - op.matvec(
-        otfs_modulate(Frame(_known_grid(layout, cfg)), cfg, with_cp=False))
+    G = banded_circular(g_dt)
+    mn = G.shape[0]
+    y = np.asarray(r).ravel() - G @ otfs_modulate(
+        Frame(_known_grid(layout, cfg)), cfg, with_cp=False)
     if domain == "delay_time":
-        G = op.to_sparse().tocsc()
-        A = (G.getH() @ G + noise_var * sp.identity(op.mn, format="csc")).tocsc()
-        x_dt = spsolve(A, G.getH() @ y)
+        Gc = _canonical(G).tocsc()
+        A = (Gc.getH() @ Gc + noise_var * sp.identity(mn, format="csc")).tocsc()
+        x_dt = spsolve(A, Gc.getH() @ y)
         x_dd = otfs_demodulate(x_dt, cfg).dd
     elif domain == "delay_doppler":
-        from .estimation import FullEstimate
-        Gdd = FullEstimate(g_dt).dd_matrix(cfg)
+        Gdd = dd_transform(G.toarray(), cfg)
         y_dd = otfs_demodulate(y, cfg).vec
-        A = Gdd.conj().T @ Gdd + noise_var * np.eye(op.mn)
+        A = Gdd.conj().T @ Gdd + noise_var * np.eye(mn)
         x = np.linalg.solve(A, Gdd.conj().T @ y_dd)
         x_dd = x.reshape(cfg.M, cfg.N, order="F")
     else:
         raise ValueError(f"unknown equalization domain {domain!r}")
-    return _finalize(x_dd, y, op, layout, cfg, qam)
+    x_dt = otfs_modulate(Frame(x_dd), cfg, with_cp=False)
+    residual = float(np.linalg.norm(y - G @ x_dt))
+    return _finalize(x_dd, layout, cfg, qam, residual)
 
 
-def _finalize(x_dd, y_data, op, layout, cfg, qam,
-              residual=None, converged=True) -> DetectionResult:
+def _finalize(x_dd, layout, cfg, qam, residual, converged=True) -> DetectionResult:
     if layout is not None:
         symbols = extract_data(x_dd, layout.resolved(cfg), cfg)
     else:
         symbols = x_dd.reshape(-1, order="F")
     bits = qam_demap(symbols, qam) if qam is not None else np.empty(0, dtype=np.int64)
-    if residual is None:
-        x_dt = otfs_modulate(Frame(x_dd), cfg, with_cp=False)
-        residual = float(np.linalg.norm(y_data - op.matvec(x_dt)))
     return DetectionResult(symbols, bits, x_dd, residual, converged)
 
 
@@ -279,7 +264,7 @@ def _harden(x_dd: np.ndarray, mask: np.ndarray, points: np.ndarray) -> np.ndarra
 
 def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
                      cfg: GridConfig, layout: PilotLayout, qam: QamConfig,
-                     eq: EqualizerConfig | None = None) -> DetectionResult:
+                     i_ic: int = 10, i_lsmr: int = 20) -> DetectionResult:
     """Iterative detection: damped LSMR solves with interference cancellation.
 
     Each outer pass hard-decides the data symbols, cancels the most reliable
@@ -289,7 +274,6 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     increase the data residual, so the reported residual is non-increasing;
     if the final pass was rejected the result is flagged unconverged.
     """
-    eq = eq or EqualizerConfig(kind="lsmr_ic")
     layout = layout.resolved(cfg)
     op = ChannelOp(g_dt)
     damp = float(np.sqrt(noise_var))
@@ -298,14 +282,14 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     y = np.asarray(r).ravel() - op.matvec(
         otfs_modulate(Frame(layout.pilot_frame(cfg).dd), cfg, with_cp=False))
 
-    x_dt = _lsmr(op, y, damp, eq.i_lsmr)
+    x_dt = _lsmr(op, y, damp, i_lsmr)
     x_dd = otfs_demodulate(x_dt, cfg).dd
     best_res = float(np.linalg.norm(y - op.matvec(x_dt)))
     best_dd = x_dd
     converged = True
-    for t in range(1, eq.i_ic + 1):
+    for t in range(1, i_ic + 1):
         hard = _harden(x_dd, mask, points)
-        frac = t / eq.i_ic
+        frac = t / i_ic
         if frac < 1.0:
             # cancel only the most reliable decisions on early passes
             err = np.abs(x_dd - hard)[mask]
@@ -315,7 +299,7 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
             hard = np.where(keep, hard, 0.0)
         s_hard = otfs_modulate(Frame(hard), cfg, with_cp=False)
         resid = y - op.matvec(s_hard)
-        delta = _lsmr(op, resid, damp, eq.i_lsmr)
+        delta = _lsmr(op, resid, damp, i_lsmr)
         cand_dt = s_hard + delta
         cand_dd = otfs_demodulate(cand_dt, cfg).dd
         cand_res = float(np.linalg.norm(y - op.matvec(cand_dt)))
@@ -325,8 +309,7 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
             converged = True
         else:
             converged = False
-    return _finalize(best_dd, y, op, layout, cfg, qam,
-                     residual=best_res, converged=converged)
+    return _finalize(best_dd, layout, cfg, qam, best_res, converged)
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,8 @@
 A scenario is a flat bag of parameters with exactly one sweep axis.  Every
 sweep point runs ``trials`` independent frames; trial t draws all of its
 randomness (bits, channel, phase path, noise) from one generator seeded with
-``seed + t``, so results are reproducible and independent of how trials are
-distributed over workers.  Aggregation is indexed by trial, never by
-completion order.
+``seed + t``, so the CSV bytes depend only on the scenario and the seed.
+OTFS and OFDM trials share one runner; only the receiver differs.
 
 Metric rows carry the scenario hash (canonical JSON, SHA-256) so CSV output
 is self-identifying; presets reproduce the reference experiments at desk
@@ -14,7 +13,6 @@ scale by default and at the full grid with ``full=True``.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import csv
 import hashlib
 import json
@@ -28,10 +26,18 @@ from . import equalization as eq
 from . import estimation as est
 from .grid import (GridConfig, QamConfig, ofdm_demodulate, ofdm_modulate,
                    otfs_modulate, qam_demap, qam_map)
-from .oscillator import PhaseNoiseModel, PhasePath, sample_path
+from .oscillator import KINDS, PhaseNoiseModel, sample_path
 
-ESTIMATORS = ("proposed", "bem", "spline", "stage1", "perfect",
-              "ofdm_ptrp", "ofdm_ptrp_interp")
+# stage-2 interpolators of the OTFS estimators: (sweep point, stage 1) -> estimate
+_INTERPOLATORS = {
+    "proposed": lambda p, part: est.stage2_estimate(part, p.wiener),
+    "bem": lambda p, part: est.bem_estimate(
+        part, p.cfg, p.layout, p.profile.f_D, p.model.beta_pn,
+        p.scenario.bem_k_over, p.scenario.bem_include_pn),
+    "spline": lambda p, part: est.spline_estimate(part, p.cfg, p.layout),
+    "stage1": lambda p, part: est.stage1_hold_estimate(part, p.cfg),
+}
+ESTIMATORS = (*_INTERPOLATORS, "perfect", "ofdm_ptrp", "ofdm_ptrp_interp")
 SWEEPS = ("snr_db", "beta_pn", "f_pll", "f_D", "f_D_norm", "velocity")
 
 
@@ -89,7 +95,11 @@ class Scenario:
             raise ValueError(f"unknown channel {self.channel!r}")
         if self.equalizer not in ("mmse", "lsmr_ic"):
             raise ValueError(f"unknown equalizer {self.equalizer!r}")
-        if self.oscillator not in ("FRO", "CPLL", "DPLL"):
+        if self.eq_domain not in ("delay_time", "delay_doppler"):
+            raise ValueError(f"unknown equalization domain {self.eq_domain!r}")
+        if self.i_ic < 1 or self.i_lsmr < 1:
+            raise ValueError("i_ic and i_lsmr must be >= 1")
+        if self.oscillator not in KINDS:
             raise ValueError(f"unknown oscillator {self.oscillator!r}")
         if self.sweep not in SWEEPS:
             raise ValueError(f"unknown sweep axis {self.sweep!r}")
@@ -217,25 +227,9 @@ def _channel_at(s: Scenario, params: dict):
 
     if s.channel == "tdl_c":
         profile = ch.ChannelProfile.tdl_c(s.delay_spread, f_D)
-    elif s.channel in ("ideal", "awgn"):
-        profile = ch.ChannelProfile((0.0,), (1.0,), f_D)
     else:
-        raise ValueError(f"unknown channel {s.channel!r}")
+        profile = ch.ChannelProfile((0.0,), (1.0,), f_D)
     return cfg, f_D, profile
-
-
-def _check_point(s: Scenario, value: float) -> None:
-    """Raise what resolving and running this sweep point would raise: the
-    pilot guard check (2L-1 <= M) of non-OFDM link points, then the CP check
-    (n_cp >= L-1) of every channel a link trial draws.  Builds no Wiener
-    filter."""
-    if s.kind != "link":
-        return
-    cfg, _, profile = _channel_at(s, {s.sweep: value})
-    if not s.estimator.startswith("ofdm"):
-        est.PilotLayout(L=_pilot_length(s, profile, cfg)).resolved(cfg)
-    if s.channel == "tdl_c":
-        profile.length(cfg)
 
 
 def _pilot_length(s: Scenario, profile: ch.ChannelProfile, cfg: GridConfig) -> int:
@@ -246,21 +240,28 @@ def _pilot_length(s: Scenario, profile: ch.ChannelProfile, cfg: GridConfig) -> i
 
 
 def _resolve_point(s: Scenario, value: float) -> SweepPoint:
+    """Build one sweep point, raising whatever its trials would raise: the
+    QAM order, the oscillator parameters, the pilot guard (2L-1 <= M) of
+    OTFS links and the CP (n_cp >= L-1) of every TDL-C channel a link
+    trial draws."""
     params = {s.sweep: value}
     cfg, f_D, profile = _channel_at(s, params)
     beta = params.get("beta_pn", s.beta_pn)
     f_pll = params.get("f_pll", s.f_pll)
     model = PhaseNoiseModel(s.oscillator, beta, cfg.T_s, f_pll)
+    qam = QamConfig(s.qam_order)
 
     snr_db = params.get("snr_db", s.snr_db)
     snr = 10.0 ** (snr_db / 10.0)
     if s.snr_is_ebn0:
         rate = 0.5 if s.coded else 1.0
-        snr = snr * QamConfig(s.qam_order).bits_per_symbol * rate
+        snr = snr * qam.bits_per_symbol * rate
     noise_var = 1.0 / snr
 
     layout = ptrp = wiener = None
     if s.kind == "link":
+        if s.channel == "tdl_c":
+            profile.length(cfg)
         if s.estimator.startswith("ofdm"):
             ptrp = est.PtrpLayout(spacing=s.ptrp_spacing)
         else:
@@ -270,29 +271,13 @@ def _resolve_point(s: Scenario, value: float) -> SweepPoint:
             if s.estimator == "proposed":
                 noise_ratio = noise_var * cfg.N / layout.sigma2_p
                 wiener = est.build_wiener(model, f_D, noise_ratio, cfg, layout)
-    return SweepPoint(cfg, QamConfig(s.qam_order), model, profile, layout,
-                      ptrp, wiener, noise_var, s, value)
+    return SweepPoint(cfg, qam, model, profile, layout, ptrp, wiener,
+                      noise_var, s, value)
 
 
 # --------------------------------------------------------------------------
-# Per-trial pipelines
+# Per-trial pipeline
 # --------------------------------------------------------------------------
-
-def _estimate(tag: str, point: SweepPoint, part: est.PartialEstimate,
-              f_D: float) -> est.FullEstimate:
-    s = point.scenario
-    if tag == "proposed":
-        return est.stage2_estimate(part, point.wiener)
-    if tag == "stage1":
-        return est.stage1_hold_estimate(part, point.cfg)
-    if tag == "spline":
-        return est.spline_estimate(part, point.cfg, point.layout)
-    if tag == "bem":
-        return est.bem_estimate(part, point.cfg, point.layout, f_D,
-                                point.model.beta_pn, s.bem_k_over,
-                                s.bem_include_pn)
-    raise ValueError(f"unknown estimator {tag!r}")
-
 
 def _realize(point: SweepPoint, rng, n_samples: int) -> ch.ChannelRealization:
     if point.scenario.channel in ("ideal", "awgn"):
@@ -302,99 +287,61 @@ def _realize(point: SweepPoint, rng, n_samples: int) -> ch.ChannelRealization:
     return ch.realize_channel(point.profile, point.cfg, rng, n_samples)
 
 
-def _run_otfs_trial(point: SweepPoint, trial_seed: int) -> dict:
-    rng = np.random.default_rng(trial_seed)
-    s, cfg, qam = point.scenario, point.cfg, point.qam
-    layout = point.layout
-    mn = cfg.frame_len
-
-    n_data = layout.n_data(cfg)
-    bps = qam.bits_per_symbol
-    if s.coded:
-        n_info = n_data * bps // 2 - (eq.CONV_K - 1)
-        info = rng.integers(0, 2, n_info)
-        bits = eq.conv_encode(info)
-    else:
-        bits = rng.integers(0, 2, n_data * bps)
-    data = qam_map(bits, qam)
-    frame = est.build_pilot_frame(layout, data, cfg)
-    tx = otfs_modulate(frame, cfg)
-
-    chan = _realize(point, rng, mn)
-    path = sample_path(point.model, mn + cfg.n_cp, rng)
-    r = ch.apply_channel(tx, chan, path, point.noise_var, rng, cfg)
+def _receive_otfs(point: SweepPoint, r, chan, path):
+    """Estimate the channel, equalize; data symbols and the estimate NMSE."""
+    s, cfg = point.scenario, point.cfg
     g_true = ch.effective_channel(chan, path)
-
     if s.estimator == "perfect":
-        full = est.FullEstimate(g_true)
-        nmse_val = 0.0
+        g_dt, nmse = g_true, 0.0
     else:
-        part = est.stage1_estimate(r, layout, cfg, point.noise_var)
-        full = _estimate(s.estimator, point, part, point.profile.f_D)
-        nmse_val = eq.nmse(full.g_dt, g_true)
-
+        part = est.stage1_estimate(r, point.layout, cfg, point.noise_var)
+        g_dt = _INTERPOLATORS[s.estimator](point, part).g_dt
+        nmse = eq.nmse(g_dt, g_true)
     if s.equalizer == "lsmr_ic":
-        det = eq.lsmr_ic_equalize(r, full.g_dt, point.noise_var, cfg, layout,
-                                  qam, eq.EqualizerConfig("lsmr_ic", s.i_ic, s.i_lsmr))
+        det = eq.lsmr_ic_equalize(r, g_dt, point.noise_var, cfg, point.layout,
+                                  point.qam, s.i_ic, s.i_lsmr)
     else:
-        det = eq.mmse_equalize(r, full.g_dt, point.noise_var, cfg, layout,
-                               qam, domain=s.eq_domain)
-
-    out = {"evm": eq.evm(det.symbols, data), "nmse": nmse_val}
-    if s.coded:
-        llrs = eq.qam_llrs(det.symbols, qam, point.noise_var)
-        out["ber"] = eq.ber(eq.viterbi_decode(llrs, n_info), info)
-    else:
-        out["ber"] = eq.ber(det.bits, bits)
-    return out
+        det = eq.mmse_equalize(r, g_dt, point.noise_var, cfg, point.layout,
+                               point.qam, domain=s.eq_domain)
+    return det.symbols, {"nmse": nmse}
 
 
-def _apply_ltv_stream(tx, chan: ch.ChannelRealization, path: PhasePath,
-                      noise_var: float, rng) -> np.ndarray:
-    """Linear (non-circular) time-varying convolution for the OFDM stream."""
-    n = tx.size
-    acc = np.zeros(n, dtype=complex)
-    for col, l in enumerate(chan.tap_delays):
-        if l == 0:
-            acc += chan.taps[:, col] * tx
-        else:
-            acc[l:] += chan.taps[l:, col] * tx[:-l]
-    out = path.psi[:n] * acc
-    if noise_var > 0:
-        out = out + np.sqrt(noise_var / 2.0) * (rng.standard_normal(n)
-                                                + 1j * rng.standard_normal(n))
-    return out
+def _receive_ofdm(point: SweepPoint, r, chan, path):
+    """CPE tracking from the PTRPs and one-tap equalization; data symbols."""
+    cfg, ptrp = point.cfg, point.ptrp
+    Y = ofdm_demodulate(r, cfg).dd
+    interp = point.scenario.estimator == "ofdm_ptrp_interp"
+    _, H = est.ofdm_cpe_estimate(Y, ptrp, cfg, point.profile.f_D, interp)
+    return (Y / H).T[ptrp.data_mask(cfg).T], {}
 
 
-def _run_ofdm_trial(point: SweepPoint, trial_seed: int) -> dict:
+def _run_trial(point: SweepPoint, trial_seed: int) -> dict:
+    """One frame: bits (coded or not), OTFS or OFDM modulation, channel and
+    phase noise, the waveform's receiver, then EVM and BER."""
     rng = np.random.default_rng(trial_seed)
     s, cfg, qam = point.scenario, point.cfg, point.qam
-    ptrp = point.ptrp
-    stream_len = cfg.N * (cfg.M + cfg.n_cp)
-
-    n_data = ptrp.n_data(cfg)
-    bps = qam.bits_per_symbol
+    ofdm = point.ptrp is not None
+    n_bits = (point.ptrp if ofdm else point.layout).n_data(cfg) * qam.bits_per_symbol
     if s.coded:
-        n_info = n_data * bps // 2 - (eq.CONV_K - 1)
+        n_info = n_bits // 2 - (eq.CONV_K - 1)
         info = rng.integers(0, 2, n_info)
         bits = eq.conv_encode(info)
     else:
-        bits = rng.integers(0, 2, n_data * bps)
+        bits = rng.integers(0, 2, n_bits)
     data = qam_map(bits, qam)
-    frame = est.build_ptrp_frame(ptrp, data, cfg)
-    tx = ofdm_modulate(frame, cfg)
+    if ofdm:
+        tx = ofdm_modulate(est.build_ptrp_frame(point.ptrp, data, cfg), cfg)
+        window = tx.size                # linear convolution over the stream
+    else:
+        tx = otfs_modulate(est.build_pilot_frame(point.layout, data, cfg), cfg)
+        window = cfg.frame_len          # the CP makes it circular
 
-    chan = _realize(point, rng, stream_len)
-    path = sample_path(point.model, stream_len, rng)
-    r = _apply_ltv_stream(tx, chan, path, point.noise_var, rng)
-    Y = ofdm_demodulate(r, cfg).dd
+    chan = _realize(point, rng, window)
+    path = sample_path(point.model, tx.size, rng)
+    r = ch.apply_channel(tx, chan, path, point.noise_var, rng)
+    symbols, out = (_receive_ofdm if ofdm else _receive_otfs)(point, r, chan, path)
 
-    interp = s.estimator == "ofdm_ptrp_interp"
-    cpe, H = est.ofdm_cpe_estimate(Y, ptrp, cfg, point.profile.f_D, interp)
-    X_hat = Y / H
-    mask = ptrp.data_mask(cfg)
-    symbols = X_hat.T[mask.T]
-    out = {"evm": eq.evm(symbols, data)}
+    out["evm"] = eq.evm(symbols, data)
     if s.coded:
         llrs = eq.qam_llrs(symbols, qam, point.noise_var)
         out["ber"] = eq.ber(eq.viterbi_decode(llrs, n_info), info)
@@ -416,19 +363,9 @@ def _aggregate(per_trial: list, key: str):
     return mean, ci
 
 
-def _run_link_point(point: SweepPoint, workers: int) -> list:
+def _run_link_point(point: SweepPoint) -> list:
     s = point.scenario
-    runner = _run_ofdm_trial if s.estimator.startswith("ofdm") else _run_otfs_trial
-    seeds = [s.seed + t for t in range(s.trials)]
-    results = [None] * s.trials
-    if workers > 1:
-        with cf.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(runner, point, sd): i for i, sd in enumerate(seeds)}
-            for fut in cf.as_completed(futs):
-                results[futs[fut]] = fut.result()
-    else:
-        for i, sd in enumerate(seeds):
-            results[i] = runner(point, sd)
+    results = [_run_trial(point, s.seed + t) for t in range(s.trials)]
     prefix = f"{s.label}_" if s.label else ""
     rows = []
     for key in sorted(results[0]):
@@ -438,7 +375,7 @@ def _run_link_point(point: SweepPoint, workers: int) -> list:
     return rows
 
 
-def _run_sinr_point(point: SweepPoint, workers: int) -> list:
+def _run_sinr_point(point: SweepPoint) -> list:
     """Analytic and Monte Carlo SINR for OTFS and the equivalent OFDM system.
 
     The measured value is the ratio of powers pooled over all trials; its
@@ -481,20 +418,19 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> list:
 
 def run_scenarios(scenarios, workers: int = 1) -> list:
     """Run every sweep point of every scenario, in order.  Every point is
-    checked before the first trial runs, so a configuration error is
-    reported before any work is done."""
-    scenarios = list(scenarios)
-    for s in scenarios:
-        for value in s.sweep_values:
-            _check_point(s, float(value))
+    resolved before the first trial runs, so a configuration error is
+    reported before any work is done.  Trials run serially; ``workers``
+    must be 1."""
+    if workers != 1:
+        raise ValueError(f"workers must be 1 (trials run serially), got {workers}")
+    points = [_resolve_point(s, float(value))
+              for s in scenarios for value in s.sweep_values]
     rows = []
-    for s in scenarios:
-        for value in s.sweep_values:
-            point = _resolve_point(s, float(value))
-            if s.kind == "sinr":
-                rows.extend(_run_sinr_point(point, workers))
-            else:
-                rows.extend(_run_link_point(point, workers))
+    for point in points:
+        if point.scenario.kind == "sinr":
+            rows.extend(_run_sinr_point(point))
+        else:
+            rows.extend(_run_link_point(point))
     return rows
 
 

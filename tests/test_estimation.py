@@ -77,7 +77,7 @@ def test_stage1_identity_channel():
     s = otfs_modulate(frame, CFG)
     chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
     path = PhasePath(np.zeros(mn + CFG.n_cp))
-    r = apply_channel(s, chan, path, 0.0, rng, CFG)
+    r = apply_channel(s, chan, path, 0.0, rng)
     part = stage1_estimate(r, layout, CFG, 0.0)
     np.testing.assert_allclose(part.g_hat[0], np.ones(CFG.N), atol=1e-10)
 
@@ -91,7 +91,7 @@ def test_stage1_exact_recovery_with_guards():
     path = sample_path(PhaseNoiseModel("FRO", 2e3, TS), CFG.frame_len + CFG.n_cp, rng)
     data = _random_data(layout, CFG, rng)
     frame = build_pilot_frame(layout, data, CFG)
-    r = apply_channel(otfs_modulate(frame, CFG), chan, path, 0.0, rng, CFG)
+    r = apply_channel(otfs_modulate(frame, CFG), chan, path, 0.0, rng)
     part = stage1_estimate(r, layout, CFG, 0.0)
     g = effective_channel(chan, path)
     k = np.arange(CFG.N)
@@ -109,7 +109,7 @@ def test_stage1_nonzero_doppler_pilot():
     path = sample_path(PhaseNoiseModel("FRO", 5e3, TS), mn + CFG.n_cp, rng)
     data = _random_data(layout, CFG, rng)
     r = apply_channel(otfs_modulate(build_pilot_frame(layout, data, CFG), CFG),
-                      chan, path, 0.0, rng, CFG)
+                      chan, path, 0.0, rng)
     part = stage1_estimate(r, layout, CFG, 0.0)
     g = effective_channel(chan, path)
     truth = g[layout.pilot_indices(CFG), 0]
@@ -128,7 +128,7 @@ def test_stage1_noise_variance():
     tx = otfs_modulate(build_pilot_frame(layout, data, CFG), CFG)
     errs = []
     for _ in range(300):
-        r = apply_channel(tx, chan, path, noise_var, rng, CFG)
+        r = apply_channel(tx, chan, path, noise_var, rng)
         part = stage1_estimate(r, layout, CFG, noise_var)
         errs.append(np.mean(np.abs(part.g_hat[0] - 1.0) ** 2))
     expect = noise_var * CFG.N / layout.sigma2_p
@@ -143,7 +143,7 @@ def test_stage1_threshold_zeroes_empty_taps():
     path = PhasePath(np.zeros(CFG.frame_len + CFG.n_cp))
     data = _random_data(layout, CFG, rng)
     r = apply_channel(otfs_modulate(build_pilot_frame(layout, data, CFG), CFG),
-                      chan, path, 1e-4, rng, CFG)
+                      chan, path, 1e-4, rng)
     part = stage1_estimate(r, layout, CFG, 1e-4)
     assert list(part.active) == [True, False, False, True]
     assert np.all(part.g_hat[1] == 0) and np.all(part.g_hat[2] == 0)
@@ -236,7 +236,7 @@ def test_stage2_beats_hold_under_phase_noise():
         path = sample_path(model, CFG.frame_len + CFG.n_cp, rng)
         data = _random_data(layout, CFG, rng)
         r = apply_channel(otfs_modulate(build_pilot_frame(layout, data, CFG), CFG),
-                          chan, path, noise_var, rng, CFG)
+                          chan, path, noise_var, rng)
         part = stage1_estimate(r, layout, CFG, noise_var)
         g = effective_channel(chan, path)
         n2.append(nmse(stage2_estimate(part, w).g_dt, g))

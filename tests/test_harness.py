@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 
@@ -25,6 +26,8 @@ def test_scenario_validation():
         Scenario(trials=0)
     with pytest.raises(ValueError):
         Scenario(channel="tdl_z")
+    with pytest.raises(ValueError):
+        Scenario(equalizer="zf")
     with pytest.raises(ValueError):
         Scenario.from_dict({"name": "x", "bogus_key": 1})
 
@@ -82,17 +85,43 @@ def test_emit_csv_empty_and_roundtrip(tmp_path):
 def test_determinism_same_seed_same_bytes():
     s = Scenario(name="det", channel="awgn", beta_pn=0.0, estimator="perfect",
                  sweep="snr_db", sweep_values=(4.0,), trials=8, seed=11)
-    a = _csv_bytes(run_scenario(s, workers=1))
-    b = _csv_bytes(run_scenario(s, workers=1))
+    a = _csv_bytes(run_scenario(s))
+    b = _csv_bytes(run_scenario(s))
     assert a == b
 
 
-def test_determinism_across_worker_counts():
-    s = Scenario(name="det2", beta_pn=2e3, estimator="proposed",
-                 sweep="snr_db", sweep_values=(10.0,), trials=12, seed=5)
-    a = _csv_bytes(run_scenario(s, workers=1))
-    b = _csv_bytes(run_scenario(s, workers=4))
-    assert a == b
+def test_trials_run_serially():
+    with pytest.raises(ValueError, match="workers"):
+        run_scenario(Scenario(trials=1), workers=2)
+
+
+# sha256 of each preset's CSV at desk scale, trials=2, seed=0
+GOLDEN_PRESET_SHA256 = {
+    "fig5": "6113ebea3b6a0ac94e073eed0959b43b9dc68b6b94f6da68c130eb3742d80e26",
+    "fig6": "5985fca5607669d8a5cf4c38eeed069d44f3fd64d84c16a14eb7a473f1aa1e00",
+    "fig7": "40f6293980beb965b8608a108c32dbf91088aa9e033fdbee100b3c66e9abc462",
+    "fig8": "1066c9f9472c771679fc129fb1d91f8934f100b37b9327115b99790502093c39",
+    "fig9": "8653a0dfdd6bda890d96cf341e30078c76f30f32f17cfb733b9f167b4e4f4000",
+    "fig10": "8658f7de4bad1816e0a45d76bc07a9a038410f482026164590c17d601c0dc14e",
+    "fig11": "6afe2921d77298eb8cb796e82d67cda40af6c4756335f98a772139b3fa2eb255",
+    "fig12": "35f0853854fb8a45369dfd9a06640b1166ed8160cd82ad4ad8db8ab5030e92ee",
+    "fig13": "7f36c1dd1e53a62cd568bb76cd16dc0e7457d997e551378417d2ddfbb86482f6",
+    "fig14": "feb706e40e2921f109781326e92fba5d19c75ce923f0226548ab0e87da932620",
+}
+
+
+def test_presets_match_golden_csv_hashes():
+    """Every preset at desk scale (trials=2, seed=0) reproduces its CSV bytes.
+
+    This pins the numbers through refactors.  A change meant to move them
+    (ROADMAP item 6, for one) updates GOLDEN_PRESET_SHA256 in its own commit
+    and states it in CHANGES.md; a refactor never touches the table.
+    """
+    assert set(GOLDEN_PRESET_SHA256) == set(PRESETS)
+    got = {name: hashlib.sha256(_csv_bytes(run_scenarios(
+        preset(name, trials=2, seed=0))).encode()).hexdigest()
+        for name in PRESETS}
+    assert got == GOLDEN_PRESET_SHA256
 
 
 def test_awgn_matches_q_function():
@@ -170,7 +199,7 @@ def test_preset_full_flag_switches_grid():
 
 def test_preset_fig9_smoke():
     scenarios = preset("fig9", trials=3, seed=2)
-    rows = run_scenarios(scenarios[:2], workers=2)
+    rows = run_scenarios(scenarios[:2])
     assert any(r.metric.endswith("ber") for r in rows)
 
 
@@ -215,7 +244,7 @@ def test_cli_rejects_ineffective_sweep_before_any_trial(tmp_path, capsys,
 def _count_trials(monkeypatch):
     import otfspn.harness as harness
     calls = []
-    for name in ("_run_otfs_trial", "_run_ofdm_trial", "_run_sinr_point"):
+    for name in ("_run_trial", "_run_sinr_point"):
         fn = getattr(harness, name)
         monkeypatch.setattr(harness, name,
                             lambda *a, _fn=fn, **k: calls.append(a) or _fn(*a, **k))
@@ -233,14 +262,20 @@ GOOD = Scenario(name="good", channel="awgn", n_cp=0, beta_pn=0.0,
     (dict(n_cp=4, estimator="ofdm_ptrp"), "exceeds CP"),
     (dict(M=8), "guard region"),
     (dict(pilot_L=20), "guard region"),
+    (dict(qam_order=8), "QAM order"),
+    (dict(beta_pn=-1.0), "beta_pn"),
+    (dict(oscillator="CPLL", f_pll=-1.0), "f_pll"),
+    (dict(i_ic=0), "i_ic"),
+    (dict(i_lsmr=0), "i_lsmr"),
+    (dict(eq_domain="time"), "domain"),
 ])
 def test_run_scenarios_checks_every_point_before_any_trial(monkeypatch, bad,
                                                            message):
     calls = _count_trials(monkeypatch)
-    late = Scenario(name="late", velocity=100.0, sweep="snr_db",
-                    sweep_values=(0.0, 10.0), trials=2, **bad)
     with pytest.raises(ValueError, match=message):
-        run_scenarios([GOOD, late])
+        run_scenarios([GOOD, Scenario(name="late", velocity=100.0,
+                                      sweep="snr_db", sweep_values=(0.0, 10.0),
+                                      trials=2, **bad)])
     assert calls == []
 
 
