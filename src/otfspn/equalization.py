@@ -3,34 +3,39 @@ rate-1/2 convolutional coding and the frame-level metrics.
 
 The effective delay-time channel matrix G is banded circular (row n holds
 the tap gains g[n, l] at columns (n - l) mod MN), so equalization defaults
-to that domain.  MMSE builds G once and solves the sparse normal
-equations.  LSMR-IC runs an in-house LSMR (Fong & Saunders, SIAM J. Sci.
-Comput. 2011) on ``ChannelOp``, which holds G and G^H as CSR matrices whose
-rows list the taps in lag order, so every product sums exactly as the
-tap-gather formula does and the iterates are bitwise equal to
-``scipy.sparse.linalg.lsmr``'s.  The known
-pilot/guard content is reconstructed and cancelled before detection.
+to that domain.  MMSE solves the normal equations (G^H G + s I) x = G^H y.
+G^H G is Hermitian and circularly banded with half-bandwidth L - 1: its L
+diagonals are summed straight from the taps, and with the unknowns taken
+in the folded order 0, MN-1, 1, MN-2, ... the circular band becomes an
+ordinary band of half-width 2L - 2, which one banded Cholesky solves
+(LAPACK zpbsv; Golub & Van Loan, Matrix Computations).  LSMR-IC runs an
+in-house LSMR (Fong & Saunders, SIAM J. Sci. Comput. 2011) on
+``ChannelOp``, which holds G and G^H as CSR matrices whose rows list the
+taps in lag order, so every product sums exactly as the tap-gather formula
+does and the iterates are bitwise equal to ``scipy.sparse.linalg.lsmr``'s.
+The known pilot/guard content is reconstructed and cancelled before
+detection.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import inf, sqrt
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, spsolve
+from scipy.linalg import solveh_banded
 
 from .channel import banded_circular
 from .dd_analysis import dd_transform
 from .estimation import PilotLayout, extract_data
-from .grid import Frame, GridConfig, QamConfig, constellation, otfs_demodulate, otfs_modulate, qam_demap
+from .grid import Frame, GridConfig, QamConfig, constellation, otfs_demodulate, otfs_modulate
 
 
 @dataclass
 class DetectionResult:
     symbols: np.ndarray          # equalized data-cell symbols, layout order
-    bits: np.ndarray             # hard-decided bits for those symbols
     dd_grid: np.ndarray          # full equalized delay-Doppler grid
     residual: float = 0.0
     converged: bool = True
@@ -61,18 +66,6 @@ class ChannelOp:
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
         return self._GH @ y
-
-    def as_linear_operator(self) -> LinearOperator:
-        return LinearOperator((self.mn, self.mn), matvec=self.matvec,
-                              rmatvec=self.rmatvec, dtype=complex)
-
-
-def _canonical(G: sp.csr_matrix) -> sp.csr_matrix:
-    """Copy of G in canonical CSR (explicit zeros dropped, columns sorted)."""
-    G = G.copy()
-    G.eliminate_zeros()
-    G.sort_indices()
-    return G
 
 
 def _norm(v: np.ndarray) -> float:
@@ -212,24 +205,79 @@ def _known_grid(layout: PilotLayout | None, cfg: GridConfig) -> np.ndarray:
     return layout.resolved(cfg).pilot_frame(cfg).dd
 
 
+@functools.lru_cache(maxsize=16)
+def _fold(mn: int, n_taps: int):
+    """Folded order of MN unknowns and where A's diagonals go in its band.
+
+    In the order perm = (0, MN-1, 1, MN-2, ...) the circular band of
+    A = G^H G (A[m, (m + d) mod MN], |d| <= L-1) lies within 2L-2 of the
+    diagonal, wrap corners included.  Entry m of diagonal d goes to
+    ``flat[d, m]`` of the flattened (2L-1, MN) upper band that
+    ``solveh_banded`` reads, conjugated where ``conj[d, m]`` (the entry
+    lands below the folded diagonal).  Read-only and cached per (MN, L),
+    because the trials of a sweep point share them.
+    """
+    if mn < 2 * n_taps - 1:
+        raise ValueError(f"banded MMSE needs M*N >= 2L-1, got M*N={mn}, L={n_taps}")
+    perm = np.empty(mn, dtype=np.intp)
+    perm[0::2] = np.arange((mn + 1) // 2)
+    perm[1::2] = np.arange(mn - 1, (mn - 1) // 2, -1)
+    pos = np.empty(mn, dtype=np.intp)
+    pos[perm] = np.arange(mn)
+    col = pos[(np.arange(mn) + np.arange(n_taps)[:, None]) % mn]
+    lo, hi = np.minimum(pos, col), np.maximum(pos, col)
+    flat = (2 * n_taps - 2 + lo - hi) * mn + hi
+    conj = pos > col
+    for a in (perm, flat, conj):
+        a.setflags(write=False)
+    return perm, flat, conj
+
+
+def _normal_band(g_dt: np.ndarray, noise_var: float):
+    """G^H G + noise_var I in folded order, as ``solveh_banded``'s upper band.
+
+    A[m, m+d] = sum_{l=d}^{L-1} conj(g[m+l, l]) g[m+l, l-d], indices mod MN;
+    the taps are read with a wrap of L rows so every term is a contiguous
+    slice.  Returns the (2L-1, MN) band and the folded order ``perm``.
+    """
+    g = np.asarray(g_dt)
+    mn, n_taps = g.shape
+    perm, flat, conj = _fold(mn, n_taps)
+    gw = np.concatenate([g, g[:n_taps]]).T.astype(complex, order="C")
+    diags = np.zeros((n_taps, mn), dtype=complex)
+    for l in range(n_taps):
+        rows = gw[:, l:l + mn]
+        diags[:l + 1] += np.conj(rows[l]) * rows[l::-1]
+    diags[0] += noise_var
+    band = np.zeros((2 * n_taps - 1) * mn, dtype=complex)
+    band[flat] = np.where(conj, np.conj(diags), diags)
+    return band.reshape(2 * n_taps - 1, mn), perm
+
+
+def _solve_normal(g_dt: np.ndarray, b: np.ndarray, noise_var: float) -> np.ndarray:
+    """(G^H G + noise_var I)^-1 b by one banded Cholesky in folded order."""
+    band, perm = _normal_band(g_dt, noise_var)
+    x = np.empty(len(perm), dtype=complex)
+    x[perm] = solveh_banded(band, b[perm])
+    return x
+
+
 def mmse_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
                   cfg: GridConfig, layout: PilotLayout | None = None,
-                  qam: QamConfig | None = None,
                   domain: str = "delay_time") -> DetectionResult:
     """Linear MMSE detection, x_hat = (G^H G + noise_var I)^-1 G^H y.
 
     The pilot contribution predicted by the channel estimate is subtracted
-    from y first; the solve runs on the sparse banded system in delay-time
-    (or on the dense DD matrix when domain="delay_doppler", small grids).
+    from y first; the solve runs on the banded normal equations in
+    delay-time (or on the dense DD matrix when domain="delay_doppler",
+    small grids).
     """
     G = banded_circular(g_dt)
     mn = G.shape[0]
     y = np.asarray(r).ravel() - G @ otfs_modulate(
         Frame(_known_grid(layout, cfg)), cfg, with_cp=False)
     if domain == "delay_time":
-        Gc = _canonical(G).tocsc()
-        A = (Gc.getH() @ Gc + noise_var * sp.identity(mn, format="csc")).tocsc()
-        x_dt = spsolve(A, Gc.getH() @ y)
+        x_dt = _solve_normal(g_dt, G.conj().T @ y, noise_var)
         x_dd = otfs_demodulate(x_dt, cfg).dd
     elif domain == "delay_doppler":
         Gdd = dd_transform(G.toarray(), cfg)
@@ -241,16 +289,15 @@ def mmse_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
         raise ValueError(f"unknown equalization domain {domain!r}")
     x_dt = otfs_modulate(Frame(x_dd), cfg, with_cp=False)
     residual = float(np.linalg.norm(y - G @ x_dt))
-    return _finalize(x_dd, layout, cfg, qam, residual)
+    return _finalize(x_dd, layout, cfg, residual)
 
 
-def _finalize(x_dd, layout, cfg, qam, residual, converged=True) -> DetectionResult:
+def _finalize(x_dd, layout, cfg, residual, converged=True) -> DetectionResult:
     if layout is not None:
         symbols = extract_data(x_dd, layout.resolved(cfg), cfg)
     else:
         symbols = x_dd.reshape(-1, order="F")
-    bits = qam_demap(symbols, qam) if qam is not None else np.empty(0, dtype=np.int64)
-    return DetectionResult(symbols, bits, x_dd, residual, converged)
+    return DetectionResult(symbols, x_dd, residual, converged)
 
 
 def _harden(x_dd: np.ndarray, mask: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -309,7 +356,7 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
             converged = True
         else:
             converged = False
-    return _finalize(best_dd, layout, cfg, qam, best_res, converged)
+    return _finalize(best_dd, layout, cfg, best_res, converged)
 
 
 # --------------------------------------------------------------------------

@@ -302,7 +302,7 @@ def _receive_otfs(point: SweepPoint, r, chan, path):
                                   point.qam, s.i_ic, s.i_lsmr)
     else:
         det = eq.mmse_equalize(r, g_dt, point.noise_var, cfg, point.layout,
-                               point.qam, domain=s.eq_domain)
+                               domain=s.eq_domain)
     return det.symbols, {"nmse": nmse}
 
 

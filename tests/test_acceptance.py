@@ -40,7 +40,7 @@ from otfspn.estimation import (PartialEstimate, PilotLayout, bem_estimate,
                                stage1_estimate, stage1_hold_estimate,
                                stage2_estimate)
 from otfspn.grid import Frame, GridConfig, QamConfig, otfs_demodulate, \
-    otfs_modulate, qam_map
+    otfs_modulate, qam_demap, qam_map
 from otfspn.harness import Scenario, emit_csv, run_scenario
 from otfspn.oscillator import (PhaseNoiseModel, dpll_autocovariance,
                                expected_rotation, sample_path, sample_paths)
@@ -342,7 +342,7 @@ def test_criterion_08_ber_ordering_lsmr_ic():
         }
         for k, gd in ests.items():
             det = lsmr_ic_equalize(r, gd, noise_var, cfg, layout, qam, 10, 20)
-            errs[k][t] = ber(det.bits, bits)
+            errs[k][t] = ber(qam_demap(det.symbols, qam), bits)
     stats = {k: (v.mean(), 1.96 * v.std(ddof=1) / np.sqrt(trials))
              for k, v in errs.items()}
     lo = {k: m - c for k, (m, c) in stats.items()}

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import lsmr
+from scipy.sparse.linalg import LinearOperator, lsmr, spsolve
 
 from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
-    banded_circular, effective_channel, realize_channel
-from otfspn.equalization import (ChannelOp, _canonical, _lsmr, ber,
-                                 conv_encode, evm, lsmr_ic_equalize,
+    banded_circular, delay_time_matrix, effective_channel, realize_channel
+from otfspn.equalization import (ChannelOp, _lsmr, _normal_band, _solve_normal,
+                                 ber, conv_encode, evm, lsmr_ic_equalize,
                                  mmse_equalize, nmse, qam_llrs, viterbi_decode)
 from otfspn.estimation import PilotLayout, build_pilot_frame
 from otfspn.grid import Frame, GridConfig, QamConfig, otfs_modulate, qam_demap, qam_map
@@ -64,25 +64,59 @@ def test_channel_op_equals_tap_gather(n_taps, zero_tap):
     assert np.array_equal(op.rmatvec(x), _tap_gather(g, x, adjoint=True))
 
 
-def _sum_of_lag_matrices(g):
-    """One COO-built CSR matrix per lag, summed."""
-    mn = g.shape[0]
-    rows = np.arange(mn)
-    out = None
-    for l in range(g.shape[1]):
-        m = sp.csr_matrix((g[:, l], (rows, (rows - l) % mn)), shape=(mn, mn))
-        out = m if out is None else out + m
+def _unfold(band, perm):
+    """Dense Hermitian matrix from solveh_banded's upper band, in the
+    original order of the unknowns."""
+    u, mn = band.shape[0] - 1, band.shape[1]
+    folded = np.zeros((mn, mn), dtype=complex)
+    for k in range(u + 1):          # band row u - k holds folded diagonal k
+        j = np.arange(k, mn)
+        folded[j - k, j] = band[u - k, k:]
+    folded += np.triu(folded, 1).conj().T
+    out = np.empty_like(folded)
+    out[np.ix_(perm, perm)] = folded
     return out
 
 
-@pytest.mark.parametrize("n_taps,zero_tap", [(1, None), (8, None), (8, 3)])
-def test_to_sparse_matches_sum_of_lag_matrices(n_taps, zero_tap):
-    # the matrix MMSE hands to spsolve
-    g = _random_taps(np.random.default_rng(21), 512, n_taps, zero_tap)
-    new, old = _canonical(banded_circular(g)), _sum_of_lag_matrices(g)
-    assert np.array_equal(new.indptr, old.indptr)
-    assert np.array_equal(new.indices, old.indices)
-    assert np.array_equal(new.data, old.data)
+@pytest.mark.parametrize("mn,n_taps,zero_tap",
+                         [(512, 1, None), (512, 8, None), (512, 8, 3), (7, 4, None)])
+def test_folded_band_equals_dense_normal_matrix(mn, n_taps, zero_tap):
+    # MN = 7 = 2L - 1 is the smallest grid whose wrap corners do not overlap
+    g = _random_taps(np.random.default_rng(21), mn, n_taps, zero_tap)
+    G = delay_time_matrix(g, mn)
+    ref = G.conj().T @ G + 0.3 * np.eye(mn)
+    got = _unfold(*_normal_band(g, 0.3))
+    if n_taps > 1:                  # both wrap corners are populated
+        assert ref[0, mn - 1] != 0 and ref[mn - 1, 0] != 0
+    assert np.array_equal(got == 0, ref == 0)
+    np.testing.assert_allclose(got, ref, rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+
+def test_banded_solve_rejects_overlapping_corners():
+    g = _random_taps(np.random.default_rng(25), 6, 4)        # MN < 2L - 1
+    with pytest.raises(ValueError, match="2L-1"):
+        _solve_normal(g, np.ones(6, dtype=complex), 0.1)
+
+
+def _spsolve_normal(g, b, noise_var):
+    G = banded_circular(g).tocsc()
+    A = G.conj().T @ G + noise_var * sp.identity(g.shape[0], format="csc")
+    return spsolve(A.tocsc(), b)
+
+
+@pytest.mark.parametrize("channel", ["random", "notch"])
+def test_banded_solve_matches_spsolve(channel):
+    rng = np.random.default_rng(26)
+    if channel == "random":
+        g = _random_taps(rng, 512, 8)
+    else:                           # test_mmse_beats_zf_on_notched_channel's
+        g = np.ones((128, 2), dtype=complex)
+        g[:, 1] = 0.999
+    mn = g.shape[0]
+    b = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
+    for noise_var in (0.01, 1.0):
+        x, ref = _solve_normal(g, b, noise_var), _spsolve_normal(g, b, noise_var)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_channel_op_leaves_taps_untouched():
@@ -95,6 +129,11 @@ def test_channel_op_leaves_taps_untouched():
     op.rmatvec(x)
     _lsmr(op, x, 0.1, 20)
     assert g.tobytes() == before.tobytes()
+
+
+def _as_linear_operator(op):
+    return LinearOperator((op.mn, op.mn), matvec=op.matvec,
+                          rmatvec=op.rmatvec, dtype=complex)
 
 
 class _CountingOp(ChannelOp):
@@ -120,7 +159,7 @@ def test_lsmr_bitwise_equal_to_scipy(n_taps, mn, damp):
     b = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
     for rhs in (b, np.zeros(mn, dtype=complex)):
         op.calls = 0
-        ref, istop = lsmr(op.as_linear_operator(), rhs, damp=damp, maxiter=20)[:2]
+        ref, istop = lsmr(_as_linear_operator(op), rhs, damp=damp, maxiter=20)[:2]
         ref_calls, op.calls = op.calls, 0
         assert np.array_equal(_lsmr(op, rhs, damp, 20), ref)
         assert op.calls == ref_calls
@@ -136,7 +175,7 @@ def test_lsmr_bitwise_equal_to_scipy_on_early_stop():
     op = ChannelOp(g)
     b = rng.standard_normal(512) + 1j * rng.standard_normal(512)
     for damp in (0.0, 0.1):
-        ref, istop, itn = lsmr(op.as_linear_operator(), b, damp=damp, maxiter=200)[:3]
+        ref, istop, itn = lsmr(_as_linear_operator(op), b, damp=damp, maxiter=200)[:3]
         assert istop < 7 and itn < 200
         assert np.array_equal(_lsmr(op, b, damp, 200), ref)
 
@@ -150,9 +189,9 @@ def test_mmse_identity_channel_low_noise():
     chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
     path = PhasePath(np.zeros(mn + cfg.n_cp))
     bits, data, r = _frame_through(cfg, layout, qam, chan, path, 0.0, rng)
-    det = mmse_equalize(r, effective_channel(chan, path), 1e-12, cfg, layout, qam)
+    det = mmse_equalize(r, effective_channel(chan, path), 1e-12, cfg, layout)
     np.testing.assert_allclose(det.symbols, data, atol=1e-6)
-    assert ber(det.bits, bits) == 0.0
+    assert ber(qam_demap(det.symbols, qam), bits) == 0.0
 
 
 def test_mmse_normal_equations_residual():
@@ -165,7 +204,7 @@ def test_mmse_normal_equations_residual():
     qam = QamConfig(4)
     noise_var = 0.01
     bits, data, r = _frame_through(cfg, layout, qam, chan, path, noise_var, rng)
-    det = mmse_equalize(r, g, noise_var, cfg, layout, qam)
+    det = mmse_equalize(r, g, noise_var, cfg, layout)
     op = ChannelOp(g)
     y = r - op.matvec(otfs_modulate(Frame(layout.pilot_frame(cfg).dd), cfg,
                                     with_cp=False))
@@ -190,7 +229,7 @@ def test_mmse_high_snr_near_ml():
         layout = PilotLayout(L=chan.L).resolved(cfg)
         bits, data, r = _frame_through(cfg, layout, qam, chan, path, noise_var, rng)
         det = mmse_equalize(r, effective_channel(chan, path), noise_var,
-                            cfg, layout, qam)
+                            cfg, layout)
         hard = qam_demap(det.symbols, qam)
         n_err += np.sum(hard != bits) // 1
         n_sym += data.size
@@ -229,8 +268,8 @@ def test_mmse_domains_agree():
     layout = PilotLayout(L=chan.L).resolved(cfg)
     qam = QamConfig(4)
     bits, data, r = _frame_through(cfg, layout, qam, chan, path, 0.01, rng)
-    dt = mmse_equalize(r, g, 0.01, cfg, layout, qam, domain="delay_time")
-    dd = mmse_equalize(r, g, 0.01, cfg, layout, qam, domain="delay_doppler")
+    dt = mmse_equalize(r, g, 0.01, cfg, layout, domain="delay_time")
+    dd = mmse_equalize(r, g, 0.01, cfg, layout, domain="delay_doppler")
     np.testing.assert_allclose(dt.dd_grid, dd.dd_grid, atol=1e-8)
 
 
@@ -256,7 +295,7 @@ def test_lsmr_ic_identity_channel():
     det = lsmr_ic_equalize(r, effective_channel(chan, path), 1e-12, cfg,
                            layout, qam, i_ic=1, i_lsmr=30)
     assert det.converged
-    assert ber(det.bits, bits) == 0.0
+    assert ber(qam_demap(det.symbols, qam), bits) == 0.0
     np.testing.assert_allclose(det.symbols, data, atol=1e-4)
 
 
@@ -274,7 +313,7 @@ def test_lsmr_ic_residual_nonincreasing():
         op = ChannelOp(g)
         y = r - op.matvec(otfs_modulate(Frame(layout.pilot_frame(cfg).dd), cfg,
                                         with_cp=False))
-        first = lsmr(op.as_linear_operator(), y, damp=np.sqrt(0.05), maxiter=20)[0]
+        first = lsmr(_as_linear_operator(op), y, damp=np.sqrt(0.05), maxiter=20)[0]
         res0 = np.linalg.norm(y - op.matvec(first))
         det = lsmr_ic_equalize(r, g, 0.05, cfg, layout, qam)
         assert det.residual <= res0 + 1e-12
@@ -294,11 +333,11 @@ def test_lsmr_ic_matches_mmse_ber():
         layout = PilotLayout(L=chan.L).resolved(cfg)
         g = effective_channel(chan, path)
         bits, data, r = _frame_through(cfg, layout, qam, chan, path, 0.01, rng)
-        m = mmse_equalize(r, g, 0.01, cfg, layout, qam)
+        m = mmse_equalize(r, g, 0.01, cfg, layout)
         s = lsmr_ic_equalize(r, g, 0.01, cfg, layout, qam,
                              i_ic=1, i_lsmr=60)
-        total["mmse"] += int(np.sum(m.bits != bits))
-        total["lsmr"] += int(np.sum(s.bits != bits))
+        total["mmse"] += int(np.sum(qam_demap(m.symbols, qam) != bits))
+        total["lsmr"] += int(np.sum(qam_demap(s.symbols, qam) != bits))
         nbits += bits.size
     # both operate in the same near-error-free regime
     assert abs(total["mmse"] - total["lsmr"]) <= max(4, 0.2 * max(total.values()))
