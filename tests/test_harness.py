@@ -98,9 +98,9 @@ def test_trials_run_serially():
 # sha256 of each preset's CSV at desk scale, trials=2, seed=0
 GOLDEN_PRESET_SHA256 = {
     "fig5": "6113ebea3b6a0ac94e073eed0959b43b9dc68b6b94f6da68c130eb3742d80e26",
-    "fig6": "5985fca5607669d8a5cf4c38eeed069d44f3fd64d84c16a14eb7a473f1aa1e00",
-    "fig7": "40f6293980beb965b8608a108c32dbf91088aa9e033fdbee100b3c66e9abc462",
-    "fig8": "1066c9f9472c771679fc129fb1d91f8934f100b37b9327115b99790502093c39",
+    "fig6": "f794674aa5f222209e5f493970dfb1663a659f5f64da3f0f0fbe51cbc0012be2",
+    "fig7": "5e5f8d5a7434d54ac9d145212425751be8a1ffc07523b57c09b03f89b6f9d838",
+    "fig8": "37a544385deaf9fc22bf0bb5034379206e63e7ad8718ddc6ab95acdb30680371",
     "fig9": "8653a0dfdd6bda890d96cf341e30078c76f30f32f17cfb733b9f167b4e4f4000",
     "fig10": "8658f7de4bad1816e0a45d76bc07a9a038410f482026164590c17d601c0dc14e",
     "fig11": "6afe2921d77298eb8cb796e82d67cda40af6c4756335f98a772139b3fa2eb255",
@@ -114,7 +114,7 @@ def test_presets_match_golden_csv_hashes():
     """Every preset at desk scale (trials=2, seed=0) reproduces its CSV bytes.
 
     This pins the numbers through refactors.  A change meant to move them
-    (ROADMAP item 6, for one) updates GOLDEN_PRESET_SHA256 in its own commit
+    (ROADMAP items 3 and 4) updates GOLDEN_PRESET_SHA256 in its own commit
     and states it in CHANGES.md; a refactor never touches the table.
     """
     assert set(GOLDEN_PRESET_SHA256) == set(PRESETS)
