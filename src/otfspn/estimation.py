@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve
 from scipy.special import j0
 
@@ -268,6 +267,8 @@ def spline_estimate(partial: PartialEstimate, cfg: GridConfig,
                     layout: PilotLayout) -> FullEstimate:
     """Not-a-knot cubic spline through the pilot snapshots, per tap,
     real and imaginary parts separately; extrapolates past the end pilots."""
+    from scipy.interpolate import CubicSpline  # imported here: only this estimator needs it
+
     layout = layout.resolved(cfg)
     pilots = layout.pilot_indices(cfg)
     grid = np.arange(cfg.frame_len)

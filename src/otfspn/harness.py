@@ -16,7 +16,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -39,6 +40,24 @@ _INTERPOLATORS = {
 }
 ESTIMATORS = (*_INTERPOLATORS, "perfect", "ofdm_ptrp", "ofdm_ptrp_interp")
 SWEEPS = ("snr_db", "beta_pn", "f_pll", "f_D", "f_D_norm", "velocity")
+# Scenario field annotation -> accepted value type; a bool is no number here
+_FIELD_TYPES = {"int": (Integral, "an integer"), "float": (Real, "a number"),
+                "bool": (bool, "true or false"), "str": (str, "a string")}
+
+
+def _check_type(key: str, value, annotation: str) -> None:
+    """Raise ValueError unless ``value`` fits the field's annotation.
+
+    Values are checked, never converted: 20 -> 20.0 would change the hash.
+    """
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional == "None":
+        return
+    want, what = _FIELD_TYPES[kind]
+    if not isinstance(value, want) or (want is not bool and isinstance(value, bool)):
+        hint = " (YAML reads 1.0e5 as text; write 1.0e+5)" if kind == "float" \
+            and isinstance(value, str) else ""
+        raise ValueError(f"{key} must be {what}, got {value!r}{hint}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +106,16 @@ class Scenario:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name != "sweep_values":
+                _check_type(f.name, getattr(self, f.name), f.type)
+        if not isinstance(self.sweep_values, (list, tuple)):
+            raise ValueError(f"sweep_values must be a list, got {self.sweep_values!r}")
+        for v in self.sweep_values:   # YAML reads 1.0e5 as text; float() takes it
+            try:
+                float(v)
+            except (TypeError, ValueError):
+                raise ValueError(f"sweep_values entry {v!r} is not a number") from None
         if self.kind not in ("link", "sinr"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.estimator not in ESTIMATORS:
@@ -124,7 +153,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         d = dict(d)
-        if "sweep_values" in d:
+        if isinstance(d.get("sweep_values"), list):
             d["sweep_values"] = tuple(d["sweep_values"])
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 KINDS = ("FRO", "CPLL", "DPLL")
 
@@ -148,6 +147,10 @@ def _sample_many(model: PhaseNoiseModel, n_paths: int, length: int,
     theta = np.empty((n_paths, length))
     theta[:, 0] = theta0
     if length > 1:
+        # Imported here: scipy.signal also loads scipy.stats and scipy.optimize,
+        # which would more than double the package's import time for FRO runs.
+        from scipy.signal import lfilter
+
         innov = rng.normal(0.0, np.sqrt(var0 * (1.0 - rho**2)),
                            size=(n_paths, length - 1))
         theta[:, 1:], _ = lfilter([1.0], [1.0, -rho], innov, axis=1,

@@ -1,6 +1,9 @@
 import hashlib
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +72,33 @@ def test_scenario_hash_frozen_value():
     assert s.hash() == Scenario().hash()
     blob = s.hash()
     assert len(blob) == 16 and all(c in "0123456789abcdef" for c in blob)
+    assert blob == "c302f8082c2aa1da"
+
+
+@pytest.mark.parametrize("kw", [
+    {"sweep_values": 5},
+    {"sweep_values": "1.0"},
+    {"sweep_values": [1.0, "x"]},
+    {"trials": "3"},
+    {"M": 32.5},
+    {"seed": True},
+    {"pilot_L": 2.0},
+    {"snr_db": "20"},
+    {"beta_pn": None},
+    {"coded": 1},
+    {"estimator": 3},
+])
+def test_scenario_rejects_wrong_value_types(kw):
+    key = next(iter(kw))
+    with pytest.raises(ValueError, match=key):
+        Scenario.from_dict(kw)
+
+
+def test_scenario_keeps_valid_values_as_given():
+    # an int for a float field is valid and is not converted (the hash sees it)
+    s = Scenario.from_dict({"snr_db": 20, "f_D": None, "pilot_L": np.int64(3),
+                            "sweep_values": [0, 1.5, "1.0e5"]})
+    assert type(s.snr_db) is int and s.sweep_values == (0, 1.5, "1.0e5")
 
 
 def test_emit_csv_empty_and_roundtrip(tmp_path):
@@ -224,9 +254,15 @@ def test_cli_run_and_preset(tmp_path, capsys):
 
 def test_cli_rejects_bad_scenario(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("estimator: genie\n")
-    assert cli_main(["run", str(bad)]) == 1
-    assert "estimator" in capsys.readouterr().err
+    for text, key in [("estimator: genie\n", "estimator"),
+                      ("sweep_values: 5\n", "sweep_values"),
+                      ('trials: "3"\n', "trials"),
+                      ("M: 32.5\n", "M")]:
+        bad.write_text(text)
+        assert cli_main(["run", str(bad)]) == 1, text
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err, err
+        assert "Traceback" not in err
 
 
 def test_cli_rejects_ineffective_sweep_before_any_trial(tmp_path, capsys,
@@ -296,3 +332,59 @@ def test_cli_rejects_short_cp_before_any_trial(tmp_path, capsys, monkeypatch):
     assert cli_main(["run", str(bad)]) == 1
     assert calls == []
     assert "exceeds CP" in capsys.readouterr().err
+
+
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports otfspn from src/."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_fro_runs_import_no_scipy_signal_or_interpolate():
+    # scipy.signal (which loads scipy.stats and scipy.optimize) and
+    # scipy.interpolate are imported only by the PLL path sampler and the
+    # spline estimator; an FRO link or sinr run must not pay for them
+    out = _fresh_python("""
+import sys
+import otfspn.cli
+from otfspn.harness import Scenario, run_scenarios
+link = Scenario(name="lsmr", M=32, N=16, velocity=500.0, equalizer="lsmr_ic",
+                estimator="proposed", sweep_values=(15.0,), trials=1)
+sinr = Scenario(name="sinr", kind="sinr", sweep="beta_pn",
+                sweep_values=(100.0,), trials=1)
+assert run_scenarios([link, sinr])
+print(sorted(m for m in ("scipy.signal", "scipy.interpolate", "scipy.stats",
+                         "scipy.optimize") if m in sys.modules))
+""")
+    assert out.strip() == "[]"
+
+
+# CPLL and DPLL paths (scipy.signal) and a spline estimate (scipy.interpolate)
+_LAZY_PATHS = """
+import hashlib
+import numpy as np
+from otfspn.estimation import PartialEstimate, PilotLayout, spline_estimate
+from otfspn.grid import GridConfig
+from otfspn.oscillator import PhaseNoiseModel, sample_path
+cfg = GridConfig(M=32, N=16, n_cp=16)
+thetas = [sample_path(PhaseNoiseModel(kind, 1e3, 1e-7), 512, 4).theta
+          for kind in ("CPLL", "DPLL")]
+layout = PilotLayout(L=2).resolved(cfg)
+g_hat = np.random.default_rng(5).standard_normal((2, cfg.N)) + 0j
+g_dt = spline_estimate(PartialEstimate(g_hat, np.ones(2, bool)), cfg, layout).g_dt
+digest = hashlib.sha256(b"".join(a.tobytes() for a in (*thetas, g_dt))).hexdigest()
+"""
+
+
+def test_lazy_scipy_imports_still_run():
+    out = _fresh_python(_LAZY_PATHS + """
+import sys
+print(digest, "scipy.signal" in sys.modules, "scipy.interpolate" in sys.modules)
+""")
+    scope = {}
+    exec(_LAZY_PATHS, scope)   # here every module is imported already
+    assert out.split() == [scope["digest"], "True", "True"]
