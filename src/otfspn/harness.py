@@ -55,8 +55,9 @@ def _check_type(key: str, value, annotation: str) -> None:
         return
     want, what = _FIELD_TYPES[kind]
     if not isinstance(value, want) or (want is not bool and isinstance(value, bool)):
-        hint = " (YAML reads 1.0e5 as text; write 1.0e+5)" if kind == "float" \
-            and isinstance(value, str) else ""
+        hint = ""
+        if kind == "float" and isinstance(value, str):
+            hint = " (YAML reads 1.0e5 as text; write 1.0e+5)"
         raise ValueError(f"{key} must be {what}, got {value!r}{hint}")
 
 

@@ -86,7 +86,6 @@ def test_scenario_hash_frozen_value():
     {"snr_db": "20"},
     {"beta_pn": None},
     {"coded": 1},
-    {"estimator": 3},
 ])
 def test_scenario_rejects_wrong_value_types(kw):
     key = next(iter(kw))
