@@ -19,6 +19,10 @@ All second-order quantities reduce to the mean rotation factor
 diagonal of the coefficient autocorrelation matrix.  For a free-running
 oscillator that diagonal has an exact closed form (a pair of finite
 geometric sums), evaluated here in O(1) per entry.
+
+``measured_sinr`` checks these expressions by Monte Carlo.  It draws each
+phase path once and splits it for both OTFS and OFDM, so the two measured
+curves come from the same paths (common random numbers).
 """
 
 from __future__ import annotations
@@ -32,6 +36,9 @@ from .grid import GridConfig
 from .oscillator import PhaseNoiseModel, PhasePath, expected_rotation, sample_paths
 
 _DENSE_LIMIT = 4096
+# phase paths drawn per batch by measured_sinr; another value would reorder
+# the draws of the CPLL and DPLL models, which take a first sample per path
+_CHUNK = 512
 
 
 @dataclass
@@ -229,38 +236,51 @@ def sinr_ofdm(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float) -> Sinr
     return _sinr(model, cfg, noise_var, cfg.M, 1, "ofdm")
 
 
-def measured_sinr(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float,
-                  trials: int, seed, waveform: str = "otfs",
-                  chunk: int = 512) -> SinrReport:
-    """Monte Carlo counterpart of the analytic SINR.
+def _power(phi: np.ndarray, scale: int) -> np.ndarray:
+    """|phi / scale|^2, reusing phi for the division and the modulus for the square."""
+    phi /= scale
+    p2 = np.abs(phi)
+    p2 **= 2
+    return p2
 
-    Draws phase paths, forms the Doppler-domain (or, for OFDM, subcarrier-
-    domain) coefficients of each, and averages the measured signal and
-    interference powers from the coefficient split.
+
+def measured_sinr(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float,
+                  trials: int, seed) -> dict:
+    """Monte Carlo counterpart of the analytic SINR, for OTFS and for OFDM.
+
+    Draws phase paths in chunks of ``_CHUNK`` and splits the coefficients of
+    each path twice: over the Doppler DFT of each delay bin (OTFS) and over
+    the subcarrier DFT of each M-sample block (OFDM).  Both waveforms see
+    the same paths (common random numbers), so each path is drawn once.
+    Returns ``{"otfs": SinrReport, "ofdm": SinrReport}`` with the signal and
+    interference powers averaged over the paths.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    mn = cfg.frame_len
-    sig_acc = 0.0
-    idi_acc = 0.0
+    sums = {"otfs": np.zeros(2), "ofdm": np.zeros(2)}   # (signal, interference)
     done = 0
     while done < trials:
-        n = min(chunk, trials - done)
-        theta = sample_paths(model, n, mn, rng)
-        psi = np.exp(1j * theta)
-        if waveform == "otfs":
-            # (n, M, N): Doppler DFT over the M-spaced samples of each delay bin
-            grid = psi.reshape(n, cfg.N, cfg.M).transpose(0, 2, 1)
-            phi = np.fft.fft(grid, axis=2) / cfg.N
-            p2 = np.abs(phi) ** 2
-            sig_acc += p2[:, :, 0].mean(axis=1).sum()
-            idi_acc += p2[:, :, 1:].sum(axis=2).mean(axis=1).sum()
-        else:
-            # (n, M, N) with contiguous M-sample blocks as OFDM symbols
-            grid = psi.reshape(n, cfg.N, cfg.M).transpose(0, 2, 1)
-            phi = np.fft.fft(grid, axis=1) / cfg.M
-            p2 = np.abs(phi) ** 2
-            sig_acc += p2[:, 0, :].mean(axis=1).sum()
-            idi_acc += p2[:, 1:, :].sum(axis=1).mean(axis=1).sum()
+        n = min(_CHUNK, trials - done)
+        theta = sample_paths(model, n, cfg.frame_len, rng)
+        psi = np.empty(theta.shape, dtype=complex)   # exp(1j*theta), bit for bit
+        np.cos(theta, out=psi.real)
+        np.sin(theta, out=psi.imag)
+        del theta
+        # (n, M, N): column k holds the k-th block of M samples
+        grid = psi.reshape(n, cfg.N, cfg.M).transpose(0, 2, 1)
+        # OTFS: Doppler DFT over the M-spaced samples of each delay bin
+        p2 = _power(np.fft.fft(grid, axis=2), cfg.N)
+        sums["otfs"] += (p2[:, :, 0].mean(axis=1).sum(),
+                         p2[:, :, 1:].sum(axis=2).mean(axis=1).sum())
+        del p2
+        # OFDM: each M-sample block is one symbol, DFT over its subcarriers
+        phi = np.fft.fft(grid, axis=1)
+        del psi, grid
+        p2 = _power(phi, cfg.M)
+        del phi
+        sums["ofdm"] += (p2[:, 0, :].mean(axis=1).sum(),
+                         p2[:, 1:, :].sum(axis=1).mean(axis=1).sum())
+        del p2
         done += n
-    return SinrReport(sig_acc / trials, idi_acc / trials, noise_var,
-                      model.kind, cfg.M, cfg.N, waveform)
+    return {wave: SinrReport(sig / trials, idi / trials, noise_var,
+                             model.kind, cfg.M, cfg.N, wave)
+            for wave, (sig, idi) in sums.items()}

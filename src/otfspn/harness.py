@@ -162,7 +162,11 @@ class Scenario:
         return cls(**d)
 
     def hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True, default=repr)
+        d = self.to_dict()
+        # YAML reads 1.0e5 as text and 1.0e+5 as a number: one sweep, one hash
+        d["sweep_values"] = [float(v) if isinstance(v, str) else v
+                             for v in d["sweep_values"]]
+        blob = json.dumps(d, sort_keys=True, default=repr)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -409,13 +413,17 @@ def _run_sinr_point(point: SweepPoint) -> list:
     """Analytic and Monte Carlo SINR for OTFS and the equivalent OFDM system.
 
     The measured value is the ratio of powers pooled over all trials; its
-    confidence interval comes from the spread of per-block SINRs.
+    confidence interval comes from the spread of per-block SINRs.  Both
+    waveforms are measured on the same phase paths.
     """
     s = point.scenario
-    rows = []
     blocks = min(20, s.trials)
     sizes = [s.trials // blocks + (1 if b < s.trials % blocks else 0)
              for b in range(blocks)]
+    measured = [dd.measured_sinr(point.model, point.cfg, point.noise_var,
+                                 nb, s.seed + 7919 * b)
+                for b, nb in enumerate(sizes)]
+    rows = []
     for waveform in ("otfs", "ofdm"):
         ana = (dd.sinr_otfs if waveform == "otfs" else dd.sinr_ofdm)(
             point.model, point.cfg, point.noise_var)
@@ -424,9 +432,8 @@ def _run_sinr_point(point: SweepPoint) -> list:
                               0.0, s.trials, s.hash(), s.seed))
         sig = idi = 0.0
         block_db = []
-        for b, nb in enumerate(sizes):
-            rep = dd.measured_sinr(point.model, point.cfg, point.noise_var,
-                                   nb, s.seed + 7919 * b, waveform)
+        for nb, reports in zip(sizes, measured):
+            rep = reports[waveform]
             sig += nb * rep.signal_power
             idi += nb * rep.idi_power
             block_db.append(rep.sinr_db)

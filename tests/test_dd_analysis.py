@@ -181,9 +181,45 @@ def test_measured_sinr_matches_analytic():
     # Monte Carlo split per the operator rows, within 0.3 dB at 1e4 trials
     cfg = GridConfig(M=32, N=16, n_cp=0)
     model = PhaseNoiseModel("FRO", 2e3, TS)
-    ana = sinr_otfs(model, cfg, 0.01)
-    meas = measured_sinr(model, cfg, 0.01, 10_000, 9, "otfs")
-    assert abs(meas.sinr_db - ana.sinr_db) < 0.3
+    meas = measured_sinr(model, cfg, 0.01, 10_000, 9)
+    assert abs(meas["otfs"].sinr_db - sinr_otfs(model, cfg, 0.01).sinr_db) < 0.3
+    assert abs(meas["ofdm"].sinr_db - sinr_ofdm(model, cfg, 0.01).sinr_db) < 0.3
+
+
+def _per_waveform_measured_sinr(model, cfg, trials, seed, waveform):
+    """The earlier measured_sinr, one waveform per call: 512-path chunks from
+    one generator, psi = exp(1j*theta), signal and IDI split of that waveform."""
+    rng = np.random.default_rng(seed)
+    sig = idi = 0.0
+    done = 0
+    while done < trials:
+        n = min(512, trials - done)
+        psi = np.exp(1j * sample_paths(model, n, cfg.frame_len, rng))
+        grid = psi.reshape(n, cfg.N, cfg.M).transpose(0, 2, 1)
+        if waveform == "otfs":
+            p2 = np.abs(np.fft.fft(grid, axis=2) / cfg.N) ** 2
+            sig += p2[:, :, 0].mean(axis=1).sum()
+            idi += p2[:, :, 1:].sum(axis=2).mean(axis=1).sum()
+        else:
+            p2 = np.abs(np.fft.fft(grid, axis=1) / cfg.M) ** 2
+            sig += p2[:, 0, :].mean(axis=1).sum()
+            idi += p2[:, 1:, :].sum(axis=1).mean(axis=1).sum()
+        done += n
+    return sig / trials, idi / trials
+
+
+@pytest.mark.parametrize("kind", ["FRO", "CPLL"])
+def test_measured_sinr_equals_per_waveform_reference(kind):
+    # 1100 paths = three chunks; one shared draw must give each waveform
+    # exactly what a draw of its own from the same seed gave
+    cfg = GridConfig(M=8, N=4, n_cp=0)
+    model = PhaseNoiseModel(kind, 2e4, TS)
+    got = measured_sinr(model, cfg, 0.01, 1100, 21)
+    assert sorted(got) == ["ofdm", "otfs"]
+    for wave, rep in got.items():
+        ref = _per_waveform_measured_sinr(model, cfg, 1100, 21, wave)
+        assert (rep.signal_power, rep.idi_power) == ref
+        assert (rep.waveform, rep.noise_power, rep.kind) == (wave, 0.01, kind)
 
 
 def test_dd_transform_unitary():

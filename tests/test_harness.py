@@ -75,6 +75,18 @@ def test_scenario_hash_frozen_value():
     assert blob == "c302f8082c2aa1da"
 
 
+def test_scenario_hash_reads_text_sweep_values_as_numbers(tmp_path):
+    # PyYAML reads 1.0e5 as text and 1.0e+5 as a float; both run one sweep
+    assert (Scenario(sweep_values=("1.0e5",)).hash()
+            == Scenario(sweep_values=(1.0e5,)).hash())
+    hashes = set()
+    for text in ("1.0e5", "1.0e+5"):
+        p = tmp_path / "s.yaml"
+        p.write_text(f"sweep_values: [{text}]\n")
+        hashes.add(load_scenario(str(p)).hash())
+    assert len(hashes) == 1
+
+
 @pytest.mark.parametrize("kw", [
     {"sweep_values": 5},
     {"sweep_values": "1.0"},
