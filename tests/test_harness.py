@@ -165,6 +165,15 @@ def test_presets_match_golden_csv_hashes():
     assert got == GOLDEN_PRESET_SHA256
 
 
+def test_every_preset_scenario_is_pinned():
+    """The 80 preset scenarios at both scales and default trial counts keep
+    their hashes; the golden test above builds only desk scale at trials=2."""
+    blob = "".join(s.hash() for name in PRESETS for full in (False, True)
+                   for s in preset(name, full=full))
+    assert hashlib.sha256(blob.encode()).hexdigest() == (
+        "7a4b3de9ac215b2f23bb35d8e464774db6e52e389adf0f2800e794c73150fcdd")
+
+
 def test_awgn_matches_q_function():
     from scipy.stats import norm
     s = Scenario(name="awgn", channel="awgn", beta_pn=0.0, estimator="perfect",
