@@ -187,7 +187,7 @@ def realize_channel(profile: ChannelProfile, cfg: GridConfig, seed,
     with autocorrelation J_0(2*pi*f_D*T_s*lag); tap powers follow the
     sample-quantized profile.  Requires n_cp >= L - 1.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if n_samples is None:
         n_samples = cfg.frame_len
     profile.length(cfg)
@@ -223,7 +223,7 @@ def apply_channel(s: np.ndarray, chan: ChannelRealization, path: PhasePath,
     a circular convolution of the CP-free block; an OFDM stream with
     ``n = len(s)`` (off = 0) sees a linear one.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     s = np.asarray(s).ravel()
     n = chan.taps.shape[0]
     off = s.size - n

@@ -255,7 +255,7 @@ def measured_sinr(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float,
     Returns ``{"otfs": SinrReport, "ofdm": SinrReport}`` with the signal and
     interference powers averaged over the paths.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     sums = {"otfs": np.zeros(2), "ofdm": np.zeros(2)}   # (signal, interference)
     done = 0
     while done < trials:

@@ -325,8 +325,7 @@ def build_ptrp_frame(layout: PtrpLayout, data_symbols, cfg: GridConfig) -> Frame
 
 
 def ofdm_cpe_estimate(rx_freq: np.ndarray, layout: PtrpLayout, cfg: GridConfig,
-                      f_D: float = 0.0, interpolate: bool = False,
-                      k_over: float = 1.0):
+                      f_D: float = 0.0, interpolate: bool = False):
     """Per-symbol common phase error from the PTRPs, plus a channel estimate.
 
     Returns (cpe, H_est): the CPE angle per OFDM symbol and the M x N
@@ -349,9 +348,9 @@ def ofdm_cpe_estimate(rx_freq: np.ndarray, layout: PtrpLayout, cfg: GridConfig,
         return cpe, H
     h_pil = Y[comb, :] / p                          # per-symbol comb estimates
     sym_T = (cfg.M + cfg.n_cp) * cfg.T_s
-    q = max(int(np.ceil(2.0 * k_over * cfg.N * sym_T * f_D + 1.0)), 1)
+    q = max(int(np.ceil(2.0 * cfg.N * sym_T * f_D + 1.0)), 1)
     q = min(q, cfg.N)
-    freqs = (np.arange(q) - (q - 1) / 2.0) / (k_over * cfg.N)
+    freqs = (np.arange(q) - (q - 1) / 2.0) / cfg.N
     basis = np.exp(2j * np.pi * np.arange(cfg.N)[:, None] * freqs[None, :])
     coef, *_ = np.linalg.lstsq(basis, h_pil.T, rcond=None)
     h_fit = (basis @ coef).T                        # (len(comb), N)

@@ -40,6 +40,13 @@ _INTERPOLATORS = {
 }
 ESTIMATORS = (*_INTERPOLATORS, "perfect", "ofdm_ptrp", "ofdm_ptrp_interp")
 SWEEPS = ("snr_db", "beta_pn", "f_pll", "f_D", "f_D_norm", "velocity")
+# Scenario field -> accepted names
+_CHOICES = {"kind": ("link", "sinr"), "estimator": ESTIMATORS,
+            "channel": ("tdl_c", "ideal", "awgn"), "equalizer": ("mmse", "lsmr_ic"),
+            "eq_domain": ("delay_time", "delay_doppler"), "oscillator": KINDS,
+            "sweep": SWEEPS}
+# Scenario field -> smallest accepted value
+_MINIMA = {"i_ic": 1, "i_lsmr": 1, "trials": 1, "seed": 0}
 # Scenario field annotation -> accepted value type; a bool is no number here
 _FIELD_TYPES = {"int": (Integral, "an integer"), "float": (Real, "a number"),
                 "bool": (bool, "true or false"), "str": (str, "a string")}
@@ -114,29 +121,20 @@ class Scenario:
             raise ValueError(f"sweep_values must be a list, got {self.sweep_values!r}")
         for v in self.sweep_values:   # YAML reads 1.0e5 as text; float() takes it
             try:
+                if isinstance(v, bool):     # a bool is no number here
+                    raise TypeError
                 float(v)
             except (TypeError, ValueError):
                 raise ValueError(f"sweep_values entry {v!r} is not a number") from None
-        if self.kind not in ("link", "sinr"):
-            raise ValueError(f"unknown scenario kind {self.kind!r}")
-        if self.estimator not in ESTIMATORS:
-            raise ValueError(f"unknown estimator {self.estimator!r}")
-        if self.channel not in ("tdl_c", "ideal", "awgn"):
-            raise ValueError(f"unknown channel {self.channel!r}")
-        if self.equalizer not in ("mmse", "lsmr_ic"):
-            raise ValueError(f"unknown equalizer {self.equalizer!r}")
-        if self.eq_domain not in ("delay_time", "delay_doppler"):
-            raise ValueError(f"unknown equalization domain {self.eq_domain!r}")
-        if self.i_ic < 1 or self.i_lsmr < 1:
-            raise ValueError("i_ic and i_lsmr must be >= 1")
-        if self.oscillator not in KINDS:
-            raise ValueError(f"unknown oscillator {self.oscillator!r}")
-        if self.sweep not in SWEEPS:
-            raise ValueError(f"unknown sweep axis {self.sweep!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if len(self.sweep_values) == 0:
             raise ValueError("sweep_values must not be empty")
+        for key, allowed in _CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise ValueError(f"unknown {key} {getattr(self, key)!r}, "
+                                 f"expected one of {', '.join(allowed)}")
+        for key, low in _MINIMA.items():
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
         # a sweep axis the scenario ignores would repeat one point
         if self.sweep == "f_pll" and self.oscillator == "FRO":
             raise ValueError("sweep f_pll has no effect on the FRO oscillator")
@@ -145,6 +143,10 @@ class Scenario:
         if self.kind == "sinr" and self.sweep in ("velocity", "f_D", "f_D_norm"):
             raise ValueError(f"sweep {self.sweep} has no effect on kind 'sinr', "
                              "which draws no channel")
+        if self.eq_domain == "delay_doppler" and (
+                self.equalizer == "lsmr_ic" or self.estimator.startswith("ofdm")):
+            raise ValueError("eq_domain delay_doppler has no effect: only the "
+                             "MMSE equalizer of an OTFS estimator reads it")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -495,74 +497,48 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 # --------------------------------------------------------------------------
 
 _OTFS_CURVES = ("proposed", "bem", "spline", "stage1")
-
-
-def _grid(full: bool) -> dict:
-    return {"M": 128, "N": 32} if full else {"M": 32, "N": 16}
-
-
-def _curves(base: Scenario, estimators) -> list:
-    return [replace(base, name=f"{base.name}-{tag}", label=tag, estimator=tag)
-            for tag in estimators]
+_BETAS = (1e2, 3e2, 1e3, 2e3, 5e3, 1e4)
+_SNR_AXIS = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
+_EBN0_AXIS = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0)
+# EVM/NMSE vs phase-noise bandwidth, no Doppler, MMSE
+_PN_MMSE = dict(snr_db=20.0, velocity=0.0, equalizer="mmse", bem_include_pn=True,
+                sweep="beta_pn", sweep_values=_BETAS)
+# BER vs SNR at 500 km/h with LSMR-IC; coded: vs Eb/N0 at rate 1/2
+_LSMR_500 = dict(velocity=500.0, equalizer="lsmr_ic", sweep="snr_db",
+                 sweep_values=_SNR_AXIS)
+_CODED = dict(_LSMR_500, coded=True, snr_is_ebn0=True, sweep_values=_EBN0_AXIS)
+# figure -> (Scenario fields, curves after the four OTFS estimators)
+_PRESETS = {
+    "fig6": (_PN_MMSE, ()),                  # EVM
+    "fig7": (_PN_MMSE, ()),                  # NMSE
+    "fig8": (dict(_PN_MMSE, snr_db=24.0, sweep_values=(1e2, 1e3, 2e3, 5e3, 1e4, 2e4)),
+             ("ofdm_ptrp",)),
+    "fig9": (dict(snr_db=20.0, beta_pn=0.0, equalizer="lsmr_ic", sweep="f_D_norm",
+                  sweep_values=(0.25, 0.5, 1.0, 1.5, 2.0)), ()),
+    "fig10": (dict(_LSMR_500, beta_pn=1e3), ()),
+    "fig11": (dict(_LSMR_500, beta_pn=2e3), ("ofdm_ptrp", "ofdm_ptrp_interp")),
+    "fig12": (dict(_LSMR_500, beta_pn=5e3), ()),
+    "fig13": (dict(_CODED, beta_pn=1e4, qam_order=4), ()),
+    "fig14": (dict(_CODED, beta_pn=5e3, qam_order=16), ()),
+}
+PRESETS = ("fig5", *_PRESETS)
 
 
 def preset(name: str, trials: int | None = None, seed: int = 0,
            full: bool = False) -> list:
-    """Scenario list for one reference figure, desk scale unless ``full``."""
-    g = _grid(full)
-    n_trials = trials if trials is not None else (100_000 if full else 2000)
-    betas = (1e2, 3e2, 1e3, 2e3, 5e3, 1e4)
-
+    """Scenario list for one reference figure, desk scale unless ``full``:
+    one curve per estimator, or for fig5 one SINR scenario."""
+    grid = {"M": 128, "N": 32} if full else {"M": 32, "N": 16}
     if name == "fig5":
-        s = Scenario(name="fig5", kind="sinr", oscillator="FRO", snr_db=20.0,
-                     sweep="beta_pn",
-                     sweep_values=(0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3),
-                     trials=n_trials if trials is not None else (10_000 if full else 2000),
-                     seed=seed, **g)
-        return [s]
-    if name in ("fig6", "fig7"):
-        # EVM (fig6) and NMSE (fig7) vs phase-noise bandwidth, no Doppler
-        base = Scenario(name=name, snr_db=20.0, velocity=0.0, equalizer="mmse",
-                        bem_include_pn=True, sweep="beta_pn", sweep_values=betas,
-                        trials=n_trials, seed=seed, **g)
-        return _curves(base, _OTFS_CURVES)
-    if name == "fig8":
-        base = Scenario(name="fig8", snr_db=24.0, velocity=0.0, equalizer="mmse",
-                        bem_include_pn=True, sweep="beta_pn",
-                        sweep_values=(1e2, 1e3, 2e3, 5e3, 1e4, 2e4),
-                        trials=n_trials, seed=seed, **g)
-        return _curves(base, _OTFS_CURVES + ("ofdm_ptrp",))
-    if name == "fig9":
-        base = Scenario(name="fig9", snr_db=20.0, beta_pn=0.0,
-                        equalizer="lsmr_ic", sweep="f_D_norm",
-                        sweep_values=(0.25, 0.5, 1.0, 1.5, 2.0),
-                        trials=n_trials, seed=seed, **g)
-        return _curves(base, _OTFS_CURVES)
-    if name == "fig10":
-        base = Scenario(name="fig10", beta_pn=1e3, velocity=500.0,
-                        equalizer="lsmr_ic", sweep="snr_db",
-                        sweep_values=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-                        trials=n_trials, seed=seed, **g)
-        return _curves(base, _OTFS_CURVES)
-    if name in ("fig11", "fig12"):
-        beta = 2e3 if name == "fig11" else 5e3
-        extra = ("ofdm_ptrp", "ofdm_ptrp_interp") if name == "fig11" else ()
-        base = Scenario(name=name, beta_pn=beta, velocity=500.0,
-                        equalizer="lsmr_ic", sweep="snr_db",
-                        sweep_values=(0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0),
-                        trials=n_trials, seed=seed, **g)
-        return _curves(base, _OTFS_CURVES + extra)
-    if name in ("fig13", "fig14"):
-        # coded BER vs Eb/N0; fig13: 4-QAM at beta=1e4, fig14: 16-QAM at 5e3
-        beta, order = (1e4, 4) if name == "fig13" else (5e3, 16)
-        base = Scenario(name=name, beta_pn=beta, velocity=500.0, coded=True,
-                        snr_is_ebn0=True, qam_order=order, equalizer="lsmr_ic",
-                        sweep="snr_db",
-                        sweep_values=(0.0, 3.0, 6.0, 9.0, 12.0, 15.0),
-                        trials=n_trials, seed=seed, **g)
-        return _curves(base, _OTFS_CURVES)
-    raise ValueError(f"unknown preset {name!r}")
-
-
-PRESETS = ("fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-           "fig13", "fig14")
+        return [Scenario(name="fig5", kind="sinr", oscillator="FRO", snr_db=20.0,
+                         sweep="beta_pn",
+                         sweep_values=(0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3),
+                         trials=trials if trials is not None else (10_000 if full else 2000),
+                         seed=seed, **grid)]
+    if name not in _PRESETS:
+        raise ValueError(f"unknown preset {name!r}")
+    kw, extra = _PRESETS[name]
+    base = Scenario(name=name, trials=trials if trials is not None else
+                    (100_000 if full else 2000), seed=seed, **grid, **kw)
+    return [replace(base, name=f"{name}-{tag}", label=tag, estimator=tag)
+            for tag in (*_OTFS_CURVES, *extra)]

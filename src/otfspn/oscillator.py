@@ -164,11 +164,11 @@ def sample_path(model: PhaseNoiseModel, length: int, seed) -> PhasePath:
     ``seed`` may be an integer (counter-style per-trial seeding) or an
     existing numpy Generator.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return PhasePath(_sample_many(model, 1, length, rng)[0])
 
 
 def sample_paths(model: PhaseNoiseModel, n_paths: int, length: int, seed) -> np.ndarray:
     """Batch version of sample_path; rows are independent paths."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return _sample_many(model, n_paths, length, rng)

@@ -41,6 +41,8 @@ def test_scenario_validation():
     {"sweep": "velocity", "kind": "sinr"},
     {"sweep": "f_D", "kind": "sinr"},
     {"sweep": "f_D_norm", "kind": "sinr"},
+    {"eq_domain": "delay_doppler", "equalizer": "lsmr_ic"},
+    {"eq_domain": "delay_doppler", "estimator": "ofdm_ptrp"},
 ])
 def test_scenario_rejects_ineffective_sweep(kw):
     with pytest.raises(ValueError, match="no effect"):
@@ -98,6 +100,8 @@ def test_scenario_hash_reads_text_sweep_values_as_numbers(tmp_path):
     {"snr_db": "20"},
     {"beta_pn": None},
     {"coded": 1},
+    {"seed": -1},
+    {"sweep_values": [True]},
 ])
 def test_scenario_rejects_wrong_value_types(kw):
     key = next(iter(kw))
