@@ -500,10 +500,10 @@ _OTFS_CURVES = ("proposed", "bem", "spline", "stage1")
 _BETAS = (1e2, 3e2, 1e3, 2e3, 5e3, 1e4)
 _SNR_AXIS = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 _EBN0_AXIS = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0)
-# EVM/NMSE vs phase-noise bandwidth, no Doppler, MMSE
+# fig6-8: EVM, NMSE, BER vs phase-noise bandwidth, no Doppler, MMSE
 _PN_MMSE = dict(snr_db=20.0, velocity=0.0, equalizer="mmse", bem_include_pn=True,
                 sweep="beta_pn", sweep_values=_BETAS)
-# BER vs SNR at 500 km/h with LSMR-IC; coded: vs Eb/N0 at rate 1/2
+# fig10-12: vs SNR at 500 km/h with LSMR-IC; fig13-14 coded, vs Eb/N0
 _LSMR_500 = dict(velocity=500.0, equalizer="lsmr_ic", sweep="snr_db",
                  sweep_values=_SNR_AXIS)
 _CODED = dict(_LSMR_500, coded=True, snr_is_ebn0=True, sweep_values=_EBN0_AXIS)
@@ -538,7 +538,8 @@ def preset(name: str, trials: int | None = None, seed: int = 0,
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}")
     kw, extra = _PRESETS[name]
-    base = Scenario(name=name, trials=trials if trials is not None else
-                    (100_000 if full else 2000), seed=seed, **grid, **kw)
+    if trials is None:
+        trials = 100_000 if full else 2000
+    base = Scenario(name=name, trials=trials, seed=seed, **grid, **kw)
     return [replace(base, name=f"{name}-{tag}", label=tag, estimator=tag)
             for tag in (*_OTFS_CURVES, *extra)]
