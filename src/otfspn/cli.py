@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .harness import PRESETS, emit_csv, load_scenario, preset, run_scenario, run_scenarios
@@ -32,6 +33,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _open_out(path):
+    """The CSV destination, opened before the first trial: stdout if no path."""
+    if path is None:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as e:
+        raise OSError(f"cannot write CSV to {path}: {e}") from e
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -41,19 +52,16 @@ def main(argv=None) -> int:
                 scenario = replace(scenario, trials=args.trials)
             if args.seed is not None:
                 scenario = replace(scenario, seed=args.seed)
-            rows = run_scenario(scenario)
+            run, todo = run_scenario, scenario
         else:
-            scenarios = preset(args.name, trials=args.trials,
-                               seed=args.seed if args.seed is not None else 0,
-                               full=args.full)
-            rows = run_scenarios(scenarios)
+            run, todo = run_scenarios, preset(
+                args.name, trials=args.trials,
+                seed=args.seed if args.seed is not None else 0, full=args.full)
+        with _open_out(args.out) as out:
+            emit_csv(run(todo), out)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if args.out:
-        emit_csv(rows, args.out)
-    else:
-        emit_csv(rows, sys.stdout)
     return 0
 
 

@@ -2,8 +2,10 @@
 rate-1/2 convolutional coding and the frame-level metrics.
 
 The effective delay-time channel matrix G is banded circular (row n holds
-the tap gains g[n, l] at columns (n - l) mod MN), so equalization defaults
-to that domain.  MMSE solves the normal equations (G^H G + s I) x = G^H y.
+the tap gains g[n, l] at columns (n - l) mod MN), so both equalizers solve
+in that domain; the delay-Doppler map is unitary, so a delay-Doppler solve
+would give the same estimate.  MMSE solves the normal equations
+(G^H G + s I) x = G^H y.
 G^H G is Hermitian and circularly banded with half-bandwidth L - 1: its L
 diagonals are summed straight from the taps, and with the unknowns taken
 in the folded order 0, MN-1, 1, MN-2, ... the circular band becomes an
@@ -28,7 +30,6 @@ import scipy.sparse as sp
 from scipy.linalg import solveh_banded
 
 from .channel import banded_circular
-from .dd_analysis import dd_transform
 from .estimation import PilotLayout, extract_data
 from .grid import Frame, GridConfig, QamConfig, constellation, otfs_demodulate, otfs_modulate
 
@@ -199,12 +200,6 @@ def _lsmr(op: ChannelOp, b: np.ndarray, damp: float, maxiter: int) -> np.ndarray
     return x
 
 
-def _known_grid(layout: PilotLayout | None, cfg: GridConfig) -> np.ndarray:
-    if layout is None:
-        return np.zeros((cfg.M, cfg.N), dtype=complex)
-    return layout.resolved(cfg).pilot_frame(cfg).dd
-
-
 @functools.lru_cache(maxsize=16)
 def _fold(mn: int, n_taps: int):
     """Folded order of MN unknowns and where A's diagonals go in its band.
@@ -263,41 +258,21 @@ def _solve_normal(g_dt: np.ndarray, b: np.ndarray, noise_var: float) -> np.ndarr
 
 
 def mmse_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
-                  cfg: GridConfig, layout: PilotLayout | None = None,
-                  domain: str = "delay_time") -> DetectionResult:
+                  cfg: GridConfig, layout: PilotLayout) -> DetectionResult:
     """Linear MMSE detection, x_hat = (G^H G + noise_var I)^-1 G^H y.
 
     The pilot contribution predicted by the channel estimate is subtracted
     from y first; the solve runs on the banded normal equations in
-    delay-time (or on the dense DD matrix when domain="delay_doppler",
-    small grids).
+    delay-time.
     """
+    layout = layout.resolved(cfg)
     G = banded_circular(g_dt)
-    mn = G.shape[0]
     y = np.asarray(r).ravel() - G @ otfs_modulate(
-        Frame(_known_grid(layout, cfg)), cfg, with_cp=False)
-    if domain == "delay_time":
-        x_dt = _solve_normal(g_dt, G.conj().T @ y, noise_var)
-        x_dd = otfs_demodulate(x_dt, cfg).dd
-    elif domain == "delay_doppler":
-        Gdd = dd_transform(G.toarray(), cfg)
-        y_dd = otfs_demodulate(y, cfg).vec
-        A = Gdd.conj().T @ Gdd + noise_var * np.eye(mn)
-        x = np.linalg.solve(A, Gdd.conj().T @ y_dd)
-        x_dd = x.reshape(cfg.M, cfg.N, order="F")
-    else:
-        raise ValueError(f"unknown equalization domain {domain!r}")
-    x_dt = otfs_modulate(Frame(x_dd), cfg, with_cp=False)
+        layout.pilot_frame(cfg), cfg, with_cp=False)
+    x_dt = _solve_normal(g_dt, G.conj().T @ y, noise_var)
+    x_dd = otfs_demodulate(x_dt, cfg).dd
     residual = float(np.linalg.norm(y - G @ x_dt))
-    return _finalize(x_dd, layout, cfg, residual)
-
-
-def _finalize(x_dd, layout, cfg, residual, converged=True) -> DetectionResult:
-    if layout is not None:
-        symbols = extract_data(x_dd, layout.resolved(cfg), cfg)
-    else:
-        symbols = x_dd.reshape(-1, order="F")
-    return DetectionResult(symbols, x_dd, residual, converged)
+    return DetectionResult(extract_data(x_dd, layout, cfg), x_dd, residual)
 
 
 def _harden(x_dd: np.ndarray, mask: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -327,7 +302,7 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     points = constellation(qam)
     mask = layout.data_mask(cfg)
     y = np.asarray(r).ravel() - op.matvec(
-        otfs_modulate(Frame(layout.pilot_frame(cfg).dd), cfg, with_cp=False))
+        otfs_modulate(layout.pilot_frame(cfg), cfg, with_cp=False))
 
     x_dt = _lsmr(op, y, damp, i_lsmr)
     x_dd = otfs_demodulate(x_dt, cfg).dd
@@ -356,7 +331,8 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
             converged = True
         else:
             converged = False
-    return _finalize(best_dd, layout, cfg, best_res, converged)
+    return DetectionResult(extract_data(best_dd, layout, cfg), best_dd,
+                           best_res, converged)
 
 
 # --------------------------------------------------------------------------

@@ -34,8 +34,6 @@ import numpy as np
 from scipy.linalg import solve
 from scipy.special import j0
 
-from .channel import banded_circular
-from .dd_analysis import dd_transform
 from .grid import Frame, GridConfig
 from .oscillator import PhaseNoiseModel, expected_rotation
 
@@ -203,11 +201,6 @@ class FullEstimate:
     """Per-sample effective channel estimate for every tap (MN x L)."""
 
     g_dt: np.ndarray
-
-    def dd_matrix(self, cfg: GridConfig) -> np.ndarray:
-        """Dense delay-Doppler estimate (small grids), the DD-domain view of
-        the banded circular delay-time matrix built from the tap columns."""
-        return dd_transform(banded_circular(self.g_dt).toarray(), cfg)
 
 
 def stage2_estimate(partial: PartialEstimate, wiener: WienerFilter) -> FullEstimate:

@@ -47,10 +47,6 @@ class GridConfig:
         return self.bandwidth / self.M
 
     @property
-    def delay_spacing(self) -> float:
-        return self.T_s
-
-    @property
     def doppler_spacing(self) -> float:
         return 1.0 / (self.M * self.N * self.T_s)
 

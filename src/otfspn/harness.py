@@ -43,10 +43,14 @@ SWEEPS = ("snr_db", "beta_pn", "f_pll", "f_D", "f_D_norm", "velocity")
 # Scenario field -> accepted names
 _CHOICES = {"kind": ("link", "sinr"), "estimator": ESTIMATORS,
             "channel": ("tdl_c", "ideal", "awgn"), "equalizer": ("mmse", "lsmr_ic"),
-            "eq_domain": ("delay_time", "delay_doppler"), "oscillator": KINDS,
+            "eq_domain": ("delay_time",), "oscillator": KINDS,
             "sweep": SWEEPS}
 # Scenario field -> smallest accepted value
 _MINIMA = {"i_ic": 1, "i_lsmr": 1, "trials": 1, "seed": 0}
+# Scenario fields that only a link trial reads; a kind 'sinr' run keeps the defaults
+_LINK_ONLY = ("channel", "delay_spread", "velocity", "f_D", "pilot_L", "pilot_boost_db",
+              "estimator", "bem_k_over", "bem_include_pn", "ptrp_spacing",
+              "equalizer", "i_ic", "i_lsmr")
 # Scenario field annotation -> accepted value type; a bool is no number here
 _FIELD_TYPES = {"int": (Integral, "an integer"), "float": (Real, "a number"),
                 "bool": (bool, "true or false"), "str": (str, "a string")}
@@ -101,7 +105,7 @@ class Scenario:
     ptrp_spacing: int = 8
 
     equalizer: str = "mmse"             # "mmse" | "lsmr_ic"
-    eq_domain: str = "delay_time"
+    eq_domain: str = "delay_time"       # only value; kept so hashes stay put
     i_ic: int = 10
     i_lsmr: int = 20
     coded: bool = False
@@ -140,13 +144,15 @@ class Scenario:
             raise ValueError("sweep f_pll has no effect on the FRO oscillator")
         if self.sweep == "velocity" and self.f_D is not None:
             raise ValueError("sweep velocity has no effect while f_D is set")
-        if self.kind == "sinr" and self.sweep in ("velocity", "f_D", "f_D_norm"):
-            raise ValueError(f"sweep {self.sweep} has no effect on kind 'sinr', "
-                             "which draws no channel")
-        if self.eq_domain == "delay_doppler" and (
-                self.equalizer == "lsmr_ic" or self.estimator.startswith("ofdm")):
-            raise ValueError("eq_domain delay_doppler has no effect: only the "
-                             "MMSE equalizer of an OTFS estimator reads it")
+        if self.kind == "sinr":
+            if self.sweep in ("velocity", "f_D", "f_D_norm"):
+                raise ValueError(f"sweep {self.sweep} has no effect on kind 'sinr', "
+                                 "which draws no channel")
+            # a field the run ignores would give one experiment two hashes
+            for key in _LINK_ONLY:
+                if getattr(self, key) != self.__dataclass_fields__[key].default:
+                    raise ValueError(f"{key} has no effect on kind 'sinr', which "
+                                     "draws no channel and runs no receiver")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -337,8 +343,7 @@ def _receive_otfs(point: SweepPoint, r, chan, path):
         det = eq.lsmr_ic_equalize(r, g_dt, point.noise_var, cfg, point.layout,
                                   point.qam, s.i_ic, s.i_lsmr)
     else:
-        det = eq.mmse_equalize(r, g_dt, point.noise_var, cfg, point.layout,
-                               domain=s.eq_domain)
+        det = eq.mmse_equalize(r, g_dt, point.noise_var, cfg, point.layout)
     return det.symbols, {"nmse": nmse}
 
 

@@ -8,8 +8,6 @@ from otfspn.channel import (ChannelProfile, ChannelRealization, SPEED_OF_LIGHT,
                             _jakes_factor, apply_channel, delay_time_matrix,
                             doppler_from_velocity, effective_channel,
                             effective_dd_channel, realize_channel)
-from otfspn.dd_analysis import dd_transform
-from otfspn.estimation import FullEstimate
 from otfspn.grid import Frame, GridConfig, ofdm_modulate, otfs_demodulate, otfs_modulate
 from otfspn.oscillator import PhaseNoiseModel, PhasePath, sample_path
 
@@ -253,7 +251,6 @@ def test_banded_circular_builders_match_lag_loop():
     for l in range(taps.shape[1]):
         loop[rows, (rows - l) % mn] += taps[:, l]
     assert np.array_equal(delay_time_matrix(taps, mn), loop)
-    assert np.array_equal(FullEstimate(taps).dd_matrix(cfg), dd_transform(loop, cfg))
     with pytest.raises(ValueError):
         delay_time_matrix(taps, mn + 1)
 

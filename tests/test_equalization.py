@@ -8,8 +8,10 @@ from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
 from otfspn.equalization import (ChannelOp, _lsmr, _normal_band, _solve_normal,
                                  ber, conv_encode, evm, lsmr_ic_equalize,
                                  mmse_equalize, nmse, qam_llrs, viterbi_decode)
+from otfspn.dd_analysis import dd_transform
 from otfspn.estimation import PilotLayout, build_pilot_frame
-from otfspn.grid import Frame, GridConfig, QamConfig, otfs_modulate, qam_demap, qam_map
+from otfspn.grid import (Frame, GridConfig, QamConfig, otfs_demodulate, otfs_modulate,
+                         qam_demap, qam_map)
 from otfspn.oscillator import PhaseNoiseModel, PhasePath, sample_path
 
 TS = 1.0 / 7.68e6
@@ -258,7 +260,8 @@ def test_mmse_beats_zf_on_notched_channel():
 
 
 def test_mmse_domains_agree():
-    # delay-time and delay-Doppler solves of the same MMSE problem coincide
+    # the banded delay-time solve equals a dense delay-Doppler MMSE of the
+    # same problem, because the delay-Doppler map is unitary
     cfg = GridConfig(M=8, N=4, n_cp=8)
     rng = np.random.default_rng(5)
     prof = ChannelProfile((0.0, 2 * TS), (0.7, 0.3), 2e3)
@@ -268,9 +271,15 @@ def test_mmse_domains_agree():
     layout = PilotLayout(L=chan.L).resolved(cfg)
     qam = QamConfig(4)
     bits, data, r = _frame_through(cfg, layout, qam, chan, path, 0.01, rng)
-    dt = mmse_equalize(r, g, 0.01, cfg, layout, domain="delay_time")
-    dd = mmse_equalize(r, g, 0.01, cfg, layout, domain="delay_doppler")
-    np.testing.assert_allclose(dt.dd_grid, dd.dd_grid, atol=1e-8)
+    det = mmse_equalize(r, g, 0.01, cfg, layout)
+    mn = cfg.frame_len
+    G = delay_time_matrix(g, mn)
+    Gdd = dd_transform(G, cfg)
+    y = r - G @ otfs_modulate(layout.pilot_frame(cfg), cfg, with_cp=False)
+    x = np.linalg.solve(Gdd.conj().T @ Gdd + 0.01 * np.eye(mn),
+                        Gdd.conj().T @ otfs_demodulate(y, cfg).vec)
+    np.testing.assert_allclose(det.dd_grid, x.reshape(cfg.M, cfg.N, order="F"),
+                               atol=1e-8)
 
 
 def test_lsmr_matches_direct_least_squares():

@@ -33,6 +33,10 @@ def test_scenario_validation():
         Scenario(equalizer="zf")
     with pytest.raises(ValueError):
         Scenario.from_dict({"name": "x", "bogus_key": 1})
+    # delay_time is the only eq_domain, whichever receiver runs
+    for kw in ({"equalizer": "lsmr_ic"}, {"estimator": "ofdm_ptrp"}, {}):
+        with pytest.raises(ValueError, match="unknown eq_domain"):
+            Scenario(eq_domain="delay_doppler", **kw)
 
 
 @pytest.mark.parametrize("kw", [
@@ -41,8 +45,8 @@ def test_scenario_validation():
     {"sweep": "velocity", "kind": "sinr"},
     {"sweep": "f_D", "kind": "sinr"},
     {"sweep": "f_D_norm", "kind": "sinr"},
-    {"eq_domain": "delay_doppler", "equalizer": "lsmr_ic"},
-    {"eq_domain": "delay_doppler", "estimator": "ofdm_ptrp"},
+    {"kind": "sinr", "estimator": "bem"},
+    {"kind": "sinr", "velocity": 500.0},
 ])
 def test_scenario_rejects_ineffective_sweep(kw):
     with pytest.raises(ValueError, match="no effect"):
@@ -346,6 +350,17 @@ def test_fail_fast_check_accepts_what_trials_accept(monkeypatch):
                     sweep_values=(10.0,), trials=2)
     rows = run_scenarios([GOOD, sinr])
     assert len(calls) == 3 and len(rows) == 3 + 4
+
+
+def test_cli_rejects_unwritable_out_before_any_trial(tmp_path, capsys,
+                                                    monkeypatch):
+    calls = _count_trials(monkeypatch)
+    out = tmp_path / "missing" / "x.csv"
+    assert cli_main(["preset", "fig5", "--trials", "2", "--out", str(out)]) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write CSV to {out}"), err
+    assert "Traceback" not in err
 
 
 def test_cli_rejects_short_cp_before_any_trial(tmp_path, capsys, monkeypatch):
