@@ -72,13 +72,15 @@ def test_scenario_roundtrip_and_hash(tmp_path):
     assert s.hash() != Scenario(name="demo", sweep_values=(1.0, 3.0), trials=5).hash()
 
 
-def test_scenario_hash_frozen_value():
+def test_scenario_hash_frozen_value(tmp_path):
     # canonical serialization: the hash must not drift across releases
-    s = Scenario()
-    assert s.hash() == Scenario().hash()
-    blob = s.hash()
-    assert len(blob) == 16 and all(c in "0123456789abcdef" for c in blob)
-    assert blob == "c302f8082c2aa1da"
+    assert Scenario().hash() == "c302f8082c2aa1da"
+    assert Scenario(channel="awgn").hash() == "b9f0ab1e0c822e71"
+    assert Scenario(kind="sinr", sweep="beta_pn").hash() == "9a1aa833de28dbd4"
+    # older scenario files spell out eq_domain, which has one value
+    p = tmp_path / "s.yaml"
+    p.write_text("eq_domain: delay_time\n")
+    assert load_scenario(str(p)).hash() == "c302f8082c2aa1da"
 
 
 def test_scenario_hash_reads_text_sweep_values_as_numbers(tmp_path):
