@@ -7,7 +7,7 @@ import sys
 from contextlib import nullcontext
 from dataclasses import replace
 
-from .harness import PRESETS, emit_csv, load_scenario, preset, run_scenario, run_scenarios
+from .harness import PRESETS, emit_csv, load_scenario, preset, run_scenarios
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -52,13 +52,13 @@ def main(argv=None) -> int:
                 scenario = replace(scenario, trials=args.trials)
             if args.seed is not None:
                 scenario = replace(scenario, seed=args.seed)
-            run, todo = run_scenario, scenario
+            scenarios = [scenario]
         else:
-            run, todo = run_scenarios, preset(
-                args.name, trials=args.trials,
-                seed=args.seed if args.seed is not None else 0, full=args.full)
+            scenarios = preset(args.name, trials=args.trials,
+                               seed=args.seed if args.seed is not None else 0,
+                               full=args.full)
         with _open_out(args.out) as out:
-            emit_csv(run(todo), out)
+            emit_csv(run_scenarios(scenarios), out)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

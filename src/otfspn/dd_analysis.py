@@ -148,10 +148,15 @@ def _diag_from_rotation(r: np.ndarray, size: int, p: int) -> float:
     return (math.fsum(terms) + size * r[0]) / size**2
 
 
+def _rotation_diag(model: PhaseNoiseModel, size: int, lag_scale: int) -> np.ndarray:
+    """size x size K_phi diagonal for phase samples ``lag_scale`` apart, any kind."""
+    r = expected_rotation(model, np.arange(size) * lag_scale)
+    return np.array([_diag_from_rotation(r, size, p) for p in range(size)])
+
+
 def k_phi_diag(model: PhaseNoiseModel, cfg: GridConfig) -> np.ndarray:
     """Diagonal of K_phi for any oscillator kind (O(N) per entry)."""
-    r = expected_rotation(model, np.arange(cfg.N) * cfg.M)
-    return np.array([_diag_from_rotation(r, cfg.N, p) for p in range(cfg.N)])
+    return _rotation_diag(model, cfg.N, cfg.M)
 
 
 def _fro_closed_form(alpha: float, size: int, p: int) -> float:
@@ -179,12 +184,16 @@ def _fro_closed_form(alpha: float, size: int, p: int) -> float:
     return (s1 - 1.0) / size - s2 / size**2
 
 
+def _fro_alpha(model: PhaseNoiseModel, lag_scale: int) -> float:
+    """Rotation factor of a free-running oscillator over ``lag_scale`` samples."""
+    return float(np.exp(-2.0 * np.pi * model.beta_pn * model.T_s * lag_scale))
+
+
 def k_phi_fro_closed_form(model: PhaseNoiseModel, cfg: GridConfig, p: int) -> float:
     """Exact K[p,p] for a free-running oscillator, O(1) evaluation."""
     if model.kind != "FRO":
         raise ValueError("closed form only holds for the FRO model")
-    alpha = float(np.exp(-2.0 * np.pi * model.beta_pn * model.T_s * cfg.M))
-    return _fro_closed_form(alpha, cfg.N, p)
+    return _fro_closed_form(_fro_alpha(model, cfg.M), cfg.N, p)
 
 
 @dataclass
@@ -214,16 +223,14 @@ def _sinr(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float,
     if noise_var < 0:
         raise ValueError("noise variance must be >= 0")
     if model.beta_pn == 0.0:
-        sig, idi = 1.0, 0.0
+        diag = np.array([1.0])          # no phase noise: no leakage
     elif model.kind == "FRO":
-        alpha = float(np.exp(-2.0 * np.pi * model.beta_pn * model.T_s * lag_scale))
+        alpha = _fro_alpha(model, lag_scale)
         diag = np.array([_fro_closed_form(alpha, size, p) for p in range(size)])
-        sig, idi = diag[0], float(diag[1:].sum())
     else:
-        r = expected_rotation(model, np.arange(size) * lag_scale)
-        diag = np.array([_diag_from_rotation(r, size, p) for p in range(size)])
-        sig, idi = diag[0], float(diag[1:].sum())
-    return SinrReport(sig, idi, noise_var, model.kind, cfg.M, cfg.N, waveform)
+        diag = _rotation_diag(model, size, lag_scale)
+    return SinrReport(diag[0], float(diag[1:].sum()), noise_var, model.kind,
+                      cfg.M, cfg.N, waveform)
 
 
 def sinr_otfs(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float) -> SinrReport:

@@ -265,7 +265,6 @@ def mmse_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     from y first; the solve runs on the banded normal equations in
     delay-time.
     """
-    layout = layout.resolved(cfg)
     G = banded_circular(g_dt)
     y = np.asarray(r).ravel() - G @ otfs_modulate(
         layout.pilot_frame(cfg), cfg, with_cp=False)
@@ -296,7 +295,6 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     increase the data residual, so the reported residual is non-increasing;
     if the final pass was rejected the result is flagged unconverged.
     """
-    layout = layout.resolved(cfg)
     op = ChannelOp(g_dt)
     damp = float(np.sqrt(noise_var))
     points = constellation(qam)

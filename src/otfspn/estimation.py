@@ -44,7 +44,8 @@ class PilotLayout:
 
     The guard spans delay rows m_p - (L-1) .. m_p + (L-1) (circularly) over
     all Doppler bins; sigma2_p is the power of the pilot symbol on the
-    delay-Doppler grid.
+    delay-Doppler grid.  The functions that take a layout expect
+    ``resolved(cfg)``, which fills in the defaults and checks the guard.
     """
 
     L: int
@@ -91,7 +92,6 @@ def build_pilot_frame(layout: PilotLayout, data_symbols, cfg: GridConfig) -> Fra
 
     Data symbols fill the unguarded cells in column-major order.
     """
-    layout = layout.resolved(cfg)
     data_symbols = np.asarray(data_symbols).ravel()
     mask = layout.data_mask(cfg)
     n_data = int(mask.sum())
@@ -125,7 +125,6 @@ def stage1_estimate(r: np.ndarray, layout: PilotLayout, cfg: GridConfig,
     sigma2_p.  Taps whose mean energy stays below three times that noise
     floor are zeroed.
     """
-    layout = layout.resolved(cfg)
     r = np.asarray(r).ravel()
     if r.size != cfg.frame_len:
         raise ValueError(f"expected {cfg.frame_len} samples, got {r.size}")
@@ -176,7 +175,6 @@ def build_wiener(model: PhaseNoiseModel, f_D: float, noise_ratio: float,
     autocorrelation is ridge-regularized by max(noise_ratio, 1e-8*tr/N); it
     is near-singular when both the Doppler and the phase noise are small.
     """
-    layout = layout.resolved(cfg)
     if noise_ratio < 0:
         raise ValueError("noise_ratio must be >= 0")
     mn = cfg.frame_len
@@ -196,26 +194,20 @@ def build_wiener(model: PhaseNoiseModel, f_D: float, noise_ratio: float,
     return WienerFilter(W, mse)
 
 
-@dataclass
-class FullEstimate:
-    """Per-sample effective channel estimate for every tap (MN x L)."""
-
-    g_dt: np.ndarray
-
-
-def stage2_estimate(partial: PartialEstimate, wiener: WienerFilter) -> FullEstimate:
-    """Apply the shared Wiener filter to every tap column."""
+def stage2_estimate(partial: PartialEstimate, wiener: WienerFilter) -> np.ndarray:
+    """Apply the shared Wiener filter to every tap column: the per-sample
+    effective channel estimate (MN x L)."""
     n_obs = wiener.W.shape[1]
     if partial.g_hat.shape[1] != n_obs:
         raise ValueError(f"filter expects {n_obs} snapshots per tap, "
                          f"got {partial.g_hat.shape[1]}")
-    return FullEstimate(wiener.W @ partial.g_hat.T)
+    return wiener.W @ partial.g_hat.T
 
 
-def stage1_hold_estimate(partial: PartialEstimate, cfg: GridConfig) -> FullEstimate:
+def stage1_hold_estimate(partial: PartialEstimate, cfg: GridConfig) -> np.ndarray:
     """Stage-1 only: hold each snapshot over its M-sample delay block."""
     blocks = np.arange(cfg.frame_len) // cfg.M
-    return FullEstimate(partial.g_hat.T[blocks, :])
+    return partial.g_hat.T[blocks, :]
 
 
 def bem_order(cfg: GridConfig, f_D: float, beta_pn: float = 0.0,
@@ -237,13 +229,12 @@ def bem_order(cfg: GridConfig, f_D: float, beta_pn: float = 0.0,
 
 def bem_estimate(partial: PartialEstimate, cfg: GridConfig, layout: PilotLayout,
                  f_D: float, beta_pn: float = 0.0, k_over: float = 1.0,
-                 include_pn_bandwidth: bool = False) -> FullEstimate:
+                 include_pn_bandwidth: bool = False) -> np.ndarray:
     """Least-squares fit of an oversampled CE-BEM to the pilot snapshots.
 
     Q basis tones spaced 1/(k_over*M*N) in normalized frequency, centered on
     DC, fitted per tap at the pilot indices and evaluated on all samples.
     """
-    layout = layout.resolved(cfg)
     q = bem_order(cfg, f_D, beta_pn, k_over, include_pn_bandwidth)
     if q > cfg.N:
         warnings.warn(f"BEM order {q} exceeds the {cfg.N} pilot snapshots; clamping")
@@ -253,22 +244,21 @@ def bem_estimate(partial: PartialEstimate, cfg: GridConfig, layout: PilotLayout,
     basis = np.exp(2j * np.pi * np.arange(mn)[:, None] * freqs[None, :])
     b_pil = basis[layout.pilot_indices(cfg), :]
     coef, *_ = np.linalg.lstsq(b_pil, partial.g_hat.T, rcond=None)
-    return FullEstimate(basis @ coef)
+    return basis @ coef
 
 
 def spline_estimate(partial: PartialEstimate, cfg: GridConfig,
-                    layout: PilotLayout) -> FullEstimate:
+                    layout: PilotLayout) -> np.ndarray:
     """Not-a-knot cubic spline through the pilot snapshots, per tap,
     real and imaginary parts separately; extrapolates past the end pilots."""
     from scipy.interpolate import CubicSpline  # imported here: only this estimator needs it
 
-    layout = layout.resolved(cfg)
     pilots = layout.pilot_indices(cfg)
     grid = np.arange(cfg.frame_len)
     vals = partial.g_hat.T  # (N, L)
     re = CubicSpline(pilots, vals.real, axis=0, bc_type="not-a-knot")(grid)
     im = CubicSpline(pilots, vals.imag, axis=0, bc_type="not-a-knot")(grid)
-    return FullEstimate(re + 1j * im)
+    return re + 1j * im
 
 
 # --------------------------------------------------------------------------

@@ -42,9 +42,10 @@ ESTIMATORS = (*_INTERPOLATORS, "perfect", "ofdm_ptrp", "ofdm_ptrp_interp")
 SWEEPS = ("snr_db", "beta_pn", "f_pll", "f_D", "f_D_norm", "velocity")
 # Scenario field -> accepted names
 _CHOICES = {"kind": ("link", "sinr"), "estimator": ESTIMATORS,
-            "channel": ("tdl_c", "ideal", "awgn"), "equalizer": ("mmse", "lsmr_ic"),
-            "eq_domain": ("delay_time",), "oscillator": KINDS,
-            "sweep": SWEEPS}
+            "channel": ("tdl_c", "awgn"), "equalizer": ("mmse", "lsmr_ic"),
+            "oscillator": KINDS, "sweep": SWEEPS}
+# retired field -> the one value it had; hashed, so old scenario hashes stay put
+_RETIRED = {"eq_domain": "delay_time"}
 # Scenario field -> smallest accepted value
 _MINIMA = {"i_ic": 1, "i_lsmr": 1, "trials": 1, "seed": 0}
 # Scenario fields that only a link trial reads; a kind 'sinr' run keeps the defaults
@@ -91,7 +92,7 @@ class Scenario:
     beta_pn: float = 2e3
     f_pll: float = 1e6
 
-    channel: str = "tdl_c"              # "tdl_c" | "awgn" ("ideal" alias)
+    channel: str = "tdl_c"              # "tdl_c" | "awgn"
     delay_spread: float = 100e-9
     velocity: float = 0.0               # km/h
     f_D: float | None = None            # Hz; overrides velocity when set
@@ -105,7 +106,6 @@ class Scenario:
     ptrp_spacing: int = 8
 
     equalizer: str = "mmse"             # "mmse" | "lsmr_ic"
-    eq_domain: str = "delay_time"       # only value; kept so hashes stay put
     i_ic: int = 10
     i_lsmr: int = 20
     coded: bool = False
@@ -162,15 +162,20 @@ class Scenario:
     @classmethod
     def from_dict(cls, d: dict) -> "Scenario":
         d = dict(d)
+        for key, frozen in _RETIRED.items():
+            value = d.pop(key, frozen)
+            if value != frozen:
+                raise ValueError(f"{key} is retired: only {frozen!r} is accepted, "
+                                 f"got {value!r}")
         if isinstance(d.get("sweep_values"), list):
             d["sweep_values"] = tuple(d["sweep_values"])
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
+            raise ValueError(f"unknown scenario keys: {sorted(unknown, key=str)}")
         return cls(**d)
 
     def hash(self) -> str:
-        d = self.to_dict()
+        d = {**self.to_dict(), **_RETIRED}
         # YAML reads 1.0e5 as text and 1.0e+5 as a number: one sweep, one hash
         d["sweep_values"] = [float(v) if isinstance(v, str) else v
                              for v in d["sweep_values"]]
@@ -322,7 +327,7 @@ def _resolve_point(s: Scenario, value: float) -> SweepPoint:
 # --------------------------------------------------------------------------
 
 def _realize(point: SweepPoint, rng, n_samples: int) -> ch.ChannelRealization:
-    if point.scenario.channel in ("ideal", "awgn"):
+    if point.scenario.channel == "awgn":
         # deterministic unit tap: pure AWGN once noise is added
         return ch.ChannelRealization(np.ones((n_samples, 1), dtype=complex),
                                      np.array([0]))
@@ -337,7 +342,7 @@ def _receive_otfs(point: SweepPoint, r, chan, path):
         g_dt, nmse = g_true, 0.0
     else:
         part = est.stage1_estimate(r, point.layout, cfg, point.noise_var)
-        g_dt = _INTERPOLATORS[s.estimator](point, part).g_dt
+        g_dt = _INTERPOLATORS[s.estimator](point, part)
         nmse = eq.nmse(g_dt, g_true)
     if s.equalizer == "lsmr_ic":
         det = eq.lsmr_ic_equalize(r, g_dt, point.noise_var, cfg, point.layout,
@@ -405,19 +410,15 @@ def _aggregate(per_trial: list, key: str):
 
 
 def _run_link_point(point: SweepPoint) -> list:
+    """Mean and 95 % interval of each per-trial metric: (metric, value, ci95)."""
     s = point.scenario
     results = [_run_trial(point, s.seed + t) for t in range(s.trials)]
-    prefix = f"{s.label}_" if s.label else ""
-    rows = []
-    for key in sorted(results[0]):
-        mean, ci = _aggregate(results, key)
-        rows.append(ResultRow(s.sweep, float(point.sweep_value), prefix + key,
-                              mean, ci, s.trials, s.hash(), s.seed))
-    return rows
+    return [(key, *_aggregate(results, key)) for key in sorted(results[0])]
 
 
 def _run_sinr_point(point: SweepPoint) -> list:
-    """Analytic and Monte Carlo SINR for OTFS and the equivalent OFDM system.
+    """Analytic and Monte Carlo SINR for OTFS and the equivalent OFDM system,
+    as (metric, value, ci95).
 
     The measured value is the ratio of powers pooled over all trials; its
     confidence interval comes from the spread of per-block SINRs.  Both
@@ -434,9 +435,7 @@ def _run_sinr_point(point: SweepPoint) -> list:
     for waveform in ("otfs", "ofdm"):
         ana = (dd.sinr_otfs if waveform == "otfs" else dd.sinr_ofdm)(
             point.model, point.cfg, point.noise_var)
-        rows.append(ResultRow(s.sweep, float(point.sweep_value),
-                              f"sinr_{waveform}_analytic_db", ana.sinr_db,
-                              0.0, s.trials, s.hash(), s.seed))
+        rows.append((f"sinr_{waveform}_analytic_db", ana.sinr_db, 0.0))
         sig = idi = 0.0
         block_db = []
         for nb, reports in zip(sizes, measured):
@@ -449,32 +448,27 @@ def _run_sinr_point(point: SweepPoint) -> list:
         ci = 0.0
         if len(block_db) > 1 and np.all(np.isfinite(block_db)):
             ci = float(1.96 * np.std(block_db, ddof=1) / np.sqrt(len(block_db)))
-        rows.append(ResultRow(s.sweep, float(point.sweep_value),
-                              f"sinr_{waveform}_measured_db", pooled.sinr_db,
-                              ci, s.trials, s.hash(), s.seed))
+        rows.append((f"sinr_{waveform}_measured_db", pooled.sinr_db, ci))
     return rows
 
 
-def run_scenario(scenario: Scenario, workers: int = 1) -> list:
-    """Run every sweep point; returns ResultRow list in sweep order."""
-    return run_scenarios([scenario], workers)
-
-
 def run_scenarios(scenarios, workers: int = 1) -> list:
-    """Run every sweep point of every scenario, in order.  Every point is
-    resolved before the first trial runs, so a configuration error is
-    reported before any work is done.  Trials run serially; ``workers``
-    must be 1."""
+    """Run every sweep point of every scenario, in order; returns ResultRow
+    list.  Every point is resolved before the first trial runs, so a
+    configuration error is reported before any work is done.  Trials run
+    serially; ``workers`` must be 1."""
     if workers != 1:
         raise ValueError(f"workers must be 1 (trials run serially), got {workers}")
     points = [_resolve_point(s, float(value))
               for s in scenarios for value in s.sweep_values]
     rows = []
     for point in points:
-        if point.scenario.kind == "sinr":
-            rows.extend(_run_sinr_point(point))
-        else:
-            rows.extend(_run_link_point(point))
+        s = point.scenario
+        run = _run_sinr_point if s.kind == "sinr" else _run_link_point
+        prefix = f"{s.label}_" if s.label else ""
+        rows.extend(ResultRow(s.sweep, float(point.sweep_value), prefix + metric,
+                              value, ci, s.trials, s.hash(), s.seed)
+                    for metric, value, ci in run(point))
     return rows
 
 
@@ -486,6 +480,8 @@ def load_scenario(path: str) -> Scenario:
             doc = yaml.safe_load(f)
     except OSError as e:
         raise OSError(f"cannot read scenario file {path}: {e}") from e
+    except yaml.YAMLError as e:
+        raise ValueError(f"cannot parse scenario file {path}: {e}") from e
     if not isinstance(doc, dict):
         raise ValueError(f"scenario file {path} must hold a key/value mapping")
     return Scenario.from_dict(doc)

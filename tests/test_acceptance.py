@@ -41,7 +41,7 @@ from otfspn.estimation import (PartialEstimate, PilotLayout, bem_estimate,
                                stage2_estimate)
 from otfspn.grid import Frame, GridConfig, QamConfig, otfs_demodulate, \
     otfs_modulate, qam_demap, qam_map
-from otfspn.harness import Scenario, emit_csv, run_scenario
+from otfspn.harness import Scenario, emit_csv, run_scenarios
 from otfspn.oscillator import (PhaseNoiseModel, dpll_autocovariance,
                                expected_rotation, sample_path, sample_paths)
 
@@ -224,11 +224,11 @@ def test_criterion_06_wiener_optimality():
             "wiener": np.mean(np.abs(wf.W @ obs - g) ** 2, axis=0),
             "bem": np.mean(np.abs(bem_estimate(
                 part, cfg, layout, f_D, 2e3,
-                include_pn_bandwidth=(f_D == 0.0)).g_dt - g) ** 2, axis=0),
+                include_pn_bandwidth=(f_D == 0.0)) - g) ** 2, axis=0),
             "spline": np.mean(np.abs(
-                spline_estimate(part, cfg, layout).g_dt - g) ** 2, axis=0),
+                spline_estimate(part, cfg, layout) - g) ** 2, axis=0),
             "hold": np.mean(np.abs(
-                stage1_hold_estimate(part, cfg).g_dt - g) ** 2, axis=0),
+                stage1_hold_estimate(part, cfg) - g) ** 2, axis=0),
         }
         theory = np.mean(wf.mse_per_sample)
         rel = abs(per_draw["wiener"].mean() - theory) / theory
@@ -277,11 +277,11 @@ def test_criterion_07_nmse_ordering_vs_beta():
         for t in range(trials):
             _, _, _, part, g = _shared_trial(700_000 + t, cfg, layout, prof,
                                              model, qam, noise_var)
-            spline = spline_estimate(part, cfg, layout).g_dt
-            hold = stage1_hold_estimate(part, cfg).g_dt
-            acc["proposed"] += nmse(stage2_estimate(part, w).g_dt, g)
+            spline = spline_estimate(part, cfg, layout)
+            hold = stage1_hold_estimate(part, cfg)
+            acc["proposed"] += nmse(stage2_estimate(part, w), g)
             acc["bem"] += nmse(bem_estimate(part, cfg, layout, 0.0, beta,
-                                            include_pn_bandwidth=True).g_dt, g)
+                                            include_pn_bandwidth=True), g)
             acc["spline"] += nmse(spline, g)
             acc["stage1"] += nmse(hold, g)
             acc["spline_inner"] += nmse(spline[inner], g[inner])
@@ -336,9 +336,9 @@ def test_criterion_08_ber_ordering_lsmr_ic():
         _, bits, r, part, g = _shared_trial(800_000 + t, cfg, layout, prof,
                                             model, qam, noise_var)
         ests = {
-            "proposed": stage2_estimate(part, w).g_dt,
-            "bem": bem_estimate(part, cfg, layout, F_D_500).g_dt,
-            "stage1": stage1_hold_estimate(part, cfg).g_dt,
+            "proposed": stage2_estimate(part, w),
+            "bem": bem_estimate(part, cfg, layout, F_D_500),
+            "stage1": stage1_hold_estimate(part, cfg),
         }
         for k, gd in ests.items():
             det = lsmr_ic_equalize(r, gd, noise_var, cfg, layout, qam, 10, 20)
@@ -362,7 +362,7 @@ def test_criterion_09_awgn_q_function():
     s = Scenario(name="awgn-acceptance", channel="awgn", beta_pn=0.0,
                  estimator="perfect", equalizer="mmse", sweep="snr_db",
                  sweep_values=(0.0, 4.0, 8.0), trials=500, seed=909)
-    rows = [r for r in run_scenario(s) if r.metric == "ber"]
+    rows = [r for r in run_scenarios([s]) if r.metric == "ber"]
     ok = True
     details = []
     for r in rows:
@@ -380,8 +380,8 @@ def test_criterion_10_deterministic_csv():
     s = Scenario(name="det-acceptance", beta_pn=2e3, velocity=500.0,
                  estimator="proposed", equalizer="lsmr_ic", sweep="snr_db",
                  sweep_values=(10.0, 20.0), trials=10, seed=1010)
-    a = _csv_text(run_scenario(s))
-    b = _csv_text(run_scenario(s))
+    a = _csv_text(run_scenarios([s]))
+    b = _csv_text(run_scenarios([s]))
     ok = a == b
     _line(10, ok, f"rerun identical {ok}")
     assert ok

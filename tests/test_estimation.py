@@ -216,10 +216,10 @@ def test_stage2_shapes_and_static_columns():
     part = PartialEstimate(np.ones((3, CFG.N), dtype=complex) * [[1], [2], [3]],
                            np.ones(3, dtype=bool))
     full = stage2_estimate(part, w)
-    assert full.g_dt.shape == (CFG.frame_len, 3)
+    assert full.shape == (CFG.frame_len, 3)
     # beta=0, f_D=0: constant down each column
     for l in range(3):
-        np.testing.assert_allclose(full.g_dt[:, l], l + 1.0, rtol=1e-5)
+        np.testing.assert_allclose(full[:, l], l + 1.0, rtol=1e-5)
 
 
 def test_stage2_beats_hold_under_phase_noise():
@@ -239,8 +239,8 @@ def test_stage2_beats_hold_under_phase_noise():
                           chan, path, noise_var, rng)
         part = stage1_estimate(r, layout, CFG, noise_var)
         g = effective_channel(chan, path)
-        n2.append(nmse(stage2_estimate(part, w).g_dt, g))
-        nh.append(nmse(stage1_hold_estimate(part, CFG).g_dt, g))
+        n2.append(nmse(stage2_estimate(part, w), g))
+        nh.append(nmse(stage1_hold_estimate(part, CFG), g))
     assert np.mean(n2) < np.mean(nh)
 
 
@@ -259,7 +259,7 @@ def test_bem_constant_fit_is_mean():
     vals = rng.standard_normal(CFG.N) + 1j * rng.standard_normal(CFG.N)
     part = PartialEstimate(vals[None, :], np.ones(1, dtype=bool))
     full = bem_estimate(part, CFG, layout, f_D=0.0)
-    np.testing.assert_allclose(full.g_dt[:, 0], vals.mean(), rtol=1e-9)
+    np.testing.assert_allclose(full[:, 0], vals.mean(), rtol=1e-9)
 
 
 def test_bem_reconstructs_spanned_tone():
@@ -275,7 +275,7 @@ def test_bem_reconstructs_spanned_tone():
     part = PartialEstimate(tone[layout.pilot_indices(CFG)][None, :],
                            np.ones(1, dtype=bool))
     full = bem_estimate(part, CFG, layout, f_D=f_D, k_over=k_over)
-    assert np.abs(full.g_dt[:, 0] - tone).max() < 1e-6
+    assert np.abs(full[:, 0] - tone).max() < 1e-6
 
 
 def test_bem_order_clamped_with_warning():
@@ -291,14 +291,14 @@ def test_spline_constant_and_smooth():
     layout = PilotLayout(L=1).resolved(CFG)
     part = PartialEstimate(np.full((1, CFG.N), 2.0 - 1.0j), np.ones(1, dtype=bool))
     full = spline_estimate(part, CFG, layout)
-    np.testing.assert_allclose(full.g_dt[:, 0], 2.0 - 1.0j, rtol=1e-12)
+    np.testing.assert_allclose(full[:, 0], 2.0 - 1.0j, rtol=1e-12)
     # slow sinusoid: fD*Ts*M << 1
     mn = CFG.frame_len
     f = 0.1 / mn
     wave = np.exp(2j * np.pi * f * np.arange(mn))
     part = PartialEstimate(wave[layout.pilot_indices(CFG)][None, :],
                            np.ones(1, dtype=bool))
-    out = spline_estimate(part, CFG, layout).g_dt[:, 0]
+    out = spline_estimate(part, CFG, layout)[:, 0]
     assert np.abs(out - wave).max() / np.abs(wave).max() < 0.01
 
 

@@ -10,8 +10,8 @@ import pytest
 
 from otfspn.cli import main as cli_main
 from otfspn.harness import (PRESETS, ResultRow, Scenario, emit_csv,
-                            load_scenario, parse_csv, preset, run_scenario,
-                            run_scenarios, save_scenario)
+                            load_scenario, parse_csv, preset, run_scenarios,
+                            save_scenario)
 
 
 def _csv_bytes(rows) -> str:
@@ -33,10 +33,14 @@ def test_scenario_validation():
         Scenario(equalizer="zf")
     with pytest.raises(ValueError):
         Scenario.from_dict({"name": "x", "bogus_key": 1})
-    # delay_time is the only eq_domain, whichever receiver runs
+    # eq_domain is retired: a file may still give its one value, delay_time
     for kw in ({"equalizer": "lsmr_ic"}, {"estimator": "ofdm_ptrp"}, {}):
-        with pytest.raises(ValueError, match="unknown eq_domain"):
-            Scenario(eq_domain="delay_doppler", **kw)
+        with pytest.raises(ValueError, match="eq_domain"):
+            Scenario.from_dict({"eq_domain": "delay_doppler", **kw})
+    assert Scenario.from_dict({"eq_domain": "delay_time"}) == Scenario()
+    # awgn is the one name of the unit-tap channel
+    with pytest.raises(ValueError, match="unknown channel 'ideal'"):
+        Scenario(channel="ideal")
 
 
 @pytest.mark.parametrize("kw", [
@@ -136,14 +140,14 @@ def test_emit_csv_empty_and_roundtrip(tmp_path):
 def test_determinism_same_seed_same_bytes():
     s = Scenario(name="det", channel="awgn", beta_pn=0.0, estimator="perfect",
                  sweep="snr_db", sweep_values=(4.0,), trials=8, seed=11)
-    a = _csv_bytes(run_scenario(s))
-    b = _csv_bytes(run_scenario(s))
+    a = _csv_bytes(run_scenarios([s]))
+    b = _csv_bytes(run_scenarios([s]))
     assert a == b
 
 
 def test_trials_run_serially():
     with pytest.raises(ValueError, match="workers"):
-        run_scenario(Scenario(trials=1), workers=2)
+        run_scenarios([Scenario(trials=1)], workers=2)
 
 
 # sha256 of each preset's CSV at desk scale, trials=2, seed=0
@@ -165,7 +169,7 @@ def test_presets_match_golden_csv_hashes():
     """Every preset at desk scale (trials=2, seed=0) reproduces its CSV bytes.
 
     This pins the numbers through refactors.  A change meant to move them
-    (ROADMAP items 3 and 4) updates GOLDEN_PRESET_SHA256 in its own commit
+    (ROADMAP items 4 and 6) updates GOLDEN_PRESET_SHA256 in its own commit
     and states it in CHANGES.md; a refactor never touches the table.
     """
     assert set(GOLDEN_PRESET_SHA256) == set(PRESETS)
@@ -188,7 +192,7 @@ def test_awgn_matches_q_function():
     from scipy.stats import norm
     s = Scenario(name="awgn", channel="awgn", beta_pn=0.0, estimator="perfect",
                  sweep="snr_db", sweep_values=(4.0,), trials=150, seed=2)
-    rows = [r for r in run_scenario(s) if r.metric == "ber"]
+    rows = [r for r in run_scenarios([s]) if r.metric == "ber"]
     theory = norm.sf(np.sqrt(10 ** 0.4))
     se = rows[0].ci95 / 1.96
     assert abs(rows[0].value - theory) < 3 * se
@@ -197,7 +201,7 @@ def test_awgn_matches_q_function():
 def test_measured_sinr_nonincreasing_in_beta():
     s = Scenario(name="s", kind="sinr", sweep="beta_pn",
                  sweep_values=(0.0, 100.0, 1000.0), trials=200, seed=1)
-    rows = run_scenario(s)
+    rows = run_scenarios([s])
     meas = [r.value for r in rows if r.metric == "sinr_otfs_measured_db"]
     assert all(a >= b for a, b in zip(meas, meas[1:]))
 
@@ -207,7 +211,7 @@ def test_ber_nonincreasing_in_snr_within_ci():
         s = Scenario(name="mono", beta_pn=1e3, estimator=estimator,
                      sweep="snr_db", sweep_values=(5.0, 15.0, 25.0),
                      trials=60, seed=3)
-        rows = [r for r in run_scenario(s) if r.metric == "ber"]
+        rows = [r for r in run_scenarios([s]) if r.metric == "ber"]
         for lo, hi in zip(rows, rows[1:]):
             assert hi.value <= lo.value + lo.ci95 + hi.ci95
 
@@ -216,8 +220,8 @@ def test_otfs_beats_ofdm_ptrp_at_high_phase_noise():
     # reference comparison: proposed OTFS vs OFDM phase-tracking pilots
     common = dict(beta_pn=5e3, velocity=0.0, snr_db=24.0, sweep="snr_db",
                   sweep_values=(24.0,), trials=120, seed=7)
-    otfs = run_scenario(Scenario(name="o1", estimator="proposed", **common))
-    ofdm = run_scenario(Scenario(name="o2", estimator="ofdm_ptrp", **common))
+    otfs = run_scenarios([Scenario(name="o1", estimator="proposed", **common)])
+    ofdm = run_scenarios([Scenario(name="o2", estimator="ofdm_ptrp", **common)])
     b_otfs = [r for r in otfs if r.metric == "ber"][0]
     b_ofdm = [r for r in ofdm if r.metric == "ber"][0]
     assert b_otfs.value < b_ofdm.value
@@ -226,7 +230,7 @@ def test_otfs_beats_ofdm_ptrp_at_high_phase_noise():
 def test_sweep_value_overrides_field():
     s = Scenario(name="x", sweep="beta_pn", sweep_values=(0.0,), beta_pn=5e3,
                  channel="awgn", estimator="perfect", trials=4, seed=1)
-    rows = [r for r in run_scenario(s) if r.metric == "evm"]
+    rows = [r for r in run_scenarios([s]) if r.metric == "evm"]
     # beta swept to 0 -> pure AWGN EVM at 20 dB, ~0.1
     assert rows[0].value == pytest.approx(0.1, rel=0.15)
 
@@ -235,8 +239,16 @@ def test_label_prefixes_metrics():
     s = Scenario(name="lab", label="proposed", channel="awgn", beta_pn=0.0,
                  estimator="perfect", sweep="snr_db", sweep_values=(10.0,),
                  trials=3, seed=0)
-    names = {r.metric for r in run_scenario(s)}
+    names = {r.metric for r in run_scenarios([s])}
     assert names == {"proposed_ber", "proposed_evm", "proposed_nmse"}
+
+
+def test_label_prefixes_sinr_metrics():
+    s = Scenario(name="lab", kind="sinr", label="x", sweep="beta_pn",
+                 sweep_values=(100.0,), trials=4, seed=0)
+    names = {r.metric for r in run_scenarios([s])}
+    assert names == {f"x_sinr_{w}_{how}_db" for w in ("otfs", "ofdm")
+                     for how in ("analytic", "measured")}
 
 
 def test_presets_constructible():
@@ -295,10 +307,23 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("name: [x\n", "cannot parse scenario file"),
+    ("a: 1\n3: 2\n", "unknown scenario keys: [3, 'a']"),
+], ids=["bad-yaml", "mixed-key-types"])
+def test_cli_reports_malformed_scenario_file(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert cli_main(["run", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err, err
+    assert "Traceback" not in err
+
+
 def test_cli_rejects_ineffective_sweep_before_any_trial(tmp_path, capsys,
                                                        monkeypatch):
     ran = []
-    monkeypatch.setattr("otfspn.cli.run_scenario",
+    monkeypatch.setattr("otfspn.cli.run_scenarios",
                         lambda *a, **k: ran.append(a) or [])
     bad = tmp_path / "bad.yaml"
     bad.write_text("oscillator: FRO\nsweep: f_pll\nsweep_values: [1.0e5, 1.0e6]\n")
@@ -333,7 +358,6 @@ GOOD = Scenario(name="good", channel="awgn", n_cp=0, beta_pn=0.0,
     (dict(oscillator="CPLL", f_pll=-1.0), "f_pll"),
     (dict(i_ic=0), "i_ic"),
     (dict(i_lsmr=0), "i_lsmr"),
-    (dict(eq_domain="time"), "domain"),
 ])
 def test_run_scenarios_checks_every_point_before_any_trial(monkeypatch, bad,
                                                            message):
@@ -416,7 +440,7 @@ thetas = [sample_path(PhaseNoiseModel(kind, 1e3, 1e-7), 512, 4).theta
           for kind in ("CPLL", "DPLL")]
 layout = PilotLayout(L=2).resolved(cfg)
 g_hat = np.random.default_rng(5).standard_normal((2, cfg.N)) + 0j
-g_dt = spline_estimate(PartialEstimate(g_hat, np.ones(2, bool)), cfg, layout).g_dt
+g_dt = spline_estimate(PartialEstimate(g_hat, np.ones(2, bool)), cfg, layout)
 digest = hashlib.sha256(b"".join(a.tobytes() for a in (*thetas, g_dt))).hexdigest()
 """
 
