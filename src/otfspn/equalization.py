@@ -351,31 +351,37 @@ def _parity(x: np.ndarray) -> np.ndarray:
 
 
 def _tables():
-    """next_state[s, b] and the two output bits out[s, b, 0:2]."""
+    """The two output bits out[s, b, 0:2] of input b in state s; the next
+    state is ((b << (K-1)) | s) >> 1."""
     states = np.arange(_N_STATES)
-    nxt = np.empty((_N_STATES, 2), dtype=np.int64)
     out = np.empty((_N_STATES, 2, 2), dtype=np.int64)
     for b in (0, 1):
         full = (b << (CONV_K - 1)) | states   # newest bit in the MSB
-        nxt[:, b] = full >> 1
         for i, g in enumerate(CONV_GENS):
             out[:, b, i] = _parity(full & g)
-    return nxt, out
+    return out
 
 
-_NEXT, _OUT = _tables()
+_OUT = _tables()
 
 
 def conv_encode(bits) -> np.ndarray:
-    """Zero-terminated rate-1/2 encoding; output has 2*(len(bits)+6) bits."""
+    """Zero-terminated rate-1/2 encoding; output has 2*(len(bits)+6) bits.
+
+    Output j of step i XORs the inputs i-d whose generator bit K-1-d is
+    set: one shifted slice of the zero-padded input per tap, the two
+    outputs interleaved.
+    """
     bits = np.asarray(bits, dtype=np.int64).ravel()
-    padded = np.concatenate([bits, np.zeros(CONV_K - 1, dtype=np.int64)])
-    out = np.empty(2 * padded.size, dtype=np.int64)
-    s = 0
-    for i, b in enumerate(padded):
-        out[2 * i:2 * i + 2] = _OUT[s, b]
-        s = _NEXT[s, b]
-    return out
+    zeros = np.zeros(CONV_K - 1, dtype=np.int64)
+    reg = np.concatenate([zeros, bits, zeros])
+    n = bits.size + CONV_K - 1
+    out = np.zeros((n, 2), dtype=np.int64)
+    for j, g in enumerate(CONV_GENS):
+        for d in range(CONV_K):
+            if g >> (CONV_K - 1 - d) & 1:
+                out[:, j] ^= reg[CONV_K - 1 - d:CONV_K - 1 - d + n]
+    return out.ravel()
 
 
 # For destination state d the input bit is its MSB and the two candidate

@@ -22,16 +22,19 @@ OFDM phase-tracking-pilot estimator are provided for comparison.  BEM and
 splines assume the tap trajectories are smooth between pilots, which holds
 for Doppler spread but not for the wideband phase-noise component; the
 Wiener filter instead weights each observation by the true correlation
-structure, which is the entire point of the method.
+structure, which is the entire point of the method.  The spline is computed
+in house, bit for bit as ``scipy.interpolate.CubicSpline``, which the tests
+keep as its oracle, so no run pays for importing ``scipy.interpolate``.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve
+from scipy.linalg import solve, solve_banded
 from scipy.special import j0
 
 from .grid import Frame, GridConfig
@@ -247,18 +250,98 @@ def bem_estimate(partial: PartialEstimate, cfg: GridConfig, layout: PilotLayout,
     return basis @ coef
 
 
+@functools.lru_cache(maxsize=16)
+def _spline_grid(knots: tuple, n: int):
+    """Knots as floats, and each sample's interval and offset powers.
+
+    Samples 0..n-1 take the polynomial of the knot interval they fall in,
+    clamped to the first and last interval so the ends extrapolate, as
+    ``PPoly`` does.  ``pows`` holds s, s**2 and s**3 (products formed in
+    PPoly's order) as (n, 1) columns.  Read-only and cached per geometry,
+    because the trials of a sweep point share them.
+    """
+    x = np.asarray(knots, dtype=float)
+    grid = np.arange(n, dtype=float)
+    idx = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, x.size - 2)
+    s = (grid - x[idx])[:, None]
+    pows = np.stack((s, s * s, s * s * s))
+    for a in (x, idx, pows):
+        a.setflags(write=False)
+    return x, idx, pows
+
+
+def _not_a_knot(x: np.ndarray, y: np.ndarray, parts: int = 1) -> np.ndarray:
+    """Cubic coefficients (4, N-1, K) of the not-a-knot spline through the
+    columns of y (N, K) at knots x, highest power first.
+
+    Restates ``scipy.interpolate.CubicSpline(x, y, bc_type="not-a-knot")``
+    and ``CubicHermiteSpline``'s coefficient stack (scipy 1.17) with the same
+    operations in the same order, so the coefficients are the same bits.
+    Like scipy, N = 3 fits the parabola through the three points and N = 2
+    clamps both end slopes to the chord.  The columns are ``parts`` equal
+    blocks, one ``CubicSpline`` call each.  Every column is its own problem,
+    so the blocks share one solve, except N = 3's: scipy's ``solve`` takes
+    another LAPACK path for a single right-hand side, so each block gets
+    its own there.
+    """
+    n = x.size
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    if n == 3:
+        A = np.zeros((3, 3))
+        A[0, 0] = A[0, 1] = A[2, 1] = A[2, 2] = 1
+        A[1] = dx[1], 2 * (dx[0] + dx[1]), dx[0]
+        b = np.empty_like(y)
+        b[0] = 2 * slope[0]
+        b[1] = 3 * (dxr[0] * slope[1] + dxr[1] * slope[0])
+        b[2] = 2 * slope[1]
+        s = np.concatenate([solve(A, blk, check_finite=False)
+                            for blk in np.split(b, parts, axis=1)], axis=1)
+    else:
+        A = np.zeros((3, n))  # tridiagonal slope system in banded storage
+        b = np.empty_like(y)
+        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+        A[0, 2:] = dx[:-1]
+        A[-1, :-2] = dx[1:]
+        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+        if n == 2:
+            A[1, 0] = A[1, -1] = 1
+            b[0] = b[-1] = slope[0]
+        else:
+            d = x[2] - x[0]
+            A[1, 0], A[0, 1] = dx[1], d
+            b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0]
+                    + dxr[0] ** 2 * slope[1]) / d
+            d = x[-1] - x[-3]
+            A[1, -1], A[-1, -2] = dx[-2], d
+            b[-1] = (dxr[-1] ** 2 * slope[-2]
+                     + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+        s = solve_banded((1, 1), A, b, overwrite_ab=True, overwrite_b=True,
+                         check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
 def spline_estimate(partial: PartialEstimate, cfg: GridConfig,
                     layout: PilotLayout) -> np.ndarray:
     """Not-a-knot cubic spline through the pilot snapshots, per tap,
-    real and imaginary parts separately; extrapolates past the end pilots."""
-    from scipy.interpolate import CubicSpline  # imported here: only this estimator needs it
+    real and imaginary parts separately; extrapolates past the end pilots.
 
-    pilots = layout.pilot_indices(cfg)
-    grid = np.arange(cfg.frame_len)
+    The spline is computed in house (``_not_a_knot``), without importing
+    ``scipy.interpolate``; it gives the same bits as ``CubicSpline``
+    evaluated by ``PPoly``, which the tests check it against.  The real and
+    imaginary snapshots are the 2L columns of one slope solve.
+    """
+    x, idx, pows = _spline_grid(tuple(layout.pilot_indices(cfg).tolist()),
+                                cfg.frame_len)
     vals = partial.g_hat.T  # (N, L)
-    re = CubicSpline(pilots, vals.real, axis=0, bc_type="not-a-knot")(grid)
-    im = CubicSpline(pilots, vals.imag, axis=0, bc_type="not-a-knot")(grid)
-    return re + 1j * im
+    c = _not_a_knot(x, np.concatenate((vals.real, vals.imag), axis=1), 2)[:, idx]
+    res = 0.0 + c[3]  # PPoly's order: ascending powers, no Horner nesting
+    for k in (2, 1, 0):
+        res += c[k] * pows[2 - k]
+    L = vals.shape[1]
+    return res[:, :L] + 1j * res[:, L:]
 
 
 # --------------------------------------------------------------------------

@@ -475,9 +475,24 @@ def run_scenarios(scenarios, workers: int = 1) -> list:
 def load_scenario(path: str) -> Scenario:
     """Read a scenario from a YAML key/value document."""
     import yaml
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        # safe_load keeps the last of two equal keys; a scenario must not
+        def construct_mapping(self, node, deep=False):
+            self.flatten_mapping(node)
+            seen = set()
+            for key_node, _ in node.value:
+                key = self.construct_object(key_node, deep=deep)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"found duplicate key {key!r}", key_node.start_mark)
+                seen.add(key)
+            return super().construct_mapping(node, deep)
+
     try:
         with open(path, encoding="utf-8") as f:
-            doc = yaml.safe_load(f)
+            doc = yaml.load(f, Loader=UniqueKeyLoader)
     except OSError as e:
         raise OSError(f"cannot read scenario file {path}: {e}") from e
     except yaml.YAMLError as e:

@@ -5,8 +5,8 @@ from scipy.sparse.linalg import LinearOperator, lsmr, spsolve
 
 from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
     banded_circular, delay_time_matrix, effective_channel, realize_channel
-from otfspn.equalization import (ChannelOp, _lsmr, _normal_band, _solve_normal,
-                                 ber, conv_encode, evm, lsmr_ic_equalize,
+from otfspn.equalization import (CONV_K, _OUT, ChannelOp, _lsmr, _normal_band,
+                                 _solve_normal, ber, conv_encode, evm, lsmr_ic_equalize,
                                  mmse_equalize, nmse, qam_llrs, viterbi_decode)
 from otfspn.dd_analysis import dd_transform
 from otfspn.estimation import PilotLayout, build_pilot_frame
@@ -369,6 +369,29 @@ def test_conv_impulse_response_matches_generators():
     g1 = np.array([int(c) for c in format(0o171, "07b")])
     assert np.array_equal(imp[:, 0], g0)
     assert np.array_equal(imp[:, 1], g1)
+
+
+def _conv_encode_loop(bits):
+    """The per-bit state-machine encoder, kept as conv_encode's oracle."""
+    bits = np.asarray(bits, dtype=np.int64).ravel()
+    padded = np.concatenate([bits, np.zeros(CONV_K - 1, dtype=np.int64)])
+    out = np.empty(2 * padded.size, dtype=np.int64)
+    s = 0
+    for i, b in enumerate(padded):
+        out[2 * i:2 * i + 2] = _OUT[s, b]
+        s = ((b << (CONV_K - 1)) | s) >> 1
+    return out
+
+
+def test_conv_encode_matches_state_machine():
+    rng = np.random.default_rng(12)
+    # 438 and 3800 info bits: a desk and a full-grid coded frame
+    lengths = [0, 1, 438, 3800, *rng.integers(2, 600, 20).tolist()]
+    for n in lengths:
+        for b in (rng.integers(0, 2, n), np.ones(n, dtype=int)):
+            enc = conv_encode(b)
+            assert enc.dtype == np.int64, n
+            assert np.array_equal(enc, _conv_encode_loop(b)), n
 
 
 def test_coding_gain_on_awgn():

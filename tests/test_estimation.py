@@ -302,6 +302,34 @@ def test_spline_constant_and_smooth():
     assert np.abs(out - wave).max() / np.abs(wave).max() < 0.01
 
 
+@pytest.mark.parametrize("N", [2, 3, 4, 16, 32])
+@pytest.mark.parametrize("L", [1, 8])
+def test_spline_matches_cubic_spline_bitwise(N, L):
+    # the in-house spline against the scipy formula it replaced, sign bits
+    # included; m_p = 20 leaves 20 samples before the first pilot and 11
+    # after the last, so both extrapolated ends are compared too
+    from scipy.interpolate import CubicSpline
+    cfg = GridConfig(M=32, N=N, n_cp=16)
+    layout = PilotLayout(L=L, m_p=20).resolved(cfg)
+    pilots = layout.pilot_indices(cfg)
+    grid = np.arange(cfg.frame_len)
+    rng = np.random.default_rng(100 * N + L)
+    for scale in (1e-8, 1.0, 1e3):
+        g_hat = scale * (rng.standard_normal((L, N))
+                         + 1j * rng.standard_normal((L, N)))
+        g_hat[0, :2] = complex(-0.0, -0.0)
+        g_hat[-1, -1] = 0.0
+        got = spline_estimate(PartialEstimate(g_hat, np.ones(L, dtype=bool)),
+                              cfg, layout)
+        vals = g_hat.T
+        want = (CubicSpline(pilots, vals.real, axis=0, bc_type="not-a-knot")(grid)
+                + 1j * CubicSpline(pilots, vals.imag, axis=0,
+                                   bc_type="not-a-knot")(grid))
+        assert np.array_equal(got, want)
+        for part in (np.real, np.imag):
+            assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
+
 def test_effective_autocorr_factors():
     model = PhaseNoiseModel("FRO", 2e3, TS)
     lags = np.arange(100)

@@ -309,6 +309,18 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
         assert "Traceback" not in err
 
 
+def test_cli_rejects_duplicate_key_before_any_trial(tmp_path, capsys,
+                                                   monkeypatch):
+    calls = _count_trials(monkeypatch)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("trials: 5\nname: a\ntrials: 50\n")
+    assert cli_main(["run", str(bad)]) == 1
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "duplicate key 'trials'" in err, err
+    assert "Traceback" not in err
+
+
 def test_cli_rejects_ineffective_sweep_before_any_trial(tmp_path, capsys,
                                                        monkeypatch):
     ran = []
@@ -399,9 +411,10 @@ def _fresh_python(code: str) -> str:
 
 
 def test_fro_runs_import_no_scipy_signal_or_interpolate():
-    # scipy.signal (which loads scipy.stats and scipy.optimize) and
-    # scipy.interpolate are imported only by the PLL path sampler and the
-    # spline estimator; an FRO link or sinr run must not pay for them
+    # scipy.signal (which loads scipy.stats, scipy.optimize and
+    # scipy.interpolate) is imported only by the PLL path sampler, and the
+    # spline estimator is computed in house; an FRO link, spline baseline
+    # included, or an sinr run must not pay for them
     out = _fresh_python("""
 import sys
 import otfspn.cli
@@ -410,14 +423,17 @@ link = Scenario(name="lsmr", M=32, N=16, velocity=500.0, equalizer="lsmr_ic",
                 estimator="proposed", sweep_values=(15.0,), trials=1)
 sinr = Scenario(name="sinr", kind="sinr", sweep="beta_pn",
                 sweep_values=(100.0,), trials=1)
-assert run_scenarios([link, sinr])
+spline = Scenario(name="spline", M=32, N=16, equalizer="mmse",
+                  estimator="spline", sweep_values=(15.0,), trials=1)
+assert run_scenarios([link, sinr, spline])
 print(sorted(m for m in ("scipy.signal", "scipy.interpolate", "scipy.stats",
                          "scipy.optimize") if m in sys.modules))
 """)
     assert out.strip() == "[]"
 
 
-# CPLL and DPLL paths (scipy.signal) and a spline estimate (scipy.interpolate)
+# CPLL and DPLL paths (scipy.signal) and a spline estimate; scipy.interpolate
+# is loaded here too, but only because scipy.signal imports it
 _LAZY_PATHS = """
 import hashlib
 import numpy as np
