@@ -270,7 +270,7 @@ def _spline_grid(knots: tuple, n: int):
     return x, idx, pows
 
 
-def _not_a_knot(x: np.ndarray, y: np.ndarray, parts: int = 1) -> np.ndarray:
+def _not_a_knot(x: np.ndarray, y: np.ndarray, parts: int) -> np.ndarray:
     """Cubic coefficients (4, N-1, K) of the not-a-knot spline through the
     columns of y (N, K) at knots x, highest power first.
 

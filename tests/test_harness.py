@@ -301,24 +301,13 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
                       ('trials: "3"\n', "trials"),
                       ("M: 32.5\n", "M"),
                       ("name: [x\n", "cannot parse scenario file"),
-                      ("a: 1\n3: 2\n", "unknown scenario keys: [3, 'a']")]:
+                      ("a: 1\n3: 2\n", "unknown scenario keys: [3, 'a']"),
+                      ("trials: 5\nname: a\ntrials: 50\n", "duplicate key 'trials'")]:
         bad.write_text(text)
         assert cli_main(["run", str(bad)]) == 1, text
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err, err
         assert "Traceback" not in err
-
-
-def test_cli_rejects_duplicate_key_before_any_trial(tmp_path, capsys,
-                                                   monkeypatch):
-    calls = _count_trials(monkeypatch)
-    bad = tmp_path / "bad.yaml"
-    bad.write_text("trials: 5\nname: a\ntrials: 50\n")
-    assert cli_main(["run", str(bad)]) == 1
-    assert calls == []
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "duplicate key 'trials'" in err, err
-    assert "Traceback" not in err
 
 
 def test_cli_rejects_ineffective_sweep_before_any_trial(tmp_path, capsys,
