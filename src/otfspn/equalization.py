@@ -368,10 +368,8 @@ _OUT = _tables()
 def conv_encode(bits) -> np.ndarray:
     """Zero-terminated rate-1/2 encoding; output has 2*(len(bits)+6) bits.
 
-    Output j of step i XORs the inputs i-d whose generator bit K-1-d is
-    set: one shifted slice of the zero-padded input per tap, the two
-    outputs interleaved.
-    """
+    Output j of step i XORs inputs i-d over the set bits K-1-d of
+    generator j, as shifted slices of the zero-padded input."""
     bits = np.asarray(bits, dtype=np.int64).ravel()
     zeros = np.zeros(CONV_K - 1, dtype=np.int64)
     reg = np.concatenate([zeros, bits, zeros])

@@ -252,14 +252,9 @@ def bem_estimate(partial: PartialEstimate, cfg: GridConfig, layout: PilotLayout,
 
 @functools.lru_cache(maxsize=16)
 def _spline_grid(knots: tuple, n: int):
-    """Knots as floats, and each sample's interval and offset powers.
-
-    Samples 0..n-1 take the polynomial of the knot interval they fall in,
-    clamped to the first and last interval so the ends extrapolate, as
-    ``PPoly`` does.  ``pows`` holds s, s**2 and s**3 (products formed in
-    PPoly's order) as (n, 1) columns.  Read-only and cached per geometry,
-    because the trials of a sweep point share them.
-    """
+    """Knots as floats; for samples 0..n-1 the knot interval (clamped, so
+    the ends extrapolate, as in ``PPoly``) and the offset powers s, s*s and
+    s*s*s as (n, 1) columns.  Read-only and cached per geometry."""
     x = np.asarray(knots, dtype=float)
     grid = np.arange(n, dtype=float)
     idx = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, x.size - 2)
@@ -277,12 +272,10 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray, parts: int) -> np.ndarray:
     Restates ``scipy.interpolate.CubicSpline(x, y, bc_type="not-a-knot")``
     and ``CubicHermiteSpline``'s coefficient stack (scipy 1.17) with the same
     operations in the same order, so the coefficients are the same bits.
-    Like scipy, N = 3 fits the parabola through the three points and N = 2
-    clamps both end slopes to the chord.  The columns are ``parts`` equal
-    blocks, one ``CubicSpline`` call each.  Every column is its own problem,
-    so the blocks share one solve, except N = 3's: scipy's ``solve`` takes
-    another LAPACK path for a single right-hand side, so each block gets
-    its own there.
+    Like scipy, N = 3 fits a parabola and N = 2 clamps both ends to the
+    chord slope.  The columns form ``parts`` equal blocks, one CubicSpline
+    call each; they share one slope solve, except at N = 3, where scipy's
+    ``solve`` takes another LAPACK path for a single column.
     """
     n = x.size
     dx = np.diff(x)
@@ -328,10 +321,8 @@ def spline_estimate(partial: PartialEstimate, cfg: GridConfig,
     """Not-a-knot cubic spline through the pilot snapshots, per tap,
     real and imaginary parts separately; extrapolates past the end pilots.
 
-    The spline is computed in house (``_not_a_knot``), without importing
-    ``scipy.interpolate``; it gives the same bits as ``CubicSpline``
-    evaluated by ``PPoly``, which the tests check it against.  The real and
-    imaginary snapshots are the 2L columns of one slope solve.
+    Computed in house (``_not_a_knot``), bit for bit as scipy's
+    ``CubicSpline``, the tests' oracle, evaluated in ``PPoly``'s order.
     """
     x, idx, pows = _spline_grid(tuple(layout.pilot_indices(cfg).tolist()),
                                 cfg.frame_len)
