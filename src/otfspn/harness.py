@@ -479,7 +479,7 @@ def load_scenario(path: str) -> Scenario:
     class UniqueKeyLoader(yaml.SafeLoader):
         # safe_load keeps the last of two equal keys; a scenario must not
         def construct_mapping(self, node, deep=False):
-            self.flatten_mapping(node)
+            mapping = super().construct_mapping(node, deep)  # keys hashable
             seen = set()
             for key_node, _ in node.value:
                 key = self.construct_object(key_node, deep=deep)
@@ -488,7 +488,7 @@ def load_scenario(path: str) -> Scenario:
                         "while constructing a mapping", node.start_mark,
                         f"found duplicate key {key!r}", key_node.start_mark)
                 seen.add(key)
-            return super().construct_mapping(node, deep)
+            return mapping
 
     try:
         with open(path, encoding="utf-8") as f:

@@ -302,7 +302,8 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
                       ("M: 32.5\n", "M"),
                       ("name: [x\n", "cannot parse scenario file"),
                       ("a: 1\n3: 2\n", "unknown scenario keys: [3, 'a']"),
-                      ("trials: 5\nname: a\ntrials: 50\n", "duplicate key 'trials'")]:
+                      ("trials: 5\nname: a\ntrials: 50\n", "duplicate key 'trials'"),
+                      ("? [a]\n: 1\n", "found unhashable key")]:
         bad.write_text(text)
         assert cli_main(["run", str(bad)]) == 1, text
         err = capsys.readouterr().err
