@@ -7,6 +7,9 @@ Modem transforms and QAM live in :mod:`otfspn.grid`; oscillator models in
 :mod:`otfspn.estimation`; equalizers, coding and metrics in
 :mod:`otfspn.equalization`; scenario configuration, Monte Carlo execution
 and the figure presets in :mod:`otfspn.harness`.
+
+scipy is imported inside the functions that call it, so ``import otfspn``,
+the CLI and ``kind: sinr`` runs load numpy alone.
 """
 
 from .grid import Frame, GridConfig, QamConfig

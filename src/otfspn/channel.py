@@ -27,8 +27,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import j0
 
 from .dd_analysis import dd_transform
 from .grid import GridConfig
@@ -143,6 +141,8 @@ def _jakes_factor(n_samples: int, f_d_norm: float) -> np.ndarray:
     cost is O(n r^2) and no n x n array is formed.  Cached per (length,
     Doppler) because building it dominates drawing from it.
     """
+    from scipy.special import j0
+
     lag = np.arange(n_samples)
     c = j0(2.0 * np.pi * f_d_norm * lag)
     d = np.full(n_samples, c[0])
@@ -240,13 +240,15 @@ def apply_channel(s: np.ndarray, chan: ChannelRealization, path: PhasePath,
     return r
 
 
-def banded_circular(taps: np.ndarray) -> sp.csr_matrix:
+def banded_circular(taps: np.ndarray):
     """Banded circular delay-time matrix of (mn, L) tap gains, as CSR.
 
     Row n holds taps[n, l] at column (n - l) mod mn.  Every row lists its L
     entries in lag order l = 0..L-1 and keeps explicit zeros, so a product
     sums the taps in that order.  The data is a complex copy of ``taps``.
     """
+    import scipy.sparse as sp
+
     taps = np.asarray(taps)
     mn, n_taps = taps.shape
     cols = (np.arange(mn)[:, None] - np.arange(n_taps)) % mn

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from math import inf, sqrt
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solveh_banded
 
 from .channel import banded_circular
 from .estimation import PilotLayout, extract_data
@@ -54,6 +52,8 @@ class ChannelOp:
     """
 
     def __init__(self, g_dt: np.ndarray):
+        import scipy.sparse as sp
+
         g = np.asarray(g_dt)
         self.mn, n_taps = g.shape
         self._G = banded_circular(g)
@@ -251,6 +251,8 @@ def _normal_band(g_dt: np.ndarray, noise_var: float):
 
 def _solve_normal(g_dt: np.ndarray, b: np.ndarray, noise_var: float) -> np.ndarray:
     """(G^H G + noise_var I)^-1 b by one banded Cholesky in folded order."""
+    from scipy.linalg import solveh_banded
+
     band, perm = _normal_band(g_dt, noise_var)
     x = np.empty(len(perm), dtype=complex)
     x[perm] = solveh_banded(band, b[perm])
@@ -383,11 +385,39 @@ def conv_encode(bits) -> np.ndarray:
 
 
 # For destination state d the input bit is its MSB and the two candidate
-# sources differ in their oldest bit: src in {2*(d & half-1), +1}.
+# sources differ in their oldest bit: src in {2*(d & half-1), +1}, so each
+# half of the destinations reads the even (odd) sources in order.
 _DST = np.arange(_N_STATES)
 _DST_BIT = _DST >> (CONV_K - 2)
 _SRC0 = (_DST & ((1 << (CONV_K - 2)) - 1)) << 1
 _SRC1 = _SRC0 + 1
+_HALF = _N_STATES // 2
+# traceback code of each choice: (source state << 1) | decoded bit
+_CODE0 = (_SRC0 << 1) | _DST_BIT
+_CODE1 = (_SRC1 << 1) | _DST_BIT
+
+
+def _viterbi_forward(llrs: np.ndarray):
+    """Add-compare-select over (n_steps, 2) LLRs: the final path metrics and
+    the (n_steps, states) choices, True where the even source won."""
+    n_steps = llrs.shape[0]
+    # cost of sending bit value o against an LLR that favors 0: o * llr
+    cost0, cost1 = ((_OUT[src, _DST_BIT, 0] * llrs[:, :1]
+                     + _OUT[src, _DST_BIT, 1] * llrs[:, 1:]).reshape(n_steps, 2, _HALF)
+                    for src in (_SRC0, _SRC1))
+    pms = np.full((2, _N_STATES), 1e30)   # metrics before and after a step
+    pms[0, 0] = 0.0
+    c0 = np.empty((2, _HALF))
+    take0 = np.empty((n_steps, 2, _HALF), dtype=bool)
+    # step t reads buffer t & 1 and writes the other, in two halves
+    views = [(pms[k, 0::2], pms[k, 1::2], pms[1 - k].reshape(2, _HALF)) for k in (0, 1)]
+    for t in range(n_steps):
+        even, odd, pm = views[t & 1]
+        np.add(even, cost0[t], out=c0)
+        np.add(odd, cost1[t], out=pm)
+        np.less_equal(c0, pm, out=take0[t])
+        np.copyto(pm, c0, where=take0[t])
+    return pms[n_steps & 1], take0.reshape(n_steps, _N_STATES)
 
 
 def viterbi_decode(llrs, n_info: int) -> np.ndarray:
@@ -400,18 +430,7 @@ def viterbi_decode(llrs, n_info: int) -> np.ndarray:
     n_steps = llrs.shape[0]
     if n_steps != n_info + CONV_K - 1:
         raise ValueError(f"expected {2 * (n_info + CONV_K - 1)} LLRs, got {2 * n_steps}")
-    big = 1e30
-    pm = np.full(_N_STATES, big)
-    pm[0] = 0.0
-    choice = np.empty((n_steps, _N_STATES), dtype=np.int64)
-    for t in range(n_steps):
-        # cost of sending bit value o against an LLR that favors 0: o * llr
-        bcost = _OUT[:, :, 0] * llrs[t, 0] + _OUT[:, :, 1] * llrs[t, 1]
-        c0 = pm[_SRC0] + bcost[_SRC0, _DST_BIT]
-        c1 = pm[_SRC1] + bcost[_SRC1, _DST_BIT]
-        take0 = c0 <= c1
-        pm = np.where(take0, c0, c1)
-        choice[t] = (np.where(take0, _SRC0, _SRC1) << 1) | _DST_BIT
+    choice = np.where(_viterbi_forward(llrs)[1], _CODE0, _CODE1)
     s = 0  # zero tail forces the final state
     bits = np.empty(n_steps, dtype=np.int64)
     for t in range(n_steps - 1, -1, -1):

@@ -34,8 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve, solve_banded
-from scipy.special import j0
 
 from .grid import Frame, GridConfig
 from .oscillator import PhaseNoiseModel, expected_rotation
@@ -151,6 +149,8 @@ def effective_autocorr(model: PhaseNoiseModel, f_D: float, T_s: float, lags,
     (indexed by lag) in place of the model-based one, e.g. for oscillators
     with flicker noise characterized only through their PSD.
     """
+    from scipy.special import j0
+
     lags = np.asarray(lags)
     if phase_autocorr is not None:
         table = np.asarray(phase_autocorr)
@@ -178,6 +178,8 @@ def build_wiener(model: PhaseNoiseModel, f_D: float, noise_ratio: float,
     autocorrelation is ridge-regularized by max(noise_ratio, 1e-8*tr/N); it
     is near-singular when both the Doppler and the phase noise are small.
     """
+    from scipy.linalg import solve
+
     if noise_ratio < 0:
         raise ValueError("noise_ratio must be >= 0")
     mn = cfg.frame_len
@@ -277,6 +279,8 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray, parts: int) -> np.ndarray:
     call each; they share one slope solve, except at N = 3, where scipy's
     ``solve`` takes another LAPACK path for a single column.
     """
+    from scipy.linalg import solve, solve_banded
+
     n = x.size
     dx = np.diff(x)
     dxr = dx[:, None]

@@ -6,7 +6,7 @@ from scipy.sparse.linalg import LinearOperator, lsmr, spsolve
 from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
     banded_circular, delay_time_matrix, effective_channel, realize_channel
 from otfspn.equalization import (CONV_K, _OUT, ChannelOp, _lsmr, _normal_band,
-                                 _solve_normal, ber, conv_encode, evm, lsmr_ic_equalize,
+                                 _solve_normal, _viterbi_forward, ber, conv_encode, evm, lsmr_ic_equalize,
                                  mmse_equalize, nmse, qam_llrs, viterbi_decode)
 from otfspn.dd_analysis import dd_transform
 from otfspn.estimation import PilotLayout, build_pilot_frame
@@ -392,6 +392,49 @@ def test_conv_encode_matches_state_machine():
             enc = conv_encode(b)
             assert enc.dtype == np.int64, n
             assert np.array_equal(enc, _conv_encode_loop(b)), n
+
+
+def _viterbi_loop(llrs, n_info):
+    """The per-step decoder, kept as viterbi_decode's oracle: final path
+    metrics, traceback codes and decoded bits."""
+    llrs = np.asarray(llrs, dtype=float).reshape(-1, 2)
+    n_states = 1 << (CONV_K - 1)
+    dst = np.arange(n_states)
+    dst_bit = dst >> (CONV_K - 2)
+    src0 = (dst & ((1 << (CONV_K - 2)) - 1)) << 1
+    src1 = src0 + 1
+    pm = np.full(n_states, 1e30)
+    pm[0] = 0.0
+    choice = np.empty((llrs.shape[0], n_states), dtype=np.int64)
+    for t in range(llrs.shape[0]):
+        bcost = _OUT[:, :, 0] * llrs[t, 0] + _OUT[:, :, 1] * llrs[t, 1]
+        c0 = pm[src0] + bcost[src0, dst_bit]
+        c1 = pm[src1] + bcost[src1, dst_bit]
+        take0 = c0 <= c1
+        pm = np.where(take0, c0, c1)
+        choice[t] = (np.where(take0, src0, src1) << 1) | dst_bit
+    s = 0
+    bits = np.empty(llrs.shape[0], dtype=np.int64)
+    for t in range(llrs.shape[0] - 1, -1, -1):
+        bits[t] = choice[t, s] & 1
+        s = choice[t, s] >> 1
+    return pm, choice, bits[:n_info]
+
+
+def test_viterbi_matches_per_step_decoder():
+    rng = np.random.default_rng(13)
+    # 438 and 3800 info bits: a desk and a full-grid coded frame
+    for n in [438, 3800, *rng.integers(0, 300, 6).tolist()]:
+        size = 2 * (n + CONV_K - 1)
+        noisy = rng.standard_normal(size) * 10.0 ** rng.uniform(-3, 3, size)
+        noisy[rng.random(size) < 0.2] = 0.0          # exact zeros force ties
+        small = rng.integers(-2, 3, size).astype(float)   # tied sums everywhere
+        for llr in (noisy, small, np.zeros(size)):
+            pm, choice, bits = _viterbi_loop(llr, n)
+            pm_new, take0 = _viterbi_forward(llr.reshape(-1, 2))
+            assert pm_new.tobytes() == pm.tobytes(), n
+            assert np.array_equal(take0, (choice >> 1) % 2 == 0), n
+            assert np.array_equal(viterbi_decode(llr, n), bits), n
 
 
 def test_coding_gain_on_awgn():

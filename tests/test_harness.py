@@ -284,6 +284,15 @@ def test_cli_run_and_preset(tmp_path, capsys):
     assert cli_main(["run", str(cfg), "--out", str(out)]) == 0
     assert out.exists() and len(parse_csv(str(out))) == 3
 
+    # a run that fails after --out is opened leaves the old file as it was
+    good = out.read_bytes()
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("qam_order: 6\n")
+    assert cli_main(["run", str(bad), "--out", str(out)]) == 1
+    assert "unsupported QAM order 6" in capsys.readouterr().err
+    assert out.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml", "out.csv", "s.yaml"]
+
     assert cli_main(["preset", "fig5", "--trials", "16",
                      "--out", str(tmp_path / "fig5.csv")]) == 0
     rows = parse_csv(str(tmp_path / "fig5.csv"))
@@ -404,22 +413,25 @@ def test_fro_runs_import_no_scipy_signal_or_interpolate():
     # scipy.signal (which loads scipy.stats, scipy.optimize and
     # scipy.interpolate) is imported only by the PLL path sampler, and the
     # spline estimator is computed in house; an FRO link, spline baseline
-    # included, or an sinr run must not pay for them
+    # included, or an sinr run must not pay for them.  The CLI and an sinr
+    # run load no scipy at all: it is imported where a link trial calls it.
     out = _fresh_python("""
 import sys
 import otfspn.cli
 from otfspn.harness import Scenario, run_scenarios
-link = Scenario(name="lsmr", M=32, N=16, velocity=500.0, equalizer="lsmr_ic",
-                estimator="proposed", sweep_values=(15.0,), trials=1)
 sinr = Scenario(name="sinr", kind="sinr", sweep="beta_pn",
                 sweep_values=(100.0,), trials=1)
+assert run_scenarios([sinr])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+link = Scenario(name="lsmr", M=32, N=16, velocity=500.0, equalizer="lsmr_ic",
+                estimator="proposed", sweep_values=(15.0,), trials=1)
 spline = Scenario(name="spline", M=32, N=16, equalizer="mmse",
                   estimator="spline", sweep_values=(15.0,), trials=1)
-assert run_scenarios([link, sinr, spline])
+assert run_scenarios([link, spline])
 print(sorted(m for m in ("scipy.signal", "scipy.interpolate", "scipy.stats",
                          "scipy.optimize") if m in sys.modules))
 """)
-    assert out.strip() == "[]"
+    assert out.splitlines() == ["[]", "[]"]
 
 
 # CPLL and DPLL paths (scipy.signal) and a spline estimate; scipy.interpolate
