@@ -86,14 +86,19 @@ class ChannelProfile:
         p = 10.0 ** (np.array([row[1] for row in TDL_C]) / 10.0)
         return cls(tuple(d), tuple(p / p.sum()), f_D)
 
+    @functools.lru_cache(maxsize=16)
     def quantized(self, T_s: float):
-        """(tap sample indices, tap powers) on the T_s grid, coincident taps merged."""
+        """(tap sample indices, tap powers) on the T_s grid, coincident taps
+        merged.  Read-only and cached per (profile, T_s)."""
         idx = np.rint(np.asarray(self.delays) / T_s).astype(int)
         out = {}
         for i, p in zip(idx, self.powers):
             out[i] = out.get(i, 0.0) + p
         keys = sorted(out)
-        return np.array(keys), np.array([out[k] for k in keys])
+        delays, powers = np.array(keys), np.array([out[k] for k in keys])
+        for a in (delays, powers):
+            a.setflags(write=False)
+        return delays, powers
 
     def length(self, cfg: GridConfig) -> int:
         """Channel length L (largest quantized delay + 1) on cfg's sample
@@ -240,20 +245,36 @@ def apply_channel(s: np.ndarray, chan: ChannelRealization, path: PhasePath,
     return r
 
 
+@functools.lru_cache(maxsize=16)
+def _banded_index(mn: int, n_taps: int):
+    """CSR column indices and row pointers of ``banded_circular``, in the
+    index dtype scipy would pick, so no matrix copies or rescans them.
+    Read-only and cached per (MN, L)."""
+    import scipy.sparse as sp
+
+    dtype = sp.get_index_dtype(maxval=mn * n_taps)
+    cols = ((np.arange(mn)[:, None] - np.arange(n_taps)) % mn).astype(dtype).ravel()
+    indptr = np.arange(0, mn * n_taps + 1, n_taps, dtype=dtype)
+    for a in (cols, indptr):
+        a.setflags(write=False)
+    return cols, indptr
+
+
 def banded_circular(taps: np.ndarray):
     """Banded circular delay-time matrix of (mn, L) tap gains, as CSR.
 
     Row n holds taps[n, l] at column (n - l) mod mn.  Every row lists its L
     entries in lag order l = 0..L-1 and keeps explicit zeros, so a product
-    sums the taps in that order.  The data is a complex copy of ``taps``.
+    sums the taps in that order.  The data is a complex copy of ``taps``;
+    the index arrays are shared by every matrix of the same shape and are
+    read-only.
     """
     import scipy.sparse as sp
 
     taps = np.asarray(taps)
     mn, n_taps = taps.shape
-    cols = (np.arange(mn)[:, None] - np.arange(n_taps)) % mn
-    return sp.csr_matrix((taps.astype(complex).ravel(), cols.ravel(),
-                          np.arange(0, mn * n_taps + 1, n_taps)), shape=(mn, mn))
+    cols, indptr = _banded_index(mn, n_taps)
+    return sp.csr_matrix((taps.astype(complex).ravel(), cols, indptr), shape=(mn, mn))
 
 
 def delay_time_matrix(taps: np.ndarray, mn: int) -> np.ndarray:

@@ -72,10 +72,13 @@ class PilotLayout:
     def guard_rows(self, cfg: GridConfig) -> np.ndarray:
         return np.unique((self.m_p + np.arange(-(self.L - 1), self.L)) % cfg.M)
 
+    @functools.lru_cache(maxsize=16)
     def data_mask(self, cfg: GridConfig) -> np.ndarray:
-        """Boolean M x N mask of the data-bearing grid cells."""
+        """Boolean M x N mask of the data-bearing grid cells.  Read-only and
+        cached per (layout, grid)."""
         mask = np.ones((cfg.M, cfg.N), dtype=bool)
         mask[self.guard_rows(cfg), :] = False
+        mask.setflags(write=False)
         return mask
 
     def n_data(self, cfg: GridConfig) -> int:
@@ -129,16 +132,28 @@ def stage1_estimate(r: np.ndarray, layout: PilotLayout, cfg: GridConfig,
     r = np.asarray(r).ravel()
     if r.size != cfg.frame_len:
         raise ValueError(f"expected {cfg.frame_len} samples, got {r.size}")
-    k = np.arange(cfg.N)
-    ramp = np.exp(-2j * np.pi * layout.n_p * k / cfg.N)
+    idx, ramp = _tap_samples(cfg, layout)
     scale = np.sqrt(cfg.N / layout.sigma2_p)
     g_hat = np.empty((layout.L, cfg.N), dtype=complex)
     for l in range(layout.L):
-        g_hat[l] = r[(layout.m_p + l + k * cfg.M) % cfg.frame_len] * scale * ramp
+        g_hat[l] = r[idx[l]] * scale * ramp
     floor = 3.0 * noise_var * cfg.N / layout.sigma2_p
     active = np.mean(np.abs(g_hat) ** 2, axis=1) > floor
     g_hat[~active] = 0.0
     return PartialEstimate(g_hat, active)
+
+
+@functools.lru_cache(maxsize=16)
+def _tap_samples(cfg: GridConfig, layout: PilotLayout):
+    """(L, N) sample indices m_p + l + k*M (mod MN) at which stage 1 observes
+    tap l, and the pilot train's Doppler ramp exp(-2j*pi*n_p*k/N).
+    Read-only and cached per (grid, layout)."""
+    k = np.arange(cfg.N)
+    ramp = np.exp(-2j * np.pi * layout.n_p * k / cfg.N)
+    idx = (layout.m_p + np.arange(layout.L)[:, None] + k * cfg.M) % cfg.frame_len
+    for a in (idx, ramp):
+        a.setflags(write=False)
+    return idx, ramp
 
 
 def effective_autocorr(model: PhaseNoiseModel, f_D: float, T_s: float, lags,
@@ -244,12 +259,22 @@ def bem_estimate(partial: PartialEstimate, cfg: GridConfig, layout: PilotLayout,
     if q > cfg.N:
         warnings.warn(f"BEM order {q} exceeds the {cfg.N} pilot snapshots; clamping")
         q = cfg.N
+    basis, b_pil = _bem_basis(cfg, layout, q, k_over)
+    coef, *_ = np.linalg.lstsq(b_pil, partial.g_hat.T, rcond=None)
+    return basis @ coef
+
+
+@functools.lru_cache(maxsize=16)
+def _bem_basis(cfg: GridConfig, layout: PilotLayout, q: int, k_over: float):
+    """The (MN, Q) CE-BEM basis and its rows at the pilot indices.
+    Read-only and cached per geometry."""
     mn = cfg.frame_len
     freqs = (np.arange(q) - (q - 1) / 2.0) / (k_over * mn)
     basis = np.exp(2j * np.pi * np.arange(mn)[:, None] * freqs[None, :])
     b_pil = basis[layout.pilot_indices(cfg), :]
-    coef, *_ = np.linalg.lstsq(b_pil, partial.g_hat.T, rcond=None)
-    return basis @ coef
+    for a in (basis, b_pil):
+        a.setflags(write=False)
+    return basis, b_pil
 
 
 @functools.lru_cache(maxsize=16)
@@ -358,10 +383,13 @@ class PtrpLayout:
     def comb(self, cfg: GridConfig) -> np.ndarray:
         return np.arange(0, cfg.M, self.spacing)
 
+    @functools.lru_cache(maxsize=16)
     def data_mask(self, cfg: GridConfig) -> np.ndarray:
+        """Boolean M x N mask of the data cells; read-only and cached."""
         mask = np.ones((cfg.M, cfg.N), dtype=bool)
         mask[:, 0] = False
         mask[self.comb(cfg), :] = False
+        mask.setflags(write=False)
         return mask
 
     def n_data(self, cfg: GridConfig) -> int:

@@ -15,6 +15,7 @@ equivalent OFDM system uses M subcarriers and N symbols with a per-symbol CP.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +83,10 @@ _PAM = {
 }
 
 
+@functools.lru_cache(maxsize=16)
 def _axis_tables(cfg: QamConfig):
-    """(levels array indexed by Gray label value, scale) for one axis."""
+    """(bits per axis, levels indexed by Gray label value, scale) for one
+    axis; the levels are read-only and cached per order."""
     k = cfg.bits_per_symbol // 2
     table = _PAM[cfg.levels_per_axis]
     levels = np.empty(cfg.levels_per_axis)
@@ -94,6 +97,7 @@ def _axis_tables(cfg: QamConfig):
         levels[idx] = lv
     # unit average symbol power: E|s|^2 = 2 * E[level^2] * scale^2 = 1
     scale = 1.0 / np.sqrt(2.0 * np.mean(levels**2))
+    levels.setflags(write=False)
     return k, levels, scale
 
 
@@ -130,11 +134,15 @@ def qam_demap(symbols, cfg: QamConfig) -> np.ndarray:
     return bits.ravel()
 
 
+@functools.lru_cache(maxsize=16)
 def constellation(cfg: QamConfig) -> np.ndarray:
-    """All constellation points, indexed by the integer formed by their bits."""
+    """All constellation points, indexed by the integer formed by their bits.
+    Read-only and cached per order."""
     bps = cfg.bits_per_symbol
     all_bits = ((np.arange(cfg.order)[:, None] >> np.arange(bps - 1, -1, -1)) & 1).ravel()
-    return qam_map(all_bits, cfg)
+    points = qam_map(all_bits, cfg)
+    points.setflags(write=False)
+    return points
 
 
 @dataclass

@@ -466,8 +466,9 @@ def run_scenarios(scenarios, workers: int = 1) -> list:
         s = point.scenario
         run = _run_sinr_point if s.kind == "sinr" else _run_link_point
         prefix = f"{s.label}_" if s.label else ""
+        key = s.hash()
         rows.extend(ResultRow(s.sweep, float(point.sweep_value), prefix + metric,
-                              value, ci, s.trials, s.hash(), s.seed)
+                              value, ci, s.trials, key, s.seed)
                     for metric, value, ci in run(point))
     return rows
 

@@ -23,6 +23,7 @@ analytical interference expressions without discretization bias.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,13 +74,18 @@ class PhaseNoiseModel:
 
 @dataclass
 class PhasePath:
-    """One realization of the phase process; psi = exp(j*theta) is unit-modulus."""
+    """One realization of the phase process; psi = exp(j*theta) is unit-modulus.
+
+    psi is evaluated once per path and is read-only; theta is not meant to
+    change after psi has been read."""
 
     theta: np.ndarray
 
-    @property
+    @functools.cached_property
     def psi(self) -> np.ndarray:
-        return np.exp(1j * self.theta)
+        psi = np.exp(1j * self.theta)
+        psi.setflags(write=False)
+        return psi
 
     def __len__(self) -> int:
         return self.theta.size

@@ -5,7 +5,7 @@ from scipy.sparse.linalg import LinearOperator, lsmr, spsolve
 
 from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
     banded_circular, delay_time_matrix, effective_channel, realize_channel
-from otfspn.equalization import (CONV_K, _OUT, ChannelOp, _lsmr, _normal_band,
+from otfspn.equalization import (CONV_K, _OUT, ChannelOp, _adjoint, _lsmr, _normal_band,
                                  _solve_normal, _viterbi_forward, ber, conv_encode, evm, lsmr_ic_equalize,
                                  mmse_equalize, nmse, qam_llrs, viterbi_decode)
 from otfspn.dd_analysis import dd_transform
@@ -119,6 +119,22 @@ def test_banded_solve_matches_spsolve(channel):
     for noise_var in (0.01, 1.0):
         x, ref = _solve_normal(g, b, noise_var), _spsolve_normal(g, b, noise_var)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("mn,n_taps", [(15, 1), (15, 8), (512, 8), (4096, 8)])
+def test_mmse_adjoint_matches_conj_transpose_bitwise(mn, n_taps):
+    """mmse_equalize's G^H product gives the bits, sign bits included, of
+    the conjugate transpose of banded_circular, which it replaced."""
+    rng = np.random.default_rng(27 + mn + n_taps)
+    g = _random_taps(rng, mn, n_taps)
+    g[rng.random(g.shape) < 0.2] = 0.0
+    y = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
+    y[rng.random(mn) < 0.2] = 0.0
+    y.real[rng.random(mn) < 0.2] = -0.0
+    y.imag[rng.random(mn) < 0.2] = -0.0
+    got = _adjoint(g) @ y
+    ref = banded_circular(g).conj().T @ y
+    assert got.view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()
 
 
 def test_channel_op_leaves_taps_untouched():

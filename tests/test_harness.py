@@ -3,12 +3,18 @@ import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from otfspn import channel as ch
+from otfspn import equalization as eq
+from otfspn import estimation as est
+from otfspn import grid
 from otfspn.cli import main as cli_main
+from otfspn.oscillator import PhaseNoiseModel, sample_path
 from otfspn.harness import (PRESETS, ResultRow, Scenario, emit_csv,
                             load_scenario, parse_csv, preset, run_scenarios,
                             save_scenario)
@@ -148,6 +154,40 @@ def test_determinism_same_seed_same_bytes():
 def test_trials_run_serially():
     with pytest.raises(ValueError, match="workers"):
         run_scenarios([Scenario(trials=1)], workers=2)
+
+
+def _cached_arrays():
+    """Every array the library caches per configuration, at desk scale."""
+    cfg, qam = grid.GridConfig(32, 16, 16), grid.QamConfig(16)
+    layout = est.PilotLayout(L=8).resolved(cfg)
+    return [*ch.ChannelProfile.tdl_c(1e-7, 100.0).quantized(cfg.T_s),
+            *ch._banded_index(cfg.frame_len, 8),
+            ch._jakes_factor(cfg.frame_len, 1e-3),
+            layout.data_mask(cfg), est.PtrpLayout().data_mask(cfg),
+            *est._tap_samples(cfg, layout), *est._bem_basis(cfg, layout, 3, 1.0),
+            *est._spline_grid(tuple(layout.pilot_indices(cfg).tolist()),
+                              cfg.frame_len),
+            eq._pilot_samples(cfg, layout), *eq._adjoint_index(cfg.frame_len, 8),
+            *eq._fold(cfg.frame_len, 8),
+            grid._axis_tables(qam)[1], grid.constellation(qam),
+            sample_path(PhaseNoiseModel("FRO", 1e3, cfg.T_s), 64, 0).psi]
+
+
+def test_cached_arrays_are_read_only():
+    for a in _cached_arrays():
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = a.flat[0]
+
+
+def test_caches_do_not_leak_between_geometries():
+    """A desk point gives the same rows before and after a full-grid point
+    has filled the per-configuration caches with other geometries."""
+    desk, full = (replace([s for s in preset("fig6", trials=2, full=f)
+                           if s.label == "bem"][0], sweep_values=(300.0,))
+                  for f in (False, True))
+    first = _csv_bytes(run_scenarios([desk]))
+    run_scenarios([full])
+    assert _csv_bytes(run_scenarios([desk])) == first
 
 
 # sha256 of each preset's CSV at desk scale, trials=2, seed=0

@@ -39,6 +39,14 @@ def test_path_unit_modulus_and_length_error():
         sample_path(m, 0, 1)
 
 
+def test_path_psi_is_evaluated_once_and_read_only():
+    p = sample_path(PhaseNoiseModel("FRO", 2e3, TS), 64, 1)
+    assert np.array_equal(p.psi, np.exp(1j * p.theta))
+    assert p.psi is p.psi
+    with pytest.raises(ValueError):
+        p.psi[0] = 1.0
+
+
 def test_variogram_values():
     m = PhaseNoiseModel("FRO", 2e3, TS)
     assert variogram(m, 0) == 0.0
