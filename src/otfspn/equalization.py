@@ -27,7 +27,7 @@ from math import inf, sqrt
 
 import numpy as np
 
-from .channel import banded_circular
+from .channel import _banded_index, banded_circular
 from .estimation import PilotLayout, extract_data
 from .grid import Frame, GridConfig, QamConfig, constellation, otfs_demodulate, otfs_modulate
 
@@ -270,17 +270,14 @@ def _pilot_samples(cfg: GridConfig, layout: PilotLayout) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _adjoint_index(mn: int, n_taps: int):
-    """Flat tap index, columns and row pointers of ``_adjoint``'s CSR.
-    Read-only and cached per (MN, L)."""
-    from scipy.sparse import get_index_dtype
-
+    """Flat tap index, columns and row pointers of ``_adjoint``'s CSR; the
+    row pointers are ``banded_circular``'s.  Read-only and cached per (MN, L)."""
     rows = np.arange(mn)[:, None]
     cols = np.sort((rows + np.arange(n_taps)) % mn, axis=1)
     take = (cols * n_taps + (cols - rows) % mn).ravel()
-    dtype = get_index_dtype(maxval=mn * n_taps)
-    cols = cols.astype(dtype).ravel()
-    indptr = np.arange(0, mn * n_taps + 1, n_taps, dtype=dtype)
-    for a in (take, cols, indptr):
+    _, indptr = _banded_index(mn, n_taps)
+    cols = cols.astype(indptr.dtype).ravel()
+    for a in (take, cols):
         a.setflags(write=False)
     return take, cols, indptr
 
