@@ -14,10 +14,10 @@ from otfspn import equalization as eq
 from otfspn import estimation as est
 from otfspn import grid
 from otfspn.cli import main as cli_main
-from otfspn.oscillator import PhaseNoiseModel, sample_path
 from otfspn.harness import (PRESETS, ResultRow, Scenario, emit_csv,
                             load_scenario, parse_csv, preset, run_scenarios,
                             save_scenario)
+from otfspn.oscillator import PhaseNoiseModel, sample_path
 
 
 def _csv_bytes(rows) -> str:
