@@ -23,13 +23,12 @@ samples only; an OFDM stream draws taps for every sample.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dd_analysis import dd_transform
-from .grid import GridConfig
+from .grid import GridConfig, frozen_cache
 from .oscillator import PhasePath
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -86,19 +85,16 @@ class ChannelProfile:
         p = 10.0 ** (np.array([row[1] for row in TDL_C]) / 10.0)
         return cls(tuple(d), tuple(p / p.sum()), f_D)
 
-    @functools.lru_cache(maxsize=16)
+    @frozen_cache
     def quantized(self, T_s: float):
         """(tap sample indices, tap powers) on the T_s grid, coincident taps
-        merged.  Read-only and cached per (profile, T_s)."""
+        merged."""
         idx = np.rint(np.asarray(self.delays) / T_s).astype(int)
         out = {}
         for i, p in zip(idx, self.powers):
             out[i] = out.get(i, 0.0) + p
         keys = sorted(out)
-        delays, powers = np.array(keys), np.array([out[k] for k in keys])
-        for a in (delays, powers):
-            a.setflags(write=False)
-        return delays, powers
+        return np.array(keys), np.array([out[k] for k in keys])
 
     def length(self, cfg: GridConfig) -> int:
         """Channel length L (largest quantized delay + 1) on cfg's sample
@@ -133,9 +129,9 @@ class ChannelRealization:
         return out
 
 
-@functools.lru_cache(maxsize=16)
+@frozen_cache
 def _jakes_factor(n_samples: int, f_d_norm: float) -> np.ndarray:
-    """Read-only n x r factor F with F F^T equal to the Bessel covariance.
+    """n x r factor F with F F^T equal to the Bessel covariance.
 
     Pivoted Cholesky of C[i, j] = c[|i - j|], c = J_0(2*pi*f_d_norm*lag),
     reading one column of C per step: pivot on the largest residual diagonal
@@ -143,8 +139,8 @@ def _jakes_factor(n_samples: int, f_d_norm: float) -> np.ndarray:
     1/sqrt(d[j]).  It stops when the residual diagonal falls to 1e-12 * c[0];
     the residual C - F F^T is PSD, so every entry is then at most 1e-12.  The
     band-limited Jakes spectrum makes r about 2*f_d_norm*n + O(log n), so the
-    cost is O(n r^2) and no n x n array is formed.  Cached per (length,
-    Doppler) because building it dominates drawing from it.
+    cost is O(n r^2) and no n x n array is formed.  Cached because building
+    it dominates drawing from it.
     """
     from scipy.special import j0
 
@@ -165,9 +161,7 @@ def _jakes_factor(n_samples: int, f_d_norm: float) -> np.ndarray:
         d -= col * col
         d[j] = 0.0
         r += 1
-    fac = np.ascontiguousarray(rows[:r].T)
-    fac.setflags(write=False)
-    return fac
+    return np.ascontiguousarray(rows[:r].T)
 
 
 def _jakes_process(n_samples: int, f_d_norm: float, rng: np.random.Generator,
@@ -245,19 +239,15 @@ def apply_channel(s: np.ndarray, chan: ChannelRealization, path: PhasePath,
     return r
 
 
-@functools.lru_cache(maxsize=16)
+@frozen_cache
 def _banded_index(mn: int, n_taps: int):
     """CSR column indices and row pointers of ``banded_circular``, in the
-    index dtype scipy would pick, so no matrix copies or rescans them.
-    Read-only and cached per (MN, L)."""
+    index dtype scipy would pick, so no matrix copies or rescans them."""
     import scipy.sparse as sp
 
     dtype = sp.get_index_dtype(maxval=mn * n_taps)
     cols = ((np.arange(mn)[:, None] - np.arange(n_taps)) % mn).astype(dtype).ravel()
-    indptr = np.arange(0, mn * n_taps + 1, n_taps, dtype=dtype)
-    for a in (cols, indptr):
-        a.setflags(write=False)
-    return cols, indptr
+    return cols, np.arange(0, mn * n_taps + 1, n_taps, dtype=dtype)
 
 
 def banded_circular(taps: np.ndarray):

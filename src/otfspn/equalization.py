@@ -21,7 +21,6 @@ detection.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import inf, sqrt
 
@@ -29,7 +28,8 @@ import numpy as np
 
 from .channel import _banded_index, banded_circular
 from .estimation import PilotLayout, extract_data
-from .grid import Frame, GridConfig, QamConfig, constellation, otfs_demodulate, otfs_modulate
+from .grid import (Frame, GridConfig, QamConfig, constellation, frozen_cache,
+                   otfs_demodulate, otfs_modulate)
 
 
 @dataclass
@@ -200,7 +200,7 @@ def _lsmr(op: ChannelOp, b: np.ndarray, damp: float, maxiter: int) -> np.ndarray
     return x
 
 
-@functools.lru_cache(maxsize=16)
+@frozen_cache
 def _fold(mn: int, n_taps: int):
     """Folded order of MN unknowns and where A's diagonals go in its band.
 
@@ -209,8 +209,7 @@ def _fold(mn: int, n_taps: int):
     diagonal, wrap corners included.  Entry m of diagonal d goes to
     ``flat[d, m]`` of the flattened (2L-1, MN) upper band that
     ``solveh_banded`` reads, conjugated where ``conj[d, m]`` (the entry
-    lands below the folded diagonal).  Read-only and cached per (MN, L),
-    because the trials of a sweep point share them.
+    lands below the folded diagonal).
     """
     if mn < 2 * n_taps - 1:
         raise ValueError(f"banded MMSE needs M*N >= 2L-1, got M*N={mn}, L={n_taps}")
@@ -222,10 +221,7 @@ def _fold(mn: int, n_taps: int):
     col = pos[(np.arange(mn) + np.arange(n_taps)[:, None]) % mn]
     lo, hi = np.minimum(pos, col), np.maximum(pos, col)
     flat = (2 * n_taps - 2 + lo - hi) * mn + hi
-    conj = pos > col
-    for a in (perm, flat, conj):
-        a.setflags(write=False)
-    return perm, flat, conj
+    return perm, flat, pos > col
 
 
 def _normal_band(g_dt: np.ndarray, noise_var: float):
@@ -259,27 +255,21 @@ def _solve_normal(g_dt: np.ndarray, b: np.ndarray, noise_var: float) -> np.ndarr
     return x
 
 
-@functools.lru_cache(maxsize=16)
+@frozen_cache
 def _pilot_samples(cfg: GridConfig, layout: PilotLayout) -> np.ndarray:
-    """Delay-time samples of the pilot-only frame, without CP.  Read-only
-    and cached per (grid, layout)."""
-    s = otfs_modulate(layout.pilot_frame(cfg), cfg, with_cp=False)
-    s.setflags(write=False)
-    return s
+    """Delay-time samples of the pilot-only frame, without CP."""
+    return otfs_modulate(layout.pilot_frame(cfg), cfg, with_cp=False)
 
 
-@functools.lru_cache(maxsize=16)
+@frozen_cache
 def _adjoint_index(mn: int, n_taps: int):
     """Flat tap index, columns and row pointers of ``_adjoint``'s CSR; the
-    row pointers are ``banded_circular``'s.  Read-only and cached per (MN, L)."""
+    row pointers are ``banded_circular``'s."""
     rows = np.arange(mn)[:, None]
     cols = np.sort((rows + np.arange(n_taps)) % mn, axis=1)
     take = (cols * n_taps + (cols - rows) % mn).ravel()
     _, indptr = _banded_index(mn, n_taps)
-    cols = cols.astype(indptr.dtype).ravel()
-    for a in (take, cols):
-        a.setflags(write=False)
-    return take, cols, indptr
+    return take, cols.astype(indptr.dtype).ravel(), indptr
 
 
 def _adjoint(g_dt: np.ndarray):

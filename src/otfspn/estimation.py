@@ -29,13 +29,12 @@ keep as its oracle, so no run pays for importing ``scipy.interpolate``.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Frame, GridConfig
+from .grid import Frame, GridConfig, frozen_cache
 from .oscillator import PhaseNoiseModel, expected_rotation
 
 
@@ -72,13 +71,11 @@ class PilotLayout:
     def guard_rows(self, cfg: GridConfig) -> np.ndarray:
         return np.unique((self.m_p + np.arange(-(self.L - 1), self.L)) % cfg.M)
 
-    @functools.lru_cache(maxsize=16)
+    @frozen_cache
     def data_mask(self, cfg: GridConfig) -> np.ndarray:
-        """Boolean M x N mask of the data-bearing grid cells.  Read-only and
-        cached per (layout, grid)."""
+        """Boolean M x N mask of the data-bearing grid cells."""
         mask = np.ones((cfg.M, cfg.N), dtype=bool)
         mask[self.guard_rows(cfg), :] = False
-        mask.setflags(write=False)
         return mask
 
     def n_data(self, cfg: GridConfig) -> int:
@@ -91,11 +88,11 @@ class PilotLayout:
         return Frame(X)
 
 
-def build_pilot_frame(layout: PilotLayout, data_symbols, cfg: GridConfig) -> Frame:
-    """Assemble a frame: pilot at (m_p, n_p), zero guards, data elsewhere.
-
-    Data symbols fill the unguarded cells in column-major order.
-    """
+def build_pilot_frame(layout: PilotLayout | PtrpLayout, data_symbols,
+                      cfg: GridConfig) -> Frame:
+    """Assemble a frame: the layout's pilot frame (the OTFS impulse pilot
+    and its guards, or the OFDM PTRPs), data symbols filling its data cells
+    in column-major order."""
     data_symbols = np.asarray(data_symbols).ravel()
     mask = layout.data_mask(cfg)
     n_data = int(mask.sum())
@@ -106,7 +103,8 @@ def build_pilot_frame(layout: PilotLayout, data_symbols, cfg: GridConfig) -> Fra
     return Frame(X)
 
 
-def extract_data(frame_dd: np.ndarray, layout: PilotLayout, cfg: GridConfig) -> np.ndarray:
+def extract_data(frame_dd: np.ndarray, layout: PilotLayout | PtrpLayout,
+                 cfg: GridConfig) -> np.ndarray:
     """Data-cell contents of a frame, in the build_pilot_frame fill order."""
     return frame_dd.T[layout.data_mask(cfg).T]
 
@@ -134,25 +132,20 @@ def stage1_estimate(r: np.ndarray, layout: PilotLayout, cfg: GridConfig,
         raise ValueError(f"expected {cfg.frame_len} samples, got {r.size}")
     idx, ramp = _tap_samples(cfg, layout)
     scale = np.sqrt(cfg.N / layout.sigma2_p)
-    g_hat = np.empty((layout.L, cfg.N), dtype=complex)
-    for l in range(layout.L):
-        g_hat[l] = r[idx[l]] * scale * ramp
+    g_hat = r[idx] * scale * ramp
     floor = 3.0 * noise_var * cfg.N / layout.sigma2_p
     active = np.mean(np.abs(g_hat) ** 2, axis=1) > floor
     g_hat[~active] = 0.0
     return PartialEstimate(g_hat, active)
 
 
-@functools.lru_cache(maxsize=16)
+@frozen_cache
 def _tap_samples(cfg: GridConfig, layout: PilotLayout):
     """(L, N) sample indices m_p + l + k*M (mod MN) at which stage 1 observes
-    tap l, and the pilot train's Doppler ramp exp(-2j*pi*n_p*k/N).
-    Read-only and cached per (grid, layout)."""
+    tap l, and the pilot train's Doppler ramp exp(-2j*pi*n_p*k/N)."""
     k = np.arange(cfg.N)
     ramp = np.exp(-2j * np.pi * layout.n_p * k / cfg.N)
     idx = (layout.m_p + np.arange(layout.L)[:, None] + k * cfg.M) % cfg.frame_len
-    for a in (idx, ramp):
-        a.setflags(write=False)
     return idx, ramp
 
 
@@ -259,37 +252,30 @@ def bem_estimate(partial: PartialEstimate, cfg: GridConfig, layout: PilotLayout,
     if q > cfg.N:
         warnings.warn(f"BEM order {q} exceeds the {cfg.N} pilot snapshots; clamping")
         q = cfg.N
-    basis, b_pil = _bem_basis(cfg, layout, q, k_over)
-    coef, *_ = np.linalg.lstsq(b_pil, partial.g_hat.T, rcond=None)
+    basis = _ce_basis(cfg.frame_len, q, k_over * cfg.frame_len)
+    coef, *_ = np.linalg.lstsq(basis[layout.pilot_indices(cfg), :],
+                               partial.g_hat.T, rcond=None)
     return basis @ coef
 
 
-@functools.lru_cache(maxsize=16)
-def _bem_basis(cfg: GridConfig, layout: PilotLayout, q: int, k_over: float):
-    """The (MN, Q) CE-BEM basis and its rows at the pilot indices.
-    Read-only and cached per geometry."""
-    mn = cfg.frame_len
-    freqs = (np.arange(q) - (q - 1) / 2.0) / (k_over * mn)
-    basis = np.exp(2j * np.pi * np.arange(mn)[:, None] * freqs[None, :])
-    b_pil = basis[layout.pilot_indices(cfg), :]
-    for a in (basis, b_pil):
-        a.setflags(write=False)
-    return basis, b_pil
+@frozen_cache
+def _ce_basis(n: int, q: int, span: float) -> np.ndarray:
+    """(n, Q) complex-exponential basis: Q tones spaced 1/span in normalized
+    frequency, centred on DC, at samples 0..n-1."""
+    freqs = (np.arange(q) - (q - 1) / 2.0) / span
+    return np.exp(2j * np.pi * np.arange(n)[:, None] * freqs[None, :])
 
 
-@functools.lru_cache(maxsize=16)
+@frozen_cache
 def _spline_grid(knots: tuple, n: int):
     """Knots as floats; for samples 0..n-1 the knot interval (clamped, so
     the ends extrapolate, as in ``PPoly``) and the offset powers s, s*s and
-    s*s*s as (n, 1) columns.  Read-only and cached per geometry."""
+    s*s*s as (n, 1) columns."""
     x = np.asarray(knots, dtype=float)
     grid = np.arange(n, dtype=float)
     idx = np.clip(np.searchsorted(x, grid, side="right") - 1, 0, x.size - 2)
     s = (grid - x[idx])[:, None]
-    pows = np.stack((s, s * s, s * s * s))
-    for a in (x, idx, pows):
-        a.setflags(write=False)
-    return x, idx, pows
+    return x, idx, np.stack((s, s * s, s * s * s))
 
 
 def _not_a_knot(x: np.ndarray, y: np.ndarray, parts: int) -> np.ndarray:
@@ -383,34 +369,23 @@ class PtrpLayout:
     def comb(self, cfg: GridConfig) -> np.ndarray:
         return np.arange(0, cfg.M, self.spacing)
 
-    @functools.lru_cache(maxsize=16)
+    @frozen_cache
     def data_mask(self, cfg: GridConfig) -> np.ndarray:
-        """Boolean M x N mask of the data cells; read-only and cached."""
+        """Boolean M x N mask of the data cells."""
         mask = np.ones((cfg.M, cfg.N), dtype=bool)
         mask[:, 0] = False
         mask[self.comb(cfg), :] = False
-        mask.setflags(write=False)
         return mask
 
     def n_data(self, cfg: GridConfig) -> int:
         return int(self.data_mask(cfg).sum())
 
-    def pilot_grid(self, cfg: GridConfig) -> np.ndarray:
+    def pilot_frame(self, cfg: GridConfig) -> Frame:
+        """Pilot-only frame (pilot symbol 0 and the comb, zeros elsewhere)."""
         X = np.zeros((cfg.M, cfg.N), dtype=complex)
         X[:, 0] = self.pilot_value
         X[self.comb(cfg), :] = self.pilot_value
-        return X
-
-
-def build_ptrp_frame(layout: PtrpLayout, data_symbols, cfg: GridConfig) -> Frame:
-    data_symbols = np.asarray(data_symbols).ravel()
-    mask = layout.data_mask(cfg)
-    if data_symbols.size != mask.sum():
-        raise ValueError(f"layout carries {int(mask.sum())} data cells, "
-                         f"got {data_symbols.size} symbols")
-    X = layout.pilot_grid(cfg)
-    X.T[mask.T] = data_symbols
-    return Frame(X)
+        return Frame(X)
 
 
 def ofdm_cpe_estimate(rx_freq: np.ndarray, layout: PtrpLayout, cfg: GridConfig,
@@ -439,8 +414,7 @@ def ofdm_cpe_estimate(rx_freq: np.ndarray, layout: PtrpLayout, cfg: GridConfig,
     sym_T = (cfg.M + cfg.n_cp) * cfg.T_s
     q = max(int(np.ceil(2.0 * cfg.N * sym_T * f_D + 1.0)), 1)
     q = min(q, cfg.N)
-    freqs = (np.arange(q) - (q - 1) / 2.0) / cfg.N
-    basis = np.exp(2j * np.pi * np.arange(cfg.N)[:, None] * freqs[None, :])
+    basis = _ce_basis(cfg.N, q, cfg.N)
     coef, *_ = np.linalg.lstsq(basis, h_pil.T, rcond=None)
     h_fit = (basis @ coef).T                        # (len(comb), N)
     H = np.empty((cfg.M, cfg.N), dtype=complex)

@@ -75,6 +75,21 @@ class QamConfig:
         return int(np.sqrt(self.order))
 
 
+def frozen_cache(fn):
+    """``functools.lru_cache(maxsize=16)`` of ``fn`` that marks every ndarray
+    in its result, returned alone or in a tuple, read-only: the one policy
+    for the values that all trials of a sweep point share."""
+    @functools.lru_cache(maxsize=16)
+    @functools.wraps(fn)
+    def frozen(*args):
+        out = fn(*args)
+        for a in out if isinstance(out, tuple) else (out,):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        return out
+    return frozen
+
+
 # Gray-coded PAM levels per axis, before the unit-power scaling.  The single
 # bit 0 maps to +1 so 4-QAM bits 00 land on (1+1j)/sqrt(2).
 _PAM = {
@@ -83,10 +98,10 @@ _PAM = {
 }
 
 
-@functools.lru_cache(maxsize=16)
+@frozen_cache
 def _axis_tables(cfg: QamConfig):
     """(bits per axis, levels indexed by Gray label value, scale) for one
-    axis; the levels are read-only and cached per order."""
+    axis."""
     k = cfg.bits_per_symbol // 2
     table = _PAM[cfg.levels_per_axis]
     levels = np.empty(cfg.levels_per_axis)
@@ -97,7 +112,6 @@ def _axis_tables(cfg: QamConfig):
         levels[idx] = lv
     # unit average symbol power: E|s|^2 = 2 * E[level^2] * scale^2 = 1
     scale = 1.0 / np.sqrt(2.0 * np.mean(levels**2))
-    levels.setflags(write=False)
     return k, levels, scale
 
 
@@ -134,15 +148,12 @@ def qam_demap(symbols, cfg: QamConfig) -> np.ndarray:
     return bits.ravel()
 
 
-@functools.lru_cache(maxsize=16)
+@frozen_cache
 def constellation(cfg: QamConfig) -> np.ndarray:
-    """All constellation points, indexed by the integer formed by their bits.
-    Read-only and cached per order."""
+    """All constellation points, indexed by the integer formed by their bits."""
     bps = cfg.bits_per_symbol
     all_bits = ((np.arange(cfg.order)[:, None] >> np.arange(bps - 1, -1, -1)) & 1).ravel()
-    points = qam_map(all_bits, cfg)
-    points.setflags(write=False)
-    return points
+    return qam_map(all_bits, cfg)
 
 
 @dataclass

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields, replace
 from numbers import Integral, Real
 
@@ -71,6 +72,8 @@ def _check_type(key: str, value, annotation: str) -> None:
         if kind == "float" and isinstance(value, str):
             hint = " (YAML reads 1.0e5 as text; write 1.0e+5)"
         raise ValueError(f"{key} must be {what}, got {value!r}{hint}")
+    if kind == "float" and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -127,9 +130,11 @@ class Scenario:
             try:
                 if isinstance(v, bool):     # a bool is no number here
                     raise TypeError
-                float(v)
+                finite = math.isfinite(float(v))
             except (TypeError, ValueError):
                 raise ValueError(f"sweep_values entry {v!r} is not a number") from None
+            if not finite:
+                raise ValueError(f"sweep_values entry {v!r} is not finite")
         if len(self.sweep_values) == 0:
             raise ValueError("sweep_values must not be empty")
         for key, allowed in _CHOICES.items():
@@ -232,7 +237,7 @@ def parse_csv(path_or_file) -> list:
 
 def _parse(f) -> list:
     rdr = csv.reader(f)
-    header = next(rdr)
+    header = next(rdr, [])           # an empty file has no header either
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header}")
     return [ResultRow(r[0], float(r[1]), r[2], float(r[3]), float(r[4]),
@@ -358,7 +363,7 @@ def _receive_ofdm(point: SweepPoint, r, chan, path):
     Y = ofdm_demodulate(r, cfg).dd
     interp = point.scenario.estimator == "ofdm_ptrp_interp"
     _, H = est.ofdm_cpe_estimate(Y, ptrp, cfg, point.profile.f_D, interp)
-    return (Y / H).T[ptrp.data_mask(cfg).T], {}
+    return est.extract_data(Y / H, ptrp, cfg), {}
 
 
 def _run_trial(point: SweepPoint, trial_seed: int) -> dict:
@@ -367,7 +372,8 @@ def _run_trial(point: SweepPoint, trial_seed: int) -> dict:
     rng = np.random.default_rng(trial_seed)
     s, cfg, qam = point.scenario, point.cfg, point.qam
     ofdm = point.ptrp is not None
-    n_bits = (point.ptrp if ofdm else point.layout).n_data(cfg) * qam.bits_per_symbol
+    layout = point.ptrp if ofdm else point.layout
+    n_bits = layout.n_data(cfg) * qam.bits_per_symbol
     if s.coded:
         n_info = n_bits // 2 - (eq.CONV_K - 1)
         info = rng.integers(0, 2, n_info)
@@ -375,11 +381,12 @@ def _run_trial(point: SweepPoint, trial_seed: int) -> dict:
     else:
         bits = rng.integers(0, 2, n_bits)
     data = qam_map(bits, qam)
+    frame = est.build_pilot_frame(layout, data, cfg)
     if ofdm:
-        tx = ofdm_modulate(est.build_ptrp_frame(point.ptrp, data, cfg), cfg)
+        tx = ofdm_modulate(frame, cfg)
         window = tx.size                # linear convolution over the stream
     else:
-        tx = otfs_modulate(est.build_pilot_frame(point.layout, data, cfg), cfg)
+        tx = otfs_modulate(frame, cfg)
         window = cfg.frame_len          # the CP makes it circular
 
     chan = _realize(point, rng, window)

@@ -4,8 +4,8 @@ import pytest
 from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
     effective_channel, realize_channel
 from otfspn.estimation import (PartialEstimate, PilotLayout, PtrpLayout,
-                               bem_estimate, bem_order, build_pilot_frame,
-                               build_ptrp_frame, build_wiener,
+                               _ce_basis, bem_estimate, bem_order,
+                               build_pilot_frame, build_wiener,
                                effective_autocorr, extract_data,
                                ofdm_cpe_estimate, spline_estimate,
                                stage1_estimate, stage1_hold_estimate,
@@ -114,6 +114,22 @@ def test_stage1_nonzero_doppler_pilot():
     g = effective_channel(chan, path)
     truth = g[layout.pilot_indices(CFG), 0]
     np.testing.assert_allclose(part.g_hat[0], truth, atol=1e-10)
+
+
+@pytest.mark.parametrize("L,n_p", [(1, 0), (8, 0), (8, 5)])
+def test_stage1_matches_per_tap_loop_bitwise(L, n_p):
+    """Stage 1 gathers all taps in one product; the per-tap loop it replaced
+    is the reference, bit for bit."""
+    layout = PilotLayout(L=L, n_p=n_p).resolved(CFG)
+    rng = np.random.default_rng(7)
+    r = rng.standard_normal(CFG.frame_len) + 1j * rng.standard_normal(CFG.frame_len)
+    k = np.arange(CFG.N)
+    ramp = np.exp(-2j * np.pi * layout.n_p * k / CFG.N)
+    scale = np.sqrt(CFG.N / layout.sigma2_p)
+    ref = np.empty((L, CFG.N), dtype=complex)
+    for l in range(L):
+        ref[l] = r[(layout.m_p + l + k * CFG.M) % CFG.frame_len] * scale * ramp
+    assert stage1_estimate(r, layout, CFG, 0.0).g_hat.tobytes() == ref.tobytes()
 
 
 def test_stage1_noise_variance():
@@ -370,12 +386,24 @@ def test_wiener_statistics_are_toeplitz_psd():
     assert np.abs(resid).max() < 1e-8
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, CFG.N])
+def test_ce_basis_matches_ofdm_inline_basis_bitwise(q):
+    """The shared CE basis at span N is the OFDM interpolator's former
+    inline basis, bit for bit."""
+    n = CFG.N
+    freqs = (np.arange(q) - (q - 1) / 2.0) / n
+    inline = np.exp(2j * np.pi * np.arange(n)[:, None] * freqs[None, :])
+    basis = _ce_basis(n, q, n)
+    assert basis.shape == inline.shape
+    assert basis.tobytes() == inline.tobytes()
+
+
 def test_ptrp_cpe_constant_phase():
     cfg = GridConfig(M=32, N=8, n_cp=8)
     layout = PtrpLayout(spacing=8)
     rng = np.random.default_rng(10)
     data = qam_map(rng.integers(0, 2, 2 * layout.n_data(cfg)), QamConfig(4))
-    frame = build_ptrp_frame(layout, data, cfg)
+    frame = build_pilot_frame(layout, data, cfg)
     theta0 = 0.6
     rx = np.exp(1j * theta0) * ofdm_modulate(frame, cfg)
     Y = ofdm_demodulate(rx, cfg).dd
@@ -392,7 +420,7 @@ def test_ptrp_cpe_tracks_per_symbol_rotation():
     layout = PtrpLayout(spacing=8)
     rng = np.random.default_rng(11)
     data = qam_map(rng.integers(0, 2, 2 * layout.n_data(cfg)), QamConfig(4))
-    frame = build_ptrp_frame(layout, data, cfg)
+    frame = build_pilot_frame(layout, data, cfg)
     tx = ofdm_modulate(frame, cfg)
     # piecewise-constant phase per OFDM symbol: a pure CPE channel
     sym_len = cfg.M + cfg.n_cp

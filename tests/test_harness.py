@@ -1,6 +1,9 @@
 import hashlib
+import importlib
+import inspect
 import io
 import os
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import otfspn
 from otfspn import channel as ch
 from otfspn import equalization as eq
 from otfspn import estimation as est
@@ -118,6 +122,10 @@ def test_scenario_hash_reads_text_sweep_values_as_numbers(tmp_path):
     {"coded": 1},
     {"seed": -1},
     {"sweep_values": [True]},
+    {"snr_db": float("nan")},
+    {"f_D": float("inf")},
+    {"sweep_values": [1.0, float("nan")]},
+    {"sweep_values": ["nan"]},
 ])
 def test_scenario_rejects_wrong_value_types(kw):
     key = next(iter(kw))
@@ -141,6 +149,9 @@ def test_emit_csv_empty_and_roundtrip(tmp_path):
     rows = [ResultRow("snr_db", 1.5, "ber", 0.123456789012345, 0.01, 7, "abc", 3)]
     emit_csv(rows, str(p))
     assert parse_csv(str(p)) == rows
+    p.write_text("")
+    with pytest.raises(ValueError, match="header"):
+        parse_csv(str(p))
 
 
 def test_determinism_same_seed_same_bytes():
@@ -164,7 +175,8 @@ def _cached_arrays():
             *ch._banded_index(cfg.frame_len, 8),
             ch._jakes_factor(cfg.frame_len, 1e-3),
             layout.data_mask(cfg), est.PtrpLayout().data_mask(cfg),
-            *est._tap_samples(cfg, layout), *est._bem_basis(cfg, layout, 3, 1.0),
+            *est._tap_samples(cfg, layout),
+            est._ce_basis(cfg.frame_len, 3, 1.0 * cfg.frame_len),
             *est._spline_grid(tuple(layout.pilot_indices(cfg).tolist()),
                               cfg.frame_len),
             eq._pilot_samples(cfg, layout), *eq._adjoint_index(cfg.frame_len, 8),
@@ -177,6 +189,21 @@ def test_cached_arrays_are_read_only():
     for a in _cached_arrays():
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = a.flat[0]
+
+
+def test_every_cache_is_bounded():
+    """Every function and method of the package that caches holds at most 16
+    entries, so a long sweep over many geometries keeps its memory bounded."""
+    caches = {}
+    for info in pkgutil.iter_modules(otfspn.__path__):
+        mod = importlib.import_module(f"otfspn.{info.name}")
+        for obj in vars(mod).values():
+            for fn in vars(obj).values() if inspect.isclass(obj) else (obj,):
+                if hasattr(fn, "cache_info"):
+                    caches[f"{fn.__module__}.{fn.__qualname__}"] = fn
+    assert len(caches) >= 13, sorted(caches)
+    sizes = {name: fn.cache_info().maxsize for name, fn in caches.items()}
+    assert sizes == dict.fromkeys(caches, 16)
 
 
 def test_caches_do_not_leak_between_geometries():
@@ -398,6 +425,7 @@ GOOD = Scenario(name="good", channel="awgn", n_cp=0, beta_pn=0.0,
     (dict(oscillator="CPLL", f_pll=-1.0), "f_pll"),
     (dict(i_ic=0), "i_ic"),
     (dict(i_lsmr=0), "i_lsmr"),
+    (dict(beta_pn=float("nan")), "beta_pn"),
 ])
 def test_run_scenarios_checks_every_point_before_any_trial(monkeypatch, bad,
                                                            message):
