@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dd_analysis import dd_transform
 from .grid import GridConfig, frozen_cache
 from .oscillator import PhasePath
 
@@ -69,15 +68,6 @@ class ChannelProfile:
             raise ValueError("powers must sum to 1")
         if self.f_D < 0:
             raise ValueError("f_D must be >= 0")
-
-    @classmethod
-    def from_table(cls, delays_ns, powers_db, f_D: float = 0.0,
-                   delay_scale: float = 1.0) -> "ChannelProfile":
-        """Build from a (delay ns, power dB) table; powers are normalized."""
-        d = np.asarray(delays_ns, dtype=float) * 1e-9 * delay_scale
-        p = 10.0 ** (np.asarray(powers_db, dtype=float) / 10.0)
-        p = p / p.sum()
-        return cls(tuple(d), tuple(p), f_D)
 
     @classmethod
     def tdl_c(cls, delay_spread: float = 100e-9, f_D: float = 0.0) -> "ChannelProfile":
@@ -266,26 +256,3 @@ def banded_circular(taps: np.ndarray):
     cols, indptr = _banded_index(mn, n_taps)
     return sp.csr_matrix((taps.astype(complex).ravel(), cols, indptr), shape=(mn, mn))
 
-
-def delay_time_matrix(taps: np.ndarray, mn: int) -> np.ndarray:
-    """Dense ``banded_circular`` matrix of (mn, L) tap gains.  Oracle-scale
-    only."""
-    if mn > 4096:
-        raise ValueError("dense delay-time matrix limited to M*N <= 4096")
-    if np.shape(taps)[0] != mn:
-        raise ValueError(f"expected {mn} rows of tap gains, got {np.shape(taps)[0]}")
-    return banded_circular(taps).toarray()
-
-
-def effective_dd_channel(chan: ChannelRealization, path: PhasePath,
-                         cfg: GridConfig) -> np.ndarray:
-    """Dense effective delay-Doppler channel G_DD (small grids only).
-
-    G_DD = (F_N kron I_M) diag(psi) H_DT (F_N^H kron I_M); the demodulated
-    receive vector equals G_DD @ x plus noise.
-    """
-    mn = cfg.frame_len
-    if mn > 4096:
-        raise ValueError("effective_dd_channel limited to M*N <= 4096")
-    G_dt = delay_time_matrix(effective_channel(chan, path), mn)
-    return dd_transform(G_dt, cfg)

@@ -35,7 +35,6 @@ import numpy as np
 from .grid import GridConfig
 from .oscillator import PhaseNoiseModel, PhasePath, expected_rotation, sample_paths
 
-_DENSE_LIMIT = 4096
 # phase paths drawn per batch by measured_sinr; another value would reorder
 # the draws of the CPLL and DPLL models, which take a first sample per path
 _CHUNK = 512
@@ -46,8 +45,7 @@ class DdPhaseOperator:
     """Block-circulant delay-Doppler phase-noise operator.
 
     ``phi[m, n]`` is the coefficient of block n at delay m; the full matrix
-    (never materialized except for small oracles) has block (p, q) equal to
-    ``diag(phi[:, (p-q) mod N])``.
+    (never materialized) has block (p, q) equal to ``diag(phi[:, (p-q) mod N])``.
     """
 
     phi: np.ndarray  # (M, N)
@@ -70,17 +68,6 @@ class DdPhaseOperator:
         Y = np.fft.ifft(np.fft.fft(X, axis=1) * np.fft.fft(self.phi, axis=1), axis=1)
         return Y.reshape(-1, order="F")
 
-    def as_dense(self) -> np.ndarray:
-        mn = self.M * self.N
-        if mn > _DENSE_LIMIT:
-            raise ValueError(f"refusing to materialize {mn}x{mn} operator")
-        out = np.zeros((mn, mn), dtype=complex)
-        for p in range(self.N):
-            for q in range(self.N):
-                blk = np.diag(self.phi[:, (p - q) % self.N])
-                out[p * self.M:(p + 1) * self.M, q * self.M:(q + 1) * self.M] = blk
-        return out
-
 
 def dd_coefficients(path: PhasePath, cfg: GridConfig) -> DdPhaseOperator:
     """Coefficients phi_n[m] of one phase path on the given grid.
@@ -93,48 +80,6 @@ def dd_coefficients(path: PhasePath, cfg: GridConfig) -> DdPhaseOperator:
         raise ValueError(f"path too short: {len(path)} < {mn}")
     psig = path.psi[-mn:].reshape(cfg.M, cfg.N, order="F")
     return DdPhaseOperator(np.fft.fft(psig, axis=1) / cfg.N)
-
-
-def dd_transform(mat: np.ndarray, cfg: GridConfig) -> np.ndarray:
-    """(F_N kron I_M) @ mat @ (F_N^H kron I_M) without forming Kronecker factors."""
-    mn = cfg.frame_len
-    if mat.shape != (mn, mn):
-        raise ValueError(f"expected {mn}x{mn} matrix, got {mat.shape}")
-    T = mat.reshape(cfg.N, cfg.M, cfg.N, cfg.M)
-    T = np.fft.fft(T, axis=0) / np.sqrt(cfg.N)
-    T = np.fft.ifft(T, axis=2) * np.sqrt(cfg.N)
-    return T.reshape(mn, mn)
-
-
-@dataclass
-class PhaseAutocorr:
-    """Autocorrelation matrix of the Doppler-domain phase coefficients."""
-
-    K: np.ndarray  # (N, N) Hermitian PSD, unit trace
-
-    @property
-    def diag(self) -> np.ndarray:
-        return self.K.diagonal().real
-
-    @property
-    def signal_power(self) -> float:
-        return float(self.K[0, 0].real)
-
-    @property
-    def idi_power(self) -> float:
-        return float(self.diag[1:].sum())
-
-
-def k_phi(model: PhaseNoiseModel, cfg: GridConfig) -> PhaseAutocorr:
-    """Full N x N coefficient autocorrelation, K = F R F^H / N.
-
-    R is the Toeplitz matrix of rotation factors at lags |k-l|*M; the result
-    is Hermitian PSD with unit trace.
-    """
-    lags = np.abs(np.subtract.outer(np.arange(cfg.N), np.arange(cfg.N))) * cfg.M
-    R = expected_rotation(model, lags)
-    F = np.fft.fft(np.eye(cfg.N)) / np.sqrt(cfg.N)
-    return PhaseAutocorr(F @ R @ F.conj().T / cfg.N)
 
 
 def _diag_from_rotation(r: np.ndarray, size: int, p: int) -> float:

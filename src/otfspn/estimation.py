@@ -149,23 +149,13 @@ def _tap_samples(cfg: GridConfig, layout: PilotLayout):
     return idx, ramp
 
 
-def effective_autocorr(model: PhaseNoiseModel, f_D: float, T_s: float, lags,
-                       phase_autocorr=None) -> np.ndarray:
-    """k_g(lag): phase rotation factor times the Jakes Bessel factor.
-
-    ``phase_autocorr`` may supply a measured phase autocorrelation sequence
-    (indexed by lag) in place of the model-based one, e.g. for oscillators
-    with flicker noise characterized only through their PSD.
-    """
+def effective_autocorr(model: PhaseNoiseModel, f_D: float, T_s: float,
+                       lags) -> np.ndarray:
+    """k_g(lag): phase rotation factor times the Jakes Bessel factor."""
     from scipy.special import j0
 
-    lags = np.asarray(lags)
-    if phase_autocorr is not None:
-        table = np.asarray(phase_autocorr)
-        k_psi = table[np.abs(lags)]
-    else:
-        k_psi = expected_rotation(model, np.abs(lags))
-    return k_psi * j0(2.0 * np.pi * f_D * T_s * np.abs(lags))
+    lags = np.abs(np.asarray(lags))
+    return expected_rotation(model, lags) * j0(2.0 * np.pi * f_D * T_s * lags)
 
 
 @dataclass
@@ -177,8 +167,7 @@ class WienerFilter:
 
 
 def build_wiener(model: PhaseNoiseModel, f_D: float, noise_ratio: float,
-                 cfg: GridConfig, layout: PilotLayout,
-                 phase_autocorr=None) -> WienerFilter:
+                 cfg: GridConfig, layout: PilotLayout) -> WienerFilter:
     """Solve the Wiener-Hopf system for the configured statistics.
 
     ``noise_ratio`` is the variance of the stage-1 observation noise
@@ -192,17 +181,13 @@ def build_wiener(model: PhaseNoiseModel, f_D: float, noise_ratio: float,
         raise ValueError("noise_ratio must be >= 0")
     mn = cfg.frame_len
     pilots = layout.pilot_indices(cfg)
-    k_cross = effective_autocorr(
-        model, f_D, cfg.T_s,
-        np.abs(np.arange(mn)[:, None] - pilots[None, :]), phase_autocorr)
-    k_pil = effective_autocorr(
-        model, f_D, cfg.T_s,
-        np.abs(pilots[:, None] - pilots[None, :]), phase_autocorr)
+    k_cross = effective_autocorr(model, f_D, cfg.T_s, np.arange(mn)[:, None] - pilots)
+    k_pil = effective_autocorr(model, f_D, cfg.T_s, pilots[:, None] - pilots)
     ridge = max(noise_ratio, 1e-8 * np.trace(k_pil).real / cfg.N)
     k_obs = k_pil + ridge * np.eye(cfg.N)
     # W = K_cross K_obs^-1 via a Hermitian solve on the transposed system
     W = solve(k_obs, k_cross.conj().T, assume_a="pos").conj().T
-    k0 = float(effective_autocorr(model, f_D, cfg.T_s, 0, phase_autocorr))
+    k0 = float(effective_autocorr(model, f_D, cfg.T_s, 0))
     mse = k0 - np.einsum("mn,mn->m", W, k_cross.conj()).real
     return WienerFilter(W, mse)
 

@@ -240,8 +240,16 @@ def _parse(f) -> list:
     header = next(rdr, [])           # an empty file has no header either
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header}")
-    return [ResultRow(r[0], float(r[1]), r[2], float(r[3]), float(r[4]),
-                      int(r[5]), r[6], int(r[7])) for r in rdr]
+    rows = []
+    for r in rdr:
+        try:
+            if len(r) != len(CSV_COLUMNS):
+                raise ValueError(f"{len(r)} fields, expected {len(CSV_COLUMNS)}")
+            rows.append(ResultRow(r[0], float(r[1]), r[2], float(r[3]), float(r[4]),
+                                  int(r[5]), r[6], int(r[7])))
+        except ValueError as e:
+            raise ValueError(f"bad CSV row at line {rdr.line_num}: {e}") from None
+    return rows
 
 
 # --------------------------------------------------------------------------
@@ -285,17 +293,23 @@ def _channel_at(s: Scenario, params: dict):
 
 
 def _pilot_length(s: Scenario, profile: ch.ChannelProfile, cfg: GridConfig) -> int:
-    if s.pilot_L is not None:
-        return s.pilot_L
+    """Pilot guard length: pilot_L if set, else the quantized channel length
+    L.  A guard shorter than L would leave taps unestimated."""
     delays, _ = profile.quantized(cfg.T_s)
-    return int(delays.max()) + 1
+    L = int(delays.max()) + 1
+    if s.pilot_L is None:
+        return L
+    if s.pilot_L < L:
+        raise ValueError(f"pilot_L {s.pilot_L} is shorter than the channel "
+                         f"length {L}")
+    return s.pilot_L
 
 
 def _resolve_point(s: Scenario, value: float) -> SweepPoint:
     """Build one sweep point, raising whatever its trials would raise: the
-    QAM order, the oscillator parameters, the pilot guard (2L-1 <= M) of
-    OTFS links and the CP (n_cp >= L-1) of every TDL-C channel a link
-    trial draws."""
+    QAM order, the oscillator parameters, the pilot guard (L <= pilot_L,
+    2*pilot_L-1 <= M) of OTFS links and the CP (n_cp >= L-1) of every TDL-C
+    channel a link trial draws."""
     params = {s.sweep: value}
     cfg, f_D, profile = _channel_at(s, params)
     beta = params.get("beta_pn", s.beta_pn)
@@ -348,7 +362,9 @@ def _receive_otfs(point: SweepPoint, r, chan, path):
     else:
         part = est.stage1_estimate(r, point.layout, cfg, point.noise_var)
         g_dt = _INTERPOLATORS[s.estimator](point, part)
-        nmse = eq.nmse(g_dt, g_true)
+        # a guard longer than the channel estimates taps past L, whose truth is 0
+        pad = point.layout.L - g_true.shape[1]
+        nmse = eq.nmse(g_dt, np.pad(g_true, ((0, 0), (0, pad))) if pad else g_true)
     if s.equalizer == "lsmr_ic":
         det = eq.lsmr_ic_equalize(r, g_dt, point.noise_var, cfg, point.layout,
                                   point.qam, s.i_ic, s.i_lsmr)

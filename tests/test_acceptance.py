@@ -29,6 +29,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from oracles import as_dense, effective_dd_channel
 from otfspn.channel import (ChannelProfile, apply_channel, doppler_from_velocity,
                             effective_channel, realize_channel)
 from otfspn.dd_analysis import (dd_coefficients, k_phi_fro_closed_form,
@@ -176,12 +177,11 @@ def test_criterion_05_operator_oracles():
     F = np.fft.fft(np.eye(8)) / np.sqrt(8)
     A = np.kron(F, np.eye(8))
     dense = A @ np.diag(path.psi[-mn:]) @ A.conj().T
-    e_op = np.abs(op.as_dense() - dense).max()
+    e_op = np.abs(as_dense(op) - dense).max()
     x = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
     e_apply = np.abs(op.apply(x) - dense @ x).max()
 
     chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
-    from otfspn.channel import effective_dd_channel
     G = effective_dd_channel(chan, path, cfg)
     X = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     r = apply_channel(otfs_modulate(Frame(X), cfg), chan, path, 0.0, rng)

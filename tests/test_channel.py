@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
+from oracles import effective_dd_channel
 from otfspn.channel import (ChannelProfile, ChannelRealization, SPEED_OF_LIGHT,
-                            _jakes_factor, apply_channel, delay_time_matrix,
-                            doppler_from_velocity, effective_channel,
-                            effective_dd_channel, realize_channel)
+                            _jakes_factor, apply_channel, banded_circular,
+                            doppler_from_velocity, effective_channel, realize_channel)
 from otfspn.grid import Frame, GridConfig, ofdm_modulate, otfs_demodulate, otfs_modulate
 from otfspn.oscillator import PhaseNoiseModel, PhasePath, sample_path
 
@@ -25,7 +25,9 @@ def test_profile_validation_and_quantization():
     # TDL-C at 100 ns spread and 7.68 MHz collapses to <= 8 sample taps
     assert delays.max() <= 7
     # coincident taps merge their powers
-    q = ChannelProfile.from_table([0.0, 10.0, 200.0], [0.0, 0.0, -3.0])
+    p_lin = 10.0 ** (np.array([0.0, 0.0, -3.0]) / 10.0)
+    q = ChannelProfile(tuple(np.array([0.0, 10.0, 200.0]) * 1e-9),
+                       tuple(p_lin / p_lin.sum()))
     d2, p2 = q.quantized(TS)
     assert len(d2) == 2 and p2[0] > p2[1]
 
@@ -173,7 +175,7 @@ def test_apply_channel_matches_dense_matrices():
     X = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
     s = otfs_modulate(Frame(X), cfg)
     r = apply_channel(s, chan, path, 0.0, rng)
-    H = delay_time_matrix(chan.dense_taps(), mn)
+    H = banded_circular(chan.dense_taps()).toarray()
     Phi = np.diag(path.psi[cfg.n_cp:])
     ref = Phi @ H @ s[cfg.n_cp:]
     assert np.abs(r - ref).max() < 1e-10
@@ -250,9 +252,7 @@ def test_banded_circular_builders_match_lag_loop():
     rows = np.arange(mn)
     for l in range(taps.shape[1]):
         loop[rows, (rows - l) % mn] += taps[:, l]
-    assert np.array_equal(delay_time_matrix(taps, mn), loop)
-    with pytest.raises(ValueError):
-        delay_time_matrix(taps, mn + 1)
+    assert np.array_equal(banded_circular(taps).toarray(), loop)
 
 
 def test_effective_dd_channel_identity():

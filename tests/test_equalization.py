@@ -3,12 +3,12 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, lsmr, spsolve
 
+from oracles import dd_transform
 from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
-    banded_circular, delay_time_matrix, effective_channel, realize_channel
+    banded_circular, effective_channel, realize_channel
 from otfspn.equalization import (CONV_K, _OUT, ChannelOp, _adjoint, _lsmr, _normal_band,
                                  _solve_normal, _viterbi_forward, ber, conv_encode, evm, lsmr_ic_equalize,
                                  mmse_equalize, nmse, qam_llrs, viterbi_decode)
-from otfspn.dd_analysis import dd_transform
 from otfspn.estimation import PilotLayout, build_pilot_frame
 from otfspn.grid import (Frame, GridConfig, QamConfig, otfs_demodulate, otfs_modulate,
                          qam_demap, qam_map)
@@ -85,7 +85,7 @@ def _unfold(band, perm):
 def test_folded_band_equals_dense_normal_matrix(mn, n_taps, zero_tap):
     # MN = 7 = 2L - 1 is the smallest grid whose wrap corners do not overlap
     g = _random_taps(np.random.default_rng(21), mn, n_taps, zero_tap)
-    G = delay_time_matrix(g, mn)
+    G = banded_circular(g).toarray()
     ref = G.conj().T @ G + 0.3 * np.eye(mn)
     got = _unfold(*_normal_band(g, 0.3))
     if n_taps > 1:                  # both wrap corners are populated
@@ -289,7 +289,7 @@ def test_mmse_domains_agree():
     bits, data, r = _frame_through(cfg, layout, qam, chan, path, 0.01, rng)
     det = mmse_equalize(r, g, 0.01, cfg, layout)
     mn = cfg.frame_len
-    G = delay_time_matrix(g, mn)
+    G = banded_circular(g).toarray()
     Gdd = dd_transform(G, cfg)
     y = r - G @ otfs_modulate(layout.pilot_frame(cfg), cfg, with_cp=False)
     x = np.linalg.solve(Gdd.conj().T @ Gdd + 0.01 * np.eye(mn),

@@ -354,11 +354,6 @@ def test_effective_autocorr_factors():
     np.testing.assert_allclose(
         effective_autocorr(model, 1e3, TS, lags),
         expected_rotation(model, lags) * bessel(2 * np.pi * 1e3 * TS * lags))
-    # user-supplied phase autocorrelation table takes precedence
-    table = np.linspace(1.0, 0.5, 200)
-    np.testing.assert_allclose(
-        effective_autocorr(model, 0.0, TS, lags, phase_autocorr=table),
-        table[lags])
 
 
 def test_wiener_statistics_are_toeplitz_psd():

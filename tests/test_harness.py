@@ -149,6 +149,13 @@ def test_emit_csv_empty_and_roundtrip(tmp_path):
     rows = [ResultRow("snr_db", 1.5, "ber", 0.123456789012345, 0.01, 7, "abc", 3)]
     emit_csv(rows, str(p))
     assert parse_csv(str(p)) == rows
+    good = p.read_text()
+    for bad in ("snr_db,1.5,ber,0.1,0.01,7,abc",          # truncated
+                "snr_db,1.5,ber,0.1,0.01,7,abc,3,extra",  # one field too many
+                "snr_db,1.5,ber,high,0.01,7,abc,3"):      # value is no number
+        p.write_text(good + bad + "\n")
+        with pytest.raises(ValueError, match="line 3"):
+            parse_csv(str(p))
     p.write_text("")
     with pytest.raises(ValueError, match="header"):
         parse_csv(str(p))
@@ -426,6 +433,7 @@ GOOD = Scenario(name="good", channel="awgn", n_cp=0, beta_pn=0.0,
     (dict(i_ic=0), "i_ic"),
     (dict(i_lsmr=0), "i_lsmr"),
     (dict(beta_pn=float("nan")), "beta_pn"),
+    (dict(pilot_L=4), "pilot_L"),
 ])
 def test_run_scenarios_checks_every_point_before_any_trial(monkeypatch, bad,
                                                            message):
@@ -435,6 +443,16 @@ def test_run_scenarios_checks_every_point_before_any_trial(monkeypatch, bad,
                                       sweep="snr_db", sweep_values=(0.0, 10.0),
                                       trials=2, **bad)])
     assert calls == []
+
+
+@pytest.mark.parametrize("estimator", ["bem", "proposed"])
+def test_pilot_guard_longer_than_channel(estimator):
+    # pilot_L = 10 > L = 8: the estimate has two more taps, whose truth is 0
+    rows = run_scenarios([Scenario(name="long", pilot_L=10, estimator=estimator,
+                                   velocity=100.0, sweep_values=(20.0,),
+                                   trials=2)])
+    nmse = [r.value for r in rows if r.metric == "nmse"]
+    assert len(nmse) == 1 and np.isfinite(nmse[0])
 
 
 def test_fail_fast_check_accepts_what_trials_accept(monkeypatch):
@@ -483,8 +501,11 @@ def test_fro_runs_import_no_scipy_signal_or_interpolate():
     # spline estimator is computed in house; an FRO link, spline baseline
     # included, or an sinr run must not pay for them.  The CLI and an sinr
     # run load no scipy at all: it is imported where a link trial calls it.
+    # The channel module does not load the phase-noise analysis.
     out = _fresh_python("""
 import sys
+import otfspn.channel
+print("otfspn.dd_analysis" in sys.modules)
 import otfspn.cli
 from otfspn.harness import Scenario, run_scenarios
 sinr = Scenario(name="sinr", kind="sinr", sweep="beta_pn",
@@ -499,7 +520,7 @@ assert run_scenarios([link, spline])
 print(sorted(m for m in ("scipy.signal", "scipy.interpolate", "scipy.stats",
                          "scipy.optimize") if m in sys.modules))
 """)
-    assert out.splitlines() == ["[]", "[]"]
+    assert out.splitlines() == ["False", "[]", "[]"]
 
 
 # CPLL and DPLL paths (scipy.signal) and a spline estimate; scipy.interpolate
