@@ -12,12 +12,12 @@ scipy is imported inside the functions that call it, so ``import otfspn``,
 the CLI and ``kind: sinr`` runs load numpy alone.
 """
 
-from .grid import Frame, GridConfig, QamConfig
+from .grid import GridConfig, QamConfig
 from .oscillator import PhaseNoiseModel, PhasePath
 from .channel import ChannelProfile
 
 __all__ = [
-    "Frame", "GridConfig", "QamConfig",
+    "GridConfig", "QamConfig",
     "PhaseNoiseModel", "PhasePath", "ChannelProfile",
 ]
 

@@ -228,31 +228,3 @@ def apply_channel(s: np.ndarray, chan: ChannelRealization, path: PhasePath,
                                             + 1j * rng.standard_normal(n))
     return r
 
-
-@frozen_cache
-def _banded_index(mn: int, n_taps: int):
-    """CSR column indices and row pointers of ``banded_circular``, in the
-    index dtype scipy would pick, so no matrix copies or rescans them."""
-    import scipy.sparse as sp
-
-    dtype = sp.get_index_dtype(maxval=mn * n_taps)
-    cols = ((np.arange(mn)[:, None] - np.arange(n_taps)) % mn).astype(dtype).ravel()
-    return cols, np.arange(0, mn * n_taps + 1, n_taps, dtype=dtype)
-
-
-def banded_circular(taps: np.ndarray):
-    """Banded circular delay-time matrix of (mn, L) tap gains, as CSR.
-
-    Row n holds taps[n, l] at column (n - l) mod mn.  Every row lists its L
-    entries in lag order l = 0..L-1 and keeps explicit zeros, so a product
-    sums the taps in that order.  The data is a complex copy of ``taps``;
-    the index arrays are shared by every matrix of the same shape and are
-    read-only.
-    """
-    import scipy.sparse as sp
-
-    taps = np.asarray(taps)
-    mn, n_taps = taps.shape
-    cols, indptr = _banded_index(mn, n_taps)
-    return sp.csr_matrix((taps.astype(complex).ravel(), cols, indptr), shape=(mn, mn))
-

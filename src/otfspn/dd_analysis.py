@@ -50,21 +50,13 @@ class DdPhaseOperator:
 
     phi: np.ndarray  # (M, N)
 
-    @property
-    def M(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def N(self) -> int:
-        return self.phi.shape[1]
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Multiply a vectorized delay-Doppler frame by the operator.
 
         Per delay bin this is a circular convolution along Doppler, done
         with FFTs; identical to demodulate(psi * modulate(x)).
         """
-        X = np.asarray(x).reshape(self.M, self.N, order="F")
+        X = np.asarray(x).reshape(self.phi.shape, order="F")
         Y = np.fft.ifft(np.fft.fft(X, axis=1) * np.fft.fft(self.phi, axis=1), axis=1)
         return Y.reshape(-1, order="F")
 
@@ -148,10 +140,6 @@ class SinrReport:
     signal_power: float
     idi_power: float
     noise_power: float
-    kind: str
-    M: int
-    N: int
-    waveform: str = "otfs"
 
     @property
     def sinr(self) -> float:
@@ -163,8 +151,8 @@ class SinrReport:
         return 10.0 * np.log10(self.sinr)
 
 
-def _sinr(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float,
-          size: int, lag_scale: int, waveform: str) -> SinrReport:
+def _sinr(model: PhaseNoiseModel, noise_var: float, size: int,
+          lag_scale: int) -> SinrReport:
     if noise_var < 0:
         raise ValueError("noise variance must be >= 0")
     if model.beta_pn == 0.0:
@@ -174,18 +162,17 @@ def _sinr(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float,
         diag = np.array([_fro_closed_form(alpha, size, p) for p in range(size)])
     else:
         diag = _rotation_diag(model, size, lag_scale)
-    return SinrReport(diag[0], float(diag[1:].sum()), noise_var, model.kind,
-                      cfg.M, cfg.N, waveform)
+    return SinrReport(diag[0], float(diag[1:].sum()), noise_var)
 
 
 def sinr_otfs(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float) -> SinrReport:
     """Analytic OTFS SINR; phase statistics sampled at multiples of M."""
-    return _sinr(model, cfg, noise_var, cfg.N, cfg.M, "otfs")
+    return _sinr(model, noise_var, cfg.N, cfg.M)
 
 
 def sinr_ofdm(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float) -> SinrReport:
     """Analytic SINR for the equivalent M-subcarrier OFDM system (unit lags)."""
-    return _sinr(model, cfg, noise_var, cfg.M, 1, "ofdm")
+    return _sinr(model, noise_var, cfg.M, 1)
 
 
 def _power(phi: np.ndarray, scale: int) -> np.ndarray:
@@ -233,6 +220,5 @@ def measured_sinr(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float,
                          p2[:, 1:, :].sum(axis=1).mean(axis=1).sum())
         del p2
         done += n
-    return {wave: SinrReport(sig / trials, idi / trials, noise_var,
-                             model.kind, cfg.M, cfg.N, wave)
+    return {wave: SinrReport(sig / trials, idi / trials, noise_var)
             for wave, (sig, idi) in sums.items()}

@@ -26,10 +26,9 @@ from math import inf, sqrt
 
 import numpy as np
 
-from .channel import _banded_index, banded_circular
 from .estimation import PilotLayout, extract_data
-from .grid import (Frame, GridConfig, QamConfig, constellation, frozen_cache,
-                   otfs_demodulate, otfs_modulate)
+from .grid import (GridConfig, QamConfig, constellation, frozen_cache, otfs_demodulate,
+                   otfs_modulate)
 
 
 @dataclass
@@ -38,6 +37,34 @@ class DetectionResult:
     dd_grid: np.ndarray          # full equalized delay-Doppler grid
     residual: float = 0.0
     converged: bool = True
+
+
+@frozen_cache
+def _banded_index(mn: int, n_taps: int):
+    """CSR column indices and row pointers of ``banded_circular``, in the
+    index dtype scipy would pick, so no matrix copies or rescans them."""
+    import scipy.sparse as sp
+
+    dtype = sp.get_index_dtype(maxval=mn * n_taps)
+    cols = ((np.arange(mn)[:, None] - np.arange(n_taps)) % mn).astype(dtype).ravel()
+    return cols, np.arange(0, mn * n_taps + 1, n_taps, dtype=dtype)
+
+
+def banded_circular(taps: np.ndarray):
+    """Banded circular delay-time matrix of (mn, L) tap gains, as CSR.
+
+    Row n holds taps[n, l] at column (n - l) mod mn.  Every row lists its L
+    entries in lag order l = 0..L-1 and keeps explicit zeros, so a product
+    sums the taps in that order.  The data is a complex copy of ``taps``;
+    the index arrays are shared by every matrix of the same shape and are
+    read-only.
+    """
+    import scipy.sparse as sp
+
+    taps = np.asarray(taps)
+    mn, n_taps = taps.shape
+    cols, indptr = _banded_index(mn, n_taps)
+    return sp.csr_matrix((taps.astype(complex).ravel(), cols, indptr), shape=(mn, mn))
 
 
 class ChannelOp:
@@ -300,7 +327,7 @@ def mmse_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     G = banded_circular(g_dt)
     y = np.asarray(r).ravel() - G @ _pilot_samples(cfg, layout)
     x_dt = _solve_normal(g_dt, _adjoint(g_dt) @ y, noise_var)
-    x_dd = otfs_demodulate(x_dt, cfg).dd
+    x_dd = otfs_demodulate(x_dt, cfg)
     residual = float(np.linalg.norm(y - G @ x_dt))
     return DetectionResult(extract_data(x_dd, layout, cfg), x_dd, residual)
 
@@ -336,7 +363,7 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
         otfs_modulate(layout.pilot_frame(cfg), cfg, with_cp=False))
 
     x_dt = _lsmr(op, y, damp, i_lsmr)
-    x_dd = otfs_demodulate(x_dt, cfg).dd
+    x_dd = otfs_demodulate(x_dt, cfg)
     best_res = float(np.linalg.norm(y - op.matvec(x_dt)))
     best_dd = x_dd
     converged = True
@@ -350,11 +377,11 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
             keep = np.zeros_like(mask)
             keep[mask] = err <= cut
             hard = np.where(keep, hard, 0.0)
-        s_hard = otfs_modulate(Frame(hard), cfg, with_cp=False)
+        s_hard = otfs_modulate(hard, cfg, with_cp=False)
         resid = y - op.matvec(s_hard)
         delta = _lsmr(op, resid, damp, i_lsmr)
         cand_dt = s_hard + delta
-        cand_dd = otfs_demodulate(cand_dt, cfg).dd
+        cand_dd = otfs_demodulate(cand_dt, cfg)
         cand_res = float(np.linalg.norm(y - op.matvec(cand_dt)))
         if cand_res <= best_res:
             best_res, best_dd = cand_res, cand_dd

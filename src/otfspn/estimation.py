@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Frame, GridConfig, frozen_cache
+from .grid import GridConfig, frozen_cache
 from .oscillator import PhaseNoiseModel, expected_rotation
 
 
@@ -60,10 +60,6 @@ class PilotLayout:
             raise ValueError(f"guard region (2L-1={2*self.L-1} rows) exceeds M={cfg.M}")
         return PilotLayout(self.L, m_p, self.n_p % cfg.N, s2p)
 
-    def overhead(self, cfg: GridConfig) -> float:
-        """Fraction of the grid consumed by the pilot and its guards."""
-        return (2 * self.L - 1) / cfg.M
-
     def pilot_indices(self, cfg: GridConfig) -> np.ndarray:
         """Delay-time sample indices of the pilot impulse train."""
         return self.m_p + np.arange(cfg.N) * cfg.M
@@ -78,29 +74,30 @@ class PilotLayout:
         mask[self.guard_rows(cfg), :] = False
         return mask
 
-    def n_data(self, cfg: GridConfig) -> int:
-        return int(self.data_mask(cfg).sum())
-
-    def pilot_frame(self, cfg: GridConfig) -> Frame:
-        """Pilot-only frame (pilot cell set, everything else zero)."""
+    def pilot_frame(self, cfg: GridConfig) -> np.ndarray:
+        """Pilot-only M x N frame (pilot cell set, everything else zero)."""
         X = np.zeros((cfg.M, cfg.N), dtype=complex)
         X[self.m_p, self.n_p] = np.sqrt(self.sigma2_p)
-        return Frame(X)
+        return X
+
+
+def n_data(layout: PilotLayout | PtrpLayout, cfg: GridConfig) -> int:
+    """Number of data cells the layout leaves on the grid."""
+    return int(layout.data_mask(cfg).sum())
 
 
 def build_pilot_frame(layout: PilotLayout | PtrpLayout, data_symbols,
-                      cfg: GridConfig) -> Frame:
-    """Assemble a frame: the layout's pilot frame (the OTFS impulse pilot
-    and its guards, or the OFDM PTRPs), data symbols filling its data cells
-    in column-major order."""
+                      cfg: GridConfig) -> np.ndarray:
+    """Assemble an M x N frame: the layout's pilot frame (the OTFS impulse
+    pilot and its guards, or the OFDM PTRPs), data symbols filling its data
+    cells in column-major order."""
     data_symbols = np.asarray(data_symbols).ravel()
-    mask = layout.data_mask(cfg)
-    n_data = int(mask.sum())
-    if data_symbols.size != n_data:
-        raise ValueError(f"layout carries {n_data} data cells, got {data_symbols.size} symbols")
-    X = layout.pilot_frame(cfg).dd
-    X.T[mask.T] = data_symbols  # column-major fill
-    return Frame(X)
+    count = n_data(layout, cfg)
+    if data_symbols.size != count:
+        raise ValueError(f"layout carries {count} data cells, got {data_symbols.size} symbols")
+    X = layout.pilot_frame(cfg)
+    X.T[layout.data_mask(cfg).T] = data_symbols  # column-major fill
+    return X
 
 
 def extract_data(frame_dd: np.ndarray, layout: PilotLayout | PtrpLayout,
@@ -362,15 +359,12 @@ class PtrpLayout:
         mask[self.comb(cfg), :] = False
         return mask
 
-    def n_data(self, cfg: GridConfig) -> int:
-        return int(self.data_mask(cfg).sum())
-
-    def pilot_frame(self, cfg: GridConfig) -> Frame:
-        """Pilot-only frame (pilot symbol 0 and the comb, zeros elsewhere)."""
+    def pilot_frame(self, cfg: GridConfig) -> np.ndarray:
+        """Pilot-only M x N frame: symbol 0 and the comb, zeros elsewhere."""
         X = np.zeros((cfg.M, cfg.N), dtype=complex)
         X[:, 0] = self.pilot_value
         X[self.comb(cfg), :] = self.pilot_value
-        return Frame(X)
+        return X
 
 
 def ofdm_cpe_estimate(rx_freq: np.ndarray, layout: PtrpLayout, cfg: GridConfig,

@@ -28,7 +28,6 @@ class GridConfig:
     M: int
     N: int
     n_cp: int
-    f_c: float = 5.9e9
     bandwidth: float = 7.68e6
 
     def __post_init__(self):
@@ -42,10 +41,6 @@ class GridConfig:
     @property
     def T_s(self) -> float:
         return 1.0 / self.bandwidth
-
-    @property
-    def subcarrier_spacing(self) -> float:
-        return self.bandwidth / self.M
 
     @property
     def doppler_spacing(self) -> float:
@@ -156,43 +151,28 @@ def constellation(cfg: QamConfig) -> np.ndarray:
     return qam_map(all_bits, cfg)
 
 
-@dataclass
-class Frame:
-    """Delay-Doppler frame; ``dd`` is the M x N symbol matrix."""
-
-    dd: np.ndarray
-
-    @property
-    def vec(self) -> np.ndarray:
-        return self.dd.reshape(-1, order="F")
-
-    @classmethod
-    def from_vec(cls, x: np.ndarray, cfg: GridConfig) -> "Frame":
-        return cls(np.asarray(x).reshape(cfg.M, cfg.N, order="F"))
-
-
 def _check_frame(X: np.ndarray, cfg: GridConfig):
     if X.shape != (cfg.M, cfg.N):
         raise ValueError(f"frame shape {X.shape} does not match grid ({cfg.M}, {cfg.N})")
 
 
-def otfs_modulate(frame: Frame, cfg: GridConfig, with_cp: bool = True) -> np.ndarray:
-    """Delay-Doppler frame -> delay-time samples, CP prepended.
+def otfs_modulate(X: np.ndarray, cfg: GridConfig, with_cp: bool = True) -> np.ndarray:
+    """M x N delay-Doppler frame -> delay-time samples, CP prepended.
 
     Row-wise N-point unitary IDFT then column-major vectorization, i.e.
     ``s = (F_N^H kron I_M) x``.  Output length is ``M*N + n_cp`` (or ``M*N``
     with ``with_cp=False``).
     """
-    _check_frame(frame.dd, cfg)
-    S = np.fft.ifft(frame.dd, axis=1) * np.sqrt(cfg.N)
+    _check_frame(X, cfg)
+    S = np.fft.ifft(X, axis=1) * np.sqrt(cfg.N)
     s = S.reshape(-1, order="F")
     if with_cp and cfg.n_cp:
         s = np.concatenate([s[-cfg.n_cp:], s])
     return s
 
 
-def otfs_demodulate(r: np.ndarray, cfg: GridConfig) -> Frame:
-    """Delay-time samples (CP already removed) -> delay-Doppler frame.
+def otfs_demodulate(r: np.ndarray, cfg: GridConfig) -> np.ndarray:
+    """Delay-time samples (CP already removed) -> M x N delay-Doppler frame.
 
     Applies ``(F_N kron I_M)``; exact inverse of otfs_modulate.
     """
@@ -200,29 +180,28 @@ def otfs_demodulate(r: np.ndarray, cfg: GridConfig) -> Frame:
     if r.size != cfg.frame_len:
         raise ValueError(f"expected {cfg.frame_len} samples, got {r.size}")
     R = r.reshape(cfg.M, cfg.N, order="F")
-    Y = np.fft.fft(R, axis=1) / np.sqrt(cfg.N)
-    return Frame(Y)
+    return np.fft.fft(R, axis=1) / np.sqrt(cfg.N)
 
 
-def ofdm_modulate(frame: Frame, cfg: GridConfig) -> np.ndarray:
+def ofdm_modulate(X: np.ndarray, cfg: GridConfig) -> np.ndarray:
     """M-subcarrier, N-symbol OFDM with per-symbol CP.
 
     Column n of the frame is one OFDM symbol: M-point unitary IDFT plus a
     CP of n_cp samples, symbols concatenated in time.  Output length is
     ``N * (M + n_cp)``.
     """
-    _check_frame(frame.dd, cfg)
-    T = np.fft.ifft(frame.dd, axis=0) * np.sqrt(cfg.M)
+    _check_frame(X, cfg)
+    T = np.fft.ifft(X, axis=0) * np.sqrt(cfg.M)
     if cfg.n_cp:
         T = np.vstack([T[-cfg.n_cp:, :], T])
     return T.reshape(-1, order="F")
 
 
-def ofdm_demodulate(r: np.ndarray, cfg: GridConfig) -> Frame:
+def ofdm_demodulate(r: np.ndarray, cfg: GridConfig) -> np.ndarray:
     """Inverse of ofdm_modulate: strip per-symbol CP, M-point unitary DFT."""
     r = np.asarray(r).ravel()
     sym_len = cfg.M + cfg.n_cp
     if r.size != cfg.N * sym_len:
         raise ValueError(f"expected {cfg.N * sym_len} samples, got {r.size}")
     T = r.reshape(sym_len, cfg.N, order="F")[cfg.n_cp:, :]
-    return Frame(np.fft.fft(T, axis=0) / np.sqrt(cfg.M))
+    return np.fft.fft(T, axis=0) / np.sqrt(cfg.M)

@@ -48,7 +48,7 @@ _CHOICES = {"kind": ("link", "sinr"), "estimator": ESTIMATORS,
 # retired field -> the one value it had; hashed, so old scenario hashes stay put
 _RETIRED = {"eq_domain": "delay_time"}
 # Scenario field -> smallest accepted value
-_MINIMA = {"i_ic": 1, "i_lsmr": 1, "trials": 1, "seed": 0}
+_MINIMA = {"i_ic": 1, "i_lsmr": 1, "ptrp_spacing": 1, "trials": 1, "seed": 0}
 # Scenario fields that only a link trial reads; a kind 'sinr' run keeps the defaults
 _LINK_ONLY = ("channel", "delay_spread", "velocity", "f_D", "pilot_L", "pilot_boost_db",
               "estimator", "bem_k_over", "bem_include_pn", "ptrp_spacing",
@@ -144,6 +144,8 @@ class Scenario:
         for key, low in _MINIMA.items():
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.bem_k_over <= 0:
+            raise ValueError(f"bem_k_over must be > 0, got {self.bem_k_over}")
         # a sweep axis the scenario ignores would repeat one point
         if self.sweep == "f_pll" and self.oscillator == "FRO":
             raise ValueError("sweep f_pll has no effect on the FRO oscillator")
@@ -273,8 +275,8 @@ class SweepPoint:
 
 
 def _channel_at(s: Scenario, params: dict):
-    """Grid, Doppler shift and channel profile at one sweep point."""
-    cfg = GridConfig(s.M, s.N, s.n_cp, s.f_c, s.bandwidth)
+    """Grid and channel profile (with its Doppler shift) at one sweep point."""
+    cfg = GridConfig(s.M, s.N, s.n_cp, s.bandwidth)
     if "f_D_norm" in params:
         f_D = params["f_D_norm"] * cfg.doppler_spacing
     elif "f_D" in params:
@@ -289,14 +291,12 @@ def _channel_at(s: Scenario, params: dict):
         profile = ch.ChannelProfile.tdl_c(s.delay_spread, f_D)
     else:
         profile = ch.ChannelProfile((0.0,), (1.0,), f_D)
-    return cfg, f_D, profile
+    return cfg, profile
 
 
-def _pilot_length(s: Scenario, profile: ch.ChannelProfile, cfg: GridConfig) -> int:
-    """Pilot guard length: pilot_L if set, else the quantized channel length
-    L.  A guard shorter than L would leave taps unestimated."""
-    delays, _ = profile.quantized(cfg.T_s)
-    L = int(delays.max()) + 1
+def _pilot_length(s: Scenario, L: int) -> int:
+    """Pilot guard length: pilot_L if set, else the channel length L.  A
+    guard shorter than L would leave taps unestimated."""
     if s.pilot_L is None:
         return L
     if s.pilot_L < L:
@@ -308,10 +308,10 @@ def _pilot_length(s: Scenario, profile: ch.ChannelProfile, cfg: GridConfig) -> i
 def _resolve_point(s: Scenario, value: float) -> SweepPoint:
     """Build one sweep point, raising whatever its trials would raise: the
     QAM order, the oscillator parameters, the pilot guard (L <= pilot_L,
-    2*pilot_L-1 <= M) of OTFS links and the CP (n_cp >= L-1) of every TDL-C
+    2*pilot_L-1 <= M) of OTFS links and the CP (n_cp >= L-1) of every
     channel a link trial draws."""
     params = {s.sweep: value}
-    cfg, f_D, profile = _channel_at(s, params)
+    cfg, profile = _channel_at(s, params)
     beta = params.get("beta_pn", s.beta_pn)
     f_pll = params.get("f_pll", s.f_pll)
     model = PhaseNoiseModel(s.oscillator, beta, cfg.T_s, f_pll)
@@ -326,17 +326,16 @@ def _resolve_point(s: Scenario, value: float) -> SweepPoint:
 
     layout = ptrp = wiener = None
     if s.kind == "link":
-        if s.channel == "tdl_c":
-            profile.length(cfg)
+        L = profile.length(cfg)
         if s.estimator.startswith("ofdm"):
             ptrp = est.PtrpLayout(spacing=s.ptrp_spacing)
         else:
             sigma2_p = cfg.N * 10.0 ** (s.pilot_boost_db / 10.0)
-            layout = est.PilotLayout(L=_pilot_length(s, profile, cfg),
+            layout = est.PilotLayout(L=_pilot_length(s, L),
                                      sigma2_p=sigma2_p).resolved(cfg)
             if s.estimator == "proposed":
                 noise_ratio = noise_var * cfg.N / layout.sigma2_p
-                wiener = est.build_wiener(model, f_D, noise_ratio, cfg, layout)
+                wiener = est.build_wiener(model, profile.f_D, noise_ratio, cfg, layout)
     return SweepPoint(cfg, qam, model, profile, layout, ptrp, wiener,
                       noise_var, s, value)
 
@@ -376,7 +375,7 @@ def _receive_otfs(point: SweepPoint, r, chan, path):
 def _receive_ofdm(point: SweepPoint, r, chan, path):
     """CPE tracking from the PTRPs and one-tap equalization; data symbols."""
     cfg, ptrp = point.cfg, point.ptrp
-    Y = ofdm_demodulate(r, cfg).dd
+    Y = ofdm_demodulate(r, cfg)
     interp = point.scenario.estimator == "ofdm_ptrp_interp"
     _, H = est.ofdm_cpe_estimate(Y, ptrp, cfg, point.profile.f_D, interp)
     return est.extract_data(Y / H, ptrp, cfg), {}
@@ -389,7 +388,7 @@ def _run_trial(point: SweepPoint, trial_seed: int) -> dict:
     s, cfg, qam = point.scenario, point.cfg, point.qam
     ofdm = point.ptrp is not None
     layout = point.ptrp if ofdm else point.layout
-    n_bits = layout.n_data(cfg) * qam.bits_per_symbol
+    n_bits = est.n_data(layout, cfg) * qam.bits_per_symbol
     if s.coded:
         n_info = n_bits // 2 - (eq.CONV_K - 1)
         info = rng.integers(0, 2, n_info)
@@ -423,13 +422,16 @@ def _run_trial(point: SweepPoint, trial_seed: int) -> dict:
 # Execution
 # --------------------------------------------------------------------------
 
+def _ci95(vals) -> float:
+    """Half-width of the normal 95 % interval of the mean; 0 for one value."""
+    if len(vals) < 2:
+        return 0.0
+    return float(1.96 * np.std(vals, ddof=1) / np.sqrt(len(vals)))
+
+
 def _aggregate(per_trial: list, key: str):
     vals = np.array([t[key] for t in per_trial], dtype=float)
-    mean = float(np.mean(vals))
-    ci = 0.0
-    if vals.size > 1:
-        ci = float(1.96 * np.std(vals, ddof=1) / np.sqrt(vals.size))
-    return mean, ci
+    return float(np.mean(vals)), _ci95(vals)
 
 
 def _run_link_point(point: SweepPoint) -> list:
@@ -466,11 +468,8 @@ def _run_sinr_point(point: SweepPoint) -> list:
             sig += nb * rep.signal_power
             idi += nb * rep.idi_power
             block_db.append(rep.sinr_db)
-        pooled = dd.SinrReport(sig / s.trials, idi / s.trials, point.noise_var,
-                               point.model.kind, s.M, s.N, waveform)
-        ci = 0.0
-        if len(block_db) > 1 and np.all(np.isfinite(block_db)):
-            ci = float(1.96 * np.std(block_db, ddof=1) / np.sqrt(len(block_db)))
+        pooled = dd.SinrReport(sig / s.trials, idi / s.trials, point.noise_var)
+        ci = _ci95(block_db) if np.all(np.isfinite(block_db)) else 0.0
         rows.append((f"sinr_{waveform}_measured_db", pooled.sinr_db, ci))
     return rows
 

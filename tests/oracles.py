@@ -3,7 +3,8 @@ each forms an MN x MN or N x N matrix)."""
 
 import numpy as np
 
-from otfspn.channel import banded_circular, effective_channel
+from otfspn.channel import effective_channel
+from otfspn.equalization import banded_circular
 from otfspn.oscillator import expected_rotation
 
 
@@ -23,11 +24,12 @@ def effective_dd_channel(chan, path, cfg):
 
 def as_dense(op):
     """Dense DdPhaseOperator: block (p, q) is diag(phi[:, (p-q) mod N])."""
-    out = np.zeros((op.M * op.N, op.M * op.N), dtype=complex)
-    for p in range(op.N):
-        for q in range(op.N):
-            blk = np.diag(op.phi[:, (p - q) % op.N])
-            out[p * op.M:(p + 1) * op.M, q * op.M:(q + 1) * op.M] = blk
+    M, N = op.phi.shape
+    out = np.zeros((M * N, M * N), dtype=complex)
+    for p in range(N):
+        for q in range(N):
+            blk = np.diag(op.phi[:, (p - q) % N])
+            out[p * M:(p + 1) * M, q * M:(q + 1) * M] = blk
     return out
 
 

@@ -37,10 +37,10 @@ from otfspn.dd_analysis import (dd_coefficients, k_phi_fro_closed_form,
 from otfspn.equalization import ber, lsmr_ic_equalize, nmse
 from otfspn.estimation import (PartialEstimate, PilotLayout, bem_estimate,
                                build_pilot_frame, build_wiener,
-                               effective_autocorr, spline_estimate,
+                               effective_autocorr, n_data, spline_estimate,
                                stage1_estimate, stage1_hold_estimate,
                                stage2_estimate)
-from otfspn.grid import Frame, GridConfig, QamConfig, otfs_demodulate, \
+from otfspn.grid import GridConfig, QamConfig, otfs_demodulate, \
     otfs_modulate, qam_demap, qam_map
 from otfspn.harness import Scenario, emit_csv, run_scenarios
 from otfspn.oscillator import (PhaseNoiseModel, dpll_autocovariance,
@@ -184,8 +184,8 @@ def test_criterion_05_operator_oracles():
     chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
     G = effective_dd_channel(chan, path, cfg)
     X = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    r = apply_channel(otfs_modulate(Frame(X), cfg), chan, path, 0.0, rng)
-    e_pipe = np.abs(otfs_demodulate(r, cfg).vec
+    r = apply_channel(otfs_modulate(X, cfg), chan, path, 0.0, rng)
+    e_pipe = np.abs(otfs_demodulate(r, cfg).reshape(-1, order="F")
                     - G @ X.reshape(-1, order="F")).max()
     ok = max(e_op, e_apply, e_pipe) < 1e-10
     _line(5, ok, f"operator {e_op:.1e}, apply {e_apply:.1e}, pipeline {e_pipe:.1e}")
@@ -247,7 +247,7 @@ def _shared_trial(point_seed, cfg, layout, prof, model, qam, noise_var):
     rng = np.random.default_rng(point_seed)
     chan = realize_channel(prof, cfg, rng)
     path = sample_path(model, cfg.frame_len + cfg.n_cp, rng)
-    bits = rng.integers(0, 2, qam.bits_per_symbol * layout.n_data(cfg))
+    bits = rng.integers(0, 2, qam.bits_per_symbol * n_data(layout, cfg))
     frame = build_pilot_frame(layout, qam_map(bits, qam), cfg)
     r = apply_channel(otfs_modulate(frame, cfg), chan, path, noise_var, rng)
     part = stage1_estimate(r, layout, cfg, noise_var)

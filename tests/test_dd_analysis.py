@@ -4,8 +4,8 @@ import pytest
 from oracles import as_dense, dd_transform, k_phi
 from otfspn.dd_analysis import (dd_coefficients, k_phi_diag, k_phi_fro_closed_form,
                                 measured_sinr, sinr_ofdm, sinr_otfs)
-from otfspn.grid import Frame, GridConfig, otfs_demodulate, otfs_modulate
-from otfspn.oscillator import PhaseNoiseModel, PhasePath, expected_rotation, sample_paths
+from otfspn.grid import GridConfig, otfs_demodulate, otfs_modulate
+from otfspn.oscillator import PhaseNoiseModel, PhasePath, sample_paths
 
 TS = 1.0 / 7.68e6
 
@@ -45,8 +45,8 @@ def test_operator_equals_mod_demod_pipeline():
         path = PhasePath(theta)
         op = dd_coefficients(path, cfg)
         x = rng.standard_normal(M * N) + 1j * rng.standard_normal(M * N)
-        s = otfs_modulate(Frame.from_vec(x, cfg), cfg, with_cp=False)
-        y = otfs_demodulate(path.psi * s, cfg).vec
+        s = otfs_modulate(x.reshape(M, N, order="F"), cfg, with_cp=False)
+        y = otfs_demodulate(path.psi * s, cfg).reshape(-1, order="F")
         assert np.abs(op.apply(x) - y).max() < 1e-10
 
 
@@ -65,8 +65,8 @@ def test_idi_row_decomposition():
     path = PhasePath(theta)
     op = dd_coefficients(path, cfg)
     X = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    s = otfs_modulate(Frame(X), cfg, with_cp=False)
-    Y = otfs_demodulate(path.psi * s, cfg).dd
+    s = otfs_modulate(X, cfg, with_cp=False)
+    Y = otfs_demodulate(path.psi * s, cfg)
     for m in range(8):
         for n in range(8):
             val = sum(op.phi[m, i] * X[m, (n - i) % 8] for i in range(8))
@@ -219,7 +219,7 @@ def test_measured_sinr_equals_per_waveform_reference(kind):
     for wave, rep in got.items():
         ref = _per_waveform_measured_sinr(model, cfg, 1100, 21, wave)
         assert (rep.signal_power, rep.idi_power) == ref
-        assert (rep.waveform, rep.noise_power, rep.kind) == (wave, 0.01, kind)
+        assert rep.noise_power == 0.01
 
 
 def test_dd_transform_unitary():

@@ -5,12 +5,13 @@ from scipy.sparse.linalg import LinearOperator, lsmr, spsolve
 
 from oracles import dd_transform
 from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
-    banded_circular, effective_channel, realize_channel
+    effective_channel, realize_channel
 from otfspn.equalization import (CONV_K, _OUT, ChannelOp, _adjoint, _lsmr, _normal_band,
-                                 _solve_normal, _viterbi_forward, ber, conv_encode, evm, lsmr_ic_equalize,
-                                 mmse_equalize, nmse, qam_llrs, viterbi_decode)
-from otfspn.estimation import PilotLayout, build_pilot_frame
-from otfspn.grid import (Frame, GridConfig, QamConfig, otfs_demodulate, otfs_modulate,
+                                 _solve_normal, _viterbi_forward, banded_circular, ber,
+                                 conv_encode, evm, lsmr_ic_equalize, mmse_equalize, nmse,
+                                 qam_llrs, viterbi_decode)
+from otfspn.estimation import PilotLayout, build_pilot_frame, n_data
+from otfspn.grid import (GridConfig, QamConfig, otfs_demodulate, otfs_modulate,
                          qam_demap, qam_map)
 from otfspn.oscillator import PhaseNoiseModel, PhasePath, sample_path
 
@@ -18,7 +19,7 @@ TS = 1.0 / 7.68e6
 
 
 def _frame_through(cfg, layout, qam, chan, path, noise_var, rng):
-    bits = rng.integers(0, 2, qam.bits_per_symbol * layout.n_data(cfg))
+    bits = rng.integers(0, 2, qam.bits_per_symbol * n_data(layout, cfg))
     data = qam_map(bits, qam)
     tx = otfs_modulate(build_pilot_frame(layout, data, cfg), cfg)
     r = apply_channel(tx, chan, path, noise_var, rng)
@@ -224,9 +225,9 @@ def test_mmse_normal_equations_residual():
     bits, data, r = _frame_through(cfg, layout, qam, chan, path, noise_var, rng)
     det = mmse_equalize(r, g, noise_var, cfg, layout)
     op = ChannelOp(g)
-    y = r - op.matvec(otfs_modulate(Frame(layout.pilot_frame(cfg).dd), cfg,
+    y = r - op.matvec(otfs_modulate(layout.pilot_frame(cfg), cfg,
                                     with_cp=False))
-    x_dt = otfs_modulate(Frame(det.dd_grid), cfg, with_cp=False)
+    x_dt = otfs_modulate(det.dd_grid, cfg, with_cp=False)
     lhs = op.rmatvec(op.matvec(x_dt)) + noise_var * x_dt
     rhs = op.rmatvec(y)
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs) < 1e-8
@@ -293,7 +294,7 @@ def test_mmse_domains_agree():
     Gdd = dd_transform(G, cfg)
     y = r - G @ otfs_modulate(layout.pilot_frame(cfg), cfg, with_cp=False)
     x = np.linalg.solve(Gdd.conj().T @ Gdd + 0.01 * np.eye(mn),
-                        Gdd.conj().T @ otfs_demodulate(y, cfg).vec)
+                        Gdd.conj().T @ otfs_demodulate(y, cfg).reshape(-1, order="F"))
     np.testing.assert_allclose(det.dd_grid, x.reshape(cfg.M, cfg.N, order="F"),
                                atol=1e-8)
 
@@ -336,7 +337,7 @@ def test_lsmr_ic_residual_nonincreasing():
         g = effective_channel(chan, path)
         bits, data, r = _frame_through(cfg, layout, qam, chan, path, 0.05, rng)
         op = ChannelOp(g)
-        y = r - op.matvec(otfs_modulate(Frame(layout.pilot_frame(cfg).dd), cfg,
+        y = r - op.matvec(otfs_modulate(layout.pilot_frame(cfg), cfg,
                                         with_cp=False))
         first = lsmr(_as_linear_operator(op), y, damp=np.sqrt(0.05), maxiter=20)[0]
         res0 = np.linalg.norm(y - op.matvec(first))

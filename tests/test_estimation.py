@@ -6,12 +6,12 @@ from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
 from otfspn.estimation import (PartialEstimate, PilotLayout, PtrpLayout,
                                _ce_basis, bem_estimate, bem_order,
                                build_pilot_frame, build_wiener,
-                               effective_autocorr, extract_data,
+                               effective_autocorr, extract_data, n_data,
                                ofdm_cpe_estimate, spline_estimate,
                                stage1_estimate, stage1_hold_estimate,
                                stage2_estimate)
 from otfspn.equalization import nmse
-from otfspn.grid import (Frame, GridConfig, QamConfig, ofdm_demodulate,
+from otfspn.grid import (GridConfig, QamConfig, ofdm_demodulate,
                          ofdm_modulate, otfs_modulate, qam_map)
 from otfspn.oscillator import PhaseNoiseModel, PhasePath, sample_path
 
@@ -20,7 +20,7 @@ CFG = GridConfig(M=32, N=16, n_cp=16)
 
 
 def _random_data(layout, cfg, rng, qam=QamConfig(4)):
-    bits = rng.integers(0, 2, qam.bits_per_symbol * layout.n_data(cfg))
+    bits = rng.integers(0, 2, qam.bits_per_symbol * n_data(layout, cfg))
     return qam_map(bits, qam)
 
 
@@ -30,8 +30,7 @@ def test_layout_geometry():
     idx = layout.pilot_indices(CFG)
     assert np.all(np.diff(idx) == CFG.M)
     assert layout.guard_rows(CFG).size == 2 * 8 - 1
-    assert layout.overhead(CFG) == pytest.approx(15 / 32)
-    assert layout.n_data(CFG) == (32 - 15) * 16
+    assert n_data(layout, CFG) == (32 - 15) * 16
     with pytest.raises(ValueError):
         PilotLayout(L=17).resolved(CFG)  # 2L-1 > M
 
@@ -39,7 +38,7 @@ def test_layout_geometry():
 def test_single_tap_layout_is_guard_free():
     layout = PilotLayout(L=1).resolved(CFG)
     assert layout.guard_rows(CFG).size == 1
-    assert layout.n_data(CFG) == (32 - 1) * 16
+    assert n_data(layout, CFG) == (32 - 1) * 16
 
 
 def test_pilot_frame_structure():
@@ -48,18 +47,18 @@ def test_pilot_frame_structure():
     data = _random_data(layout, CFG, rng)
     frame = build_pilot_frame(layout, data, CFG)
     # pilot cell and silent guards
-    assert frame.dd[layout.m_p, layout.n_p] == pytest.approx(np.sqrt(layout.sigma2_p))
+    assert frame[layout.m_p, layout.n_p] == pytest.approx(np.sqrt(layout.sigma2_p))
     guards = layout.guard_rows(CFG)
-    masked = frame.dd.copy()
+    masked = frame.copy()
     masked[layout.m_p, layout.n_p] = 0.0
     assert np.abs(masked[guards, :]).max() == 0.0
     # data cells are carried through untouched, in fill order
-    assert np.array_equal(extract_data(frame.dd, layout, CFG), data)
+    assert np.array_equal(extract_data(frame, layout, CFG), data)
 
 
 def test_pilot_delay_time_impulse_train():
     layout = PilotLayout(L=4).resolved(CFG)
-    frame = build_pilot_frame(layout, np.zeros(layout.n_data(CFG)), CFG)
+    frame = build_pilot_frame(layout, np.zeros(n_data(layout, CFG)), CFG)
     s = otfs_modulate(frame, CFG, with_cp=False)
     train = s[layout.pilot_indices(CFG)]
     np.testing.assert_allclose(np.abs(train),
@@ -140,7 +139,7 @@ def test_stage1_noise_variance():
     noise_var = 0.01
     chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
     path = PhasePath(np.zeros(mn + CFG.n_cp))
-    data = np.zeros(layout.n_data(CFG))
+    data = np.zeros(n_data(layout, CFG))
     tx = otfs_modulate(build_pilot_frame(layout, data, CFG), CFG)
     errs = []
     for _ in range(300):
@@ -397,11 +396,11 @@ def test_ptrp_cpe_constant_phase():
     cfg = GridConfig(M=32, N=8, n_cp=8)
     layout = PtrpLayout(spacing=8)
     rng = np.random.default_rng(10)
-    data = qam_map(rng.integers(0, 2, 2 * layout.n_data(cfg)), QamConfig(4))
+    data = qam_map(rng.integers(0, 2, 2 * n_data(layout, cfg)), QamConfig(4))
     frame = build_pilot_frame(layout, data, cfg)
     theta0 = 0.6
     rx = np.exp(1j * theta0) * ofdm_modulate(frame, cfg)
-    Y = ofdm_demodulate(rx, cfg).dd
+    Y = ofdm_demodulate(rx, cfg)
     cpe, H = ofdm_cpe_estimate(Y, layout, cfg)
     # symbol-0 estimate soaks up the common rotation; later symbols add none
     np.testing.assert_allclose(cpe[1:], 0.0, atol=1e-9)
@@ -414,7 +413,7 @@ def test_ptrp_cpe_tracks_per_symbol_rotation():
     cfg = GridConfig(M=32, N=8, n_cp=8)
     layout = PtrpLayout(spacing=8)
     rng = np.random.default_rng(11)
-    data = qam_map(rng.integers(0, 2, 2 * layout.n_data(cfg)), QamConfig(4))
+    data = qam_map(rng.integers(0, 2, 2 * n_data(layout, cfg)), QamConfig(4))
     frame = build_pilot_frame(layout, data, cfg)
     tx = ofdm_modulate(frame, cfg)
     # piecewise-constant phase per OFDM symbol: a pure CPE channel
@@ -423,7 +422,7 @@ def test_ptrp_cpe_tracks_per_symbol_rotation():
     angles[0] = 0.0
     phase = np.repeat(angles, sym_len)
     rx = np.exp(1j * phase) * tx
-    Y = ofdm_demodulate(rx, cfg).dd
+    Y = ofdm_demodulate(rx, cfg)
     cpe, H = ofdm_cpe_estimate(Y, layout, cfg)
     np.testing.assert_allclose(cpe, angles, atol=1e-9)
     X_hat = Y / H

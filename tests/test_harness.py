@@ -179,7 +179,7 @@ def _cached_arrays():
     cfg, qam = grid.GridConfig(32, 16, 16), grid.QamConfig(16)
     layout = est.PilotLayout(L=8).resolved(cfg)
     return [*ch.ChannelProfile.tdl_c(1e-7, 100.0).quantized(cfg.T_s),
-            *ch._banded_index(cfg.frame_len, 8),
+            *eq._banded_index(cfg.frame_len, 8),
             ch._jakes_factor(cfg.frame_len, 1e-3),
             layout.data_mask(cfg), est.PtrpLayout().data_mask(cfg),
             *est._tap_samples(cfg, layout),
@@ -386,7 +386,8 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
                       ("name: [x\n", "cannot parse scenario file"),
                       ("a: 1\n3: 2\n", "unknown scenario keys: [3, 'a']"),
                       ("trials: 5\nname: a\ntrials: 50\n", "duplicate key 'trials'"),
-                      ("? [a]\n: 1\n", "found unhashable key")]:
+                      ("? [a]\n: 1\n", "found unhashable key"),
+                      ("estimator: ofdm_ptrp\nptrp_spacing: 0\n", "ptrp_spacing")]:
         bad.write_text(text)
         assert cli_main(["run", str(bad)]) == 1, text
         err = capsys.readouterr().err
@@ -434,6 +435,8 @@ GOOD = Scenario(name="good", channel="awgn", n_cp=0, beta_pn=0.0,
     (dict(i_lsmr=0), "i_lsmr"),
     (dict(beta_pn=float("nan")), "beta_pn"),
     (dict(pilot_L=4), "pilot_L"),
+    (dict(estimator="ofdm_ptrp", ptrp_spacing=0), "ptrp_spacing"),
+    (dict(estimator="bem", bem_k_over=0.0), "bem_k_over"),
 ])
 def test_run_scenarios_checks_every_point_before_any_trial(monkeypatch, bad,
                                                            message):
