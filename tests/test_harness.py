@@ -253,6 +253,54 @@ def test_presets_match_golden_csv_hashes():
     assert got == GOLDEN_PRESET_SHA256
 
 
+# sha256 of the CSV of one scenario per path that no preset reaches, seed=0,
+# trials=2 unless given: name -> (Scenario fields, sha256)
+PATH_PIN_SHA256 = {
+    "cpll-f_pll": (
+        dict(oscillator="CPLL", sweep="f_pll", sweep_values=(1e5, 1e6)),
+        "c98afaefbaac862a78bf46c12accfe078467c6c7ba291deb79a28dc9b2cf0c84"),
+    "dpll-spline-lsmr": (
+        dict(oscillator="DPLL", estimator="spline", equalizer="lsmr_ic",
+             sweep="beta_pn", sweep_values=(1e3, 5e3)),
+        "68afc903d8b59ac09e2f34e3a81cb52cd254c380c58392d116f5a0cee3a03bd4"),
+    "awgn-perfect-16qam": (
+        dict(channel="awgn", estimator="perfect", qam_order=16,
+             sweep_values=(10.0, 20.0)),
+        "607b08b7de3306f5a5934d9e0fcd1562998877066a17840d9cdf390ba3763213"),
+    "stage1-velocity": (
+        dict(estimator="stage1", sweep="velocity", sweep_values=(0.0, 500.0)),
+        "6097fda86a48c8704fe1884eb8c6e53bd1dc2fceaf3a102befeac36dd20b7de9"),
+    "cpll-ofdm-interp": (
+        dict(oscillator="CPLL", estimator="ofdm_ptrp_interp", velocity=300.0),
+        "60154239353bfba1ac08c4703acecf5781bad89eccd2bde9c45f8c0b3dc82745"),
+    "bem-f_D": (
+        dict(estimator="bem", sweep="f_D", sweep_values=(0.0, 500.0)),
+        "96d0b7a384facdcdf46d6e929d5fe0db0ac57c41b5e72ec561165e0859067db7"),
+    "long-guard": (
+        dict(pilot_L=10),
+        "2dff689a19a464c5794f9351e4064f27a3d528a02bbaf11c00a38565c7987097"),
+    "cpll-sinr": (
+        dict(kind="sinr", oscillator="CPLL", sweep="beta_pn",
+             sweep_values=(1e2, 1e3), trials=40),
+        "c2f4d1b623b57400feaa238005f1105065cacf203514dfd9eb3054cdfb9e87de"),
+    "dpll-sinr": (
+        dict(kind="sinr", oscillator="DPLL", sweep="f_pll",
+             sweep_values=(1e5, 1e6), trials=40),
+        "3fa9beb682109dc3c14ff4793cc665eb63a0e50d61cddf4f8c7ee4746804c249"),
+}
+
+
+def test_unpreset_paths_match_pinned_csv_hashes():
+    """PLL oscillators, the awgn channel, the f_D and velocity sweeps, a
+    guard longer than the channel, OFDM interpolation and PLL SINR, which no
+    preset runs, reproduce their CSV bytes.  Like the golden table, a
+    refactor never touches this one."""
+    got = {name: hashlib.sha256(_csv_bytes(run_scenarios(
+        [Scenario(name=name, **{"trials": 2, **kw})])).encode()).hexdigest()
+        for name, (kw, _) in PATH_PIN_SHA256.items()}
+    assert got == {name: sha for name, (_, sha) in PATH_PIN_SHA256.items()}
+
+
 def test_every_preset_scenario_is_pinned():
     """The 80 preset scenarios at both scales and default trial counts keep
     their hashes; the golden test above builds only desk scale at trials=2."""
