@@ -13,12 +13,12 @@ the CLI and ``kind: sinr`` runs load numpy alone.
 """
 
 from .grid import GridConfig, QamConfig
-from .oscillator import PhaseNoiseModel, PhasePath
+from .oscillator import PhaseNoiseModel
 from .channel import ChannelProfile
 
 __all__ = [
     "GridConfig", "QamConfig",
-    "PhaseNoiseModel", "PhasePath", "ChannelProfile",
+    "PhaseNoiseModel", "ChannelProfile",
 ]
 
 __version__ = "0.1.0"

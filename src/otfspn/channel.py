@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridConfig, frozen_cache
-from .oscillator import PhasePath
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -186,19 +185,19 @@ def realize_channel(profile: ChannelProfile, cfg: GridConfig, seed,
     return ChannelRealization(taps, delays)
 
 
-def effective_channel(chan: ChannelRealization, path: PhasePath) -> np.ndarray:
-    """True effective taps g[n, l] = exp(j*theta[n]) h[n, l], dense in delay.
+def effective_channel(chan: ChannelRealization, psi: np.ndarray) -> np.ndarray:
+    """True effective taps g[n, l] = psi[n] h[n, l], dense in delay.
 
-    The trailing samples of the path align with the channel window (the path
-    may include the CP, the channel does not)."""
+    The trailing samples of the phase path psi align with the channel window
+    (the path may include the CP, the channel does not)."""
     h = chan.dense_taps()
     n = h.shape[0]
-    if len(path) < n:
+    if psi.size < n:
         raise ValueError("phase path shorter than channel window")
-    return path.psi[-n:, None] * h
+    return psi[-n:, None] * h
 
 
-def apply_channel(s: np.ndarray, chan: ChannelRealization, path: PhasePath,
+def apply_channel(s: np.ndarray, chan: ChannelRealization, psi: np.ndarray,
                   noise_var: float, seed) -> np.ndarray:
     """Pass transmit samples through the LTV channel plus phase noise.
 
@@ -222,7 +221,7 @@ def apply_channel(s: np.ndarray, chan: ChannelRealization, path: PhasePath,
     for col, l in enumerate(chan.tap_delays):
         k = max(l - off, 0)             # outputs before k see no sample of s
         acc[k:] += chan.taps[k:, col] * s[off + k - l:off + n - l]
-    r = path.psi[-n:] * acc
+    r = psi[-n:] * acc
     if noise_var > 0:
         r = r + np.sqrt(noise_var / 2.0) * (rng.standard_normal(n)
                                             + 1j * rng.standard_normal(n))

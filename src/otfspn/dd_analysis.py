@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridConfig
-from .oscillator import PhaseNoiseModel, PhasePath, expected_rotation, sample_paths
+from .oscillator import PhaseNoiseModel, expected_rotation, sample_paths
 
 # phase paths drawn per batch by measured_sinr; another value would reorder
 # the draws of the CPLL and DPLL models, which take a first sample per path
@@ -61,16 +61,16 @@ class DdPhaseOperator:
         return Y.reshape(-1, order="F")
 
 
-def dd_coefficients(path: PhasePath, cfg: GridConfig) -> DdPhaseOperator:
-    """Coefficients phi_n[m] of one phase path on the given grid.
+def dd_coefficients(psi: np.ndarray, cfg: GridConfig) -> DdPhaseOperator:
+    """Coefficients phi_n[m] of one phase path psi on the given grid.
 
     Uses the trailing M*N samples of the path, i.e. the post-CP-removal
     window of a full frame path.
     """
     mn = cfg.frame_len
-    if len(path) < mn:
-        raise ValueError(f"path too short: {len(path)} < {mn}")
-    psig = path.psi[-mn:].reshape(cfg.M, cfg.N, order="F")
+    if psi.size < mn:
+        raise ValueError(f"path too short: {psi.size} < {mn}")
+    psig = psi[-mn:].reshape(cfg.M, cfg.N, order="F")
     return DdPhaseOperator(np.fft.fft(psig, axis=1) / cfg.N)
 
 

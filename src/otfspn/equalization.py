@@ -22,7 +22,7 @@ detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, sqrt
+from math import inf, nan, sqrt
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .grid import (GridConfig, QamConfig, constellation, frozen_cache, otfs_demo
 class DetectionResult:
     symbols: np.ndarray          # equalized data-cell symbols, layout order
     dd_grid: np.ndarray          # full equalized delay-Doppler grid
-    residual: float = 0.0
+    residual: float = nan        # data residual ||y - G x||; only LSMR-IC sets it
     converged: bool = True
 
 
@@ -324,12 +324,10 @@ def mmse_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     from y first; the solve runs on the banded normal equations in
     delay-time.
     """
-    G = banded_circular(g_dt)
-    y = np.asarray(r).ravel() - G @ _pilot_samples(cfg, layout)
+    y = np.asarray(r).ravel() - banded_circular(g_dt) @ _pilot_samples(cfg, layout)
     x_dt = _solve_normal(g_dt, _adjoint(g_dt) @ y, noise_var)
     x_dd = otfs_demodulate(x_dt, cfg)
-    residual = float(np.linalg.norm(y - G @ x_dt))
-    return DetectionResult(extract_data(x_dd, layout, cfg), x_dd, residual)
+    return DetectionResult(extract_data(x_dd, layout, cfg), x_dd)
 
 
 def _harden(x_dd: np.ndarray, mask: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ from .oscillator import PhaseNoiseModel, expected_rotation
 
 @dataclass(frozen=True)
 class PilotLayout:
-    """Impulse pilot position, guard width and pilot power.
+    """Impulse pilot delay row (at Doppler bin 0), guard width and pilot power.
 
     The guard spans delay rows m_p - (L-1) .. m_p + (L-1) (circularly) over
     all Doppler bins; sigma2_p is the power of the pilot symbol on the
@@ -50,7 +50,6 @@ class PilotLayout:
 
     L: int
     m_p: int | None = None   # default L-1 (guards sit at the grid edge)
-    n_p: int = 0
     sigma2_p: float | None = None  # default: pilot-sample SNR = data SNR + 30 dB
 
     def resolved(self, cfg: GridConfig) -> "PilotLayout":
@@ -58,7 +57,7 @@ class PilotLayout:
         s2p = 1000.0 * cfg.N if self.sigma2_p is None else self.sigma2_p
         if 2 * self.L - 1 > cfg.M:
             raise ValueError(f"guard region (2L-1={2*self.L-1} rows) exceeds M={cfg.M}")
-        return PilotLayout(self.L, m_p, self.n_p % cfg.N, s2p)
+        return PilotLayout(self.L, m_p, s2p)
 
     def pilot_indices(self, cfg: GridConfig) -> np.ndarray:
         """Delay-time sample indices of the pilot impulse train."""
@@ -75,9 +74,9 @@ class PilotLayout:
         return mask
 
     def pilot_frame(self, cfg: GridConfig) -> np.ndarray:
-        """Pilot-only M x N frame (pilot cell set, everything else zero)."""
+        """Pilot-only M x N frame: the pilot at (m_p, 0), everything else zero."""
         X = np.zeros((cfg.M, cfg.N), dtype=complex)
-        X[self.m_p, self.n_p] = np.sqrt(self.sigma2_p)
+        X[self.m_p, 0] = np.sqrt(self.sigma2_p)
         return X
 
 
@@ -106,44 +105,34 @@ def extract_data(frame_dd: np.ndarray, layout: PilotLayout | PtrpLayout,
     return frame_dd.T[layout.data_mask(cfg).T]
 
 
-@dataclass
-class PartialEstimate:
-    """Stage-1 per-tap snapshots at the pilot indices (rows: taps, cols: periods)."""
-
-    g_hat: np.ndarray         # (L, N)
-    active: np.ndarray        # (L,) bool, taps that survived the threshold
-
-
 def stage1_estimate(r: np.ndarray, layout: PilotLayout, cfg: GridConfig,
-                    noise_var: float) -> PartialEstimate:
-    """Threshold-based per-tap estimates from the pilot impulse train.
+                    noise_var: float) -> np.ndarray:
+    """Threshold-based per-tap estimates from the pilot impulse train: the
+    (L, N) stage-1 snapshots g_hat, rows taps, columns periods.
 
     Tap l is observed at samples m_p + l + k*M; dividing by the known train
-    amplitude sigma_p/sqrt(N) (and the Doppler ramp for n_p != 0) gives
-    ghat_l[k] = g[m_p + l + k*M, l] plus noise of variance N*noise_var/
-    sigma2_p.  Taps whose mean energy stays below three times that noise
-    floor are zeroed.
+    amplitude sigma_p/sqrt(N) gives ghat_l[k] = g[m_p + l + k*M, l] plus
+    noise of variance N*noise_var/sigma2_p.  Taps whose mean energy stays
+    below three times that noise floor are zeroed, so tap l is active
+    exactly when ``g_hat[l].any()``.
     """
     r = np.asarray(r).ravel()
     if r.size != cfg.frame_len:
         raise ValueError(f"expected {cfg.frame_len} samples, got {r.size}")
-    idx, ramp = _tap_samples(cfg, layout)
     scale = np.sqrt(cfg.N / layout.sigma2_p)
-    g_hat = r[idx] * scale * ramp
+    g_hat = r[_tap_samples(cfg, layout)] * scale
     floor = 3.0 * noise_var * cfg.N / layout.sigma2_p
     active = np.mean(np.abs(g_hat) ** 2, axis=1) > floor
     g_hat[~active] = 0.0
-    return PartialEstimate(g_hat, active)
+    return g_hat
 
 
 @frozen_cache
-def _tap_samples(cfg: GridConfig, layout: PilotLayout):
+def _tap_samples(cfg: GridConfig, layout: PilotLayout) -> np.ndarray:
     """(L, N) sample indices m_p + l + k*M (mod MN) at which stage 1 observes
-    tap l, and the pilot train's Doppler ramp exp(-2j*pi*n_p*k/N)."""
+    tap l."""
     k = np.arange(cfg.N)
-    ramp = np.exp(-2j * np.pi * layout.n_p * k / cfg.N)
-    idx = (layout.m_p + np.arange(layout.L)[:, None] + k * cfg.M) % cfg.frame_len
-    return idx, ramp
+    return (layout.m_p + np.arange(layout.L)[:, None] + k * cfg.M) % cfg.frame_len
 
 
 def effective_autocorr(model: PhaseNoiseModel, f_D: float, T_s: float,
@@ -189,20 +178,20 @@ def build_wiener(model: PhaseNoiseModel, f_D: float, noise_ratio: float,
     return WienerFilter(W, mse)
 
 
-def stage2_estimate(partial: PartialEstimate, wiener: WienerFilter) -> np.ndarray:
-    """Apply the shared Wiener filter to every tap column: the per-sample
-    effective channel estimate (MN x L)."""
+def stage2_estimate(g_hat: np.ndarray, wiener: WienerFilter) -> np.ndarray:
+    """Apply the shared Wiener filter to every tap row of the (L, N) stage-1
+    snapshots: the per-sample effective channel estimate (MN x L)."""
     n_obs = wiener.W.shape[1]
-    if partial.g_hat.shape[1] != n_obs:
+    if g_hat.shape[1] != n_obs:
         raise ValueError(f"filter expects {n_obs} snapshots per tap, "
-                         f"got {partial.g_hat.shape[1]}")
-    return wiener.W @ partial.g_hat.T
+                         f"got {g_hat.shape[1]}")
+    return wiener.W @ g_hat.T
 
 
-def stage1_hold_estimate(partial: PartialEstimate, cfg: GridConfig) -> np.ndarray:
+def stage1_hold_estimate(g_hat: np.ndarray, cfg: GridConfig) -> np.ndarray:
     """Stage-1 only: hold each snapshot over its M-sample delay block."""
     blocks = np.arange(cfg.frame_len) // cfg.M
-    return partial.g_hat.T[blocks, :]
+    return g_hat.T[blocks, :]
 
 
 def bem_order(cfg: GridConfig, f_D: float, beta_pn: float = 0.0,
@@ -222,7 +211,7 @@ def bem_order(cfg: GridConfig, f_D: float, beta_pn: float = 0.0,
     return max(q, 1)
 
 
-def bem_estimate(partial: PartialEstimate, cfg: GridConfig, layout: PilotLayout,
+def bem_estimate(g_hat: np.ndarray, cfg: GridConfig, layout: PilotLayout,
                  f_D: float, beta_pn: float = 0.0, k_over: float = 1.0,
                  include_pn_bandwidth: bool = False) -> np.ndarray:
     """Least-squares fit of an oversampled CE-BEM to the pilot snapshots.
@@ -236,7 +225,7 @@ def bem_estimate(partial: PartialEstimate, cfg: GridConfig, layout: PilotLayout,
         q = cfg.N
     basis = _ce_basis(cfg.frame_len, q, k_over * cfg.frame_len)
     coef, *_ = np.linalg.lstsq(basis[layout.pilot_indices(cfg), :],
-                               partial.g_hat.T, rcond=None)
+                               g_hat.T, rcond=None)
     return basis @ coef
 
 
@@ -313,7 +302,7 @@ def _not_a_knot(x: np.ndarray, y: np.ndarray, parts: int) -> np.ndarray:
     return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
 
 
-def spline_estimate(partial: PartialEstimate, cfg: GridConfig,
+def spline_estimate(g_hat: np.ndarray, cfg: GridConfig,
                     layout: PilotLayout) -> np.ndarray:
     """Not-a-knot cubic spline through the pilot snapshots, per tap,
     real and imaginary parts separately; extrapolates past the end pilots.
@@ -323,7 +312,7 @@ def spline_estimate(partial: PartialEstimate, cfg: GridConfig,
     """
     x, idx, pows = _spline_grid(tuple(layout.pilot_indices(cfg).tolist()),
                                 cfg.frame_len)
-    vals = partial.g_hat.T  # (N, L)
+    vals = g_hat.T  # (N, L)
     c = _not_a_knot(x, np.concatenate((vals.real, vals.imag), axis=1), 2)[:, idx]
     res = 0.0 + c[3]  # PPoly's order: ascending powers, no Horner nesting
     for k in (2, 1, 0):
@@ -346,7 +335,6 @@ class PtrpLayout:
     """
 
     spacing: int = 8
-    pilot_value: complex = 1.0 + 0.0j
 
     def comb(self, cfg: GridConfig) -> np.ndarray:
         return np.arange(0, cfg.M, self.spacing)
@@ -362,8 +350,8 @@ class PtrpLayout:
     def pilot_frame(self, cfg: GridConfig) -> np.ndarray:
         """Pilot-only M x N frame: symbol 0 and the comb, zeros elsewhere."""
         X = np.zeros((cfg.M, cfg.N), dtype=complex)
-        X[:, 0] = self.pilot_value
-        X[self.comb(cfg), :] = self.pilot_value
+        X[:, 0] = 1.0
+        X[self.comb(cfg), :] = 1.0
         return X
 
 
@@ -381,15 +369,13 @@ def ofdm_cpe_estimate(rx_freq: np.ndarray, layout: PtrpLayout, cfg: GridConfig,
     if Y.shape != (cfg.M, cfg.N):
         raise ValueError(f"expected ({cfg.M}, {cfg.N}) frame, got {Y.shape}")
     comb = layout.comb(cfg)
-    p = layout.pilot_value
-    h0 = Y[:, 0] / p
-    ref = h0[comb] * p
-    corr = (Y[comb, :].conj().T @ ref).conj()       # per-symbol pilot correlation
+    h0 = Y[:, 0]                    # unit pilots: symbol 0 reads the channel
+    corr = (Y[comb, :].conj().T @ h0[comb]).conj()  # per-symbol pilot correlation
     cpe = np.angle(corr)
     if not interpolate:
         H = h0[:, None] * np.exp(1j * cpe)[None, :]
         return cpe, H
-    h_pil = Y[comb, :] / p                          # per-symbol comb estimates
+    h_pil = Y[comb, :]                              # per-symbol comb estimates
     sym_T = (cfg.M + cfg.n_cp) * cfg.T_s
     q = max(int(np.ceil(2.0 * cfg.N * sym_T * f_D + 1.0)), 1)
     q = min(q, cfg.N)

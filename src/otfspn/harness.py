@@ -30,14 +30,14 @@ from .grid import (GridConfig, QamConfig, ofdm_demodulate, ofdm_modulate,
                    otfs_modulate, qam_demap, qam_map)
 from .oscillator import KINDS, PhaseNoiseModel, sample_path
 
-# stage-2 interpolators of the OTFS estimators: (sweep point, stage 1) -> estimate
+# stage-2 interpolators of the OTFS estimators: (sweep point, g_hat) -> estimate
 _INTERPOLATORS = {
-    "proposed": lambda p, part: est.stage2_estimate(part, p.wiener),
-    "bem": lambda p, part: est.bem_estimate(
-        part, p.cfg, p.layout, p.profile.f_D, p.model.beta_pn,
+    "proposed": lambda p, g_hat: est.stage2_estimate(g_hat, p.wiener),
+    "bem": lambda p, g_hat: est.bem_estimate(
+        g_hat, p.cfg, p.layout, p.profile.f_D, p.model.beta_pn,
         p.scenario.bem_k_over, p.scenario.bem_include_pn),
-    "spline": lambda p, part: est.spline_estimate(part, p.cfg, p.layout),
-    "stage1": lambda p, part: est.stage1_hold_estimate(part, p.cfg),
+    "spline": lambda p, g_hat: est.spline_estimate(g_hat, p.cfg, p.layout),
+    "stage1": lambda p, g_hat: est.stage1_hold_estimate(g_hat, p.cfg),
 }
 ESTIMATORS = (*_INTERPOLATORS, "perfect", "ofdm_ptrp", "ofdm_ptrp_interp")
 SWEEPS = ("snr_db", "beta_pn", "f_pll", "f_D", "f_D_norm", "velocity")
@@ -266,8 +266,7 @@ class SweepPoint:
     qam: QamConfig
     model: PhaseNoiseModel
     profile: ch.ChannelProfile
-    layout: est.PilotLayout | None
-    ptrp: est.PtrpLayout | None
+    layout: est.PilotLayout | est.PtrpLayout | None   # OTFS pilot or OFDM PTRPs
     wiener: est.WienerFilter | None
     noise_var: float
     scenario: Scenario
@@ -324,11 +323,11 @@ def _resolve_point(s: Scenario, value: float) -> SweepPoint:
         snr = snr * qam.bits_per_symbol * rate
     noise_var = 1.0 / snr
 
-    layout = ptrp = wiener = None
+    layout = wiener = None
     if s.kind == "link":
         L = profile.length(cfg)
         if s.estimator.startswith("ofdm"):
-            ptrp = est.PtrpLayout(spacing=s.ptrp_spacing)
+            layout = est.PtrpLayout(spacing=s.ptrp_spacing)
         else:
             sigma2_p = cfg.N * 10.0 ** (s.pilot_boost_db / 10.0)
             layout = est.PilotLayout(L=_pilot_length(s, L),
@@ -336,8 +335,7 @@ def _resolve_point(s: Scenario, value: float) -> SweepPoint:
             if s.estimator == "proposed":
                 noise_ratio = noise_var * cfg.N / layout.sigma2_p
                 wiener = est.build_wiener(model, profile.f_D, noise_ratio, cfg, layout)
-    return SweepPoint(cfg, qam, model, profile, layout, ptrp, wiener,
-                      noise_var, s, value)
+    return SweepPoint(cfg, qam, model, profile, layout, wiener, noise_var, s, value)
 
 
 # --------------------------------------------------------------------------
@@ -352,15 +350,15 @@ def _realize(point: SweepPoint, rng, n_samples: int) -> ch.ChannelRealization:
     return ch.realize_channel(point.profile, point.cfg, rng, n_samples)
 
 
-def _receive_otfs(point: SweepPoint, r, chan, path):
+def _receive_otfs(point: SweepPoint, r, chan, psi):
     """Estimate the channel, equalize; data symbols and the estimate NMSE."""
     s, cfg = point.scenario, point.cfg
-    g_true = ch.effective_channel(chan, path)
+    g_true = ch.effective_channel(chan, psi)
     if s.estimator == "perfect":
         g_dt, nmse = g_true, 0.0
     else:
-        part = est.stage1_estimate(r, point.layout, cfg, point.noise_var)
-        g_dt = _INTERPOLATORS[s.estimator](point, part)
+        g_hat = est.stage1_estimate(r, point.layout, cfg, point.noise_var)
+        g_dt = _INTERPOLATORS[s.estimator](point, g_hat)
         # a guard longer than the channel estimates taps past L, whose truth is 0
         pad = point.layout.L - g_true.shape[1]
         nmse = eq.nmse(g_dt, np.pad(g_true, ((0, 0), (0, pad))) if pad else g_true)
@@ -372,9 +370,9 @@ def _receive_otfs(point: SweepPoint, r, chan, path):
     return det.symbols, {"nmse": nmse}
 
 
-def _receive_ofdm(point: SweepPoint, r, chan, path):
+def _receive_ofdm(point: SweepPoint, r, chan, psi):
     """CPE tracking from the PTRPs and one-tap equalization; data symbols."""
-    cfg, ptrp = point.cfg, point.ptrp
+    cfg, ptrp = point.cfg, point.layout
     Y = ofdm_demodulate(r, cfg)
     interp = point.scenario.estimator == "ofdm_ptrp_interp"
     _, H = est.ofdm_cpe_estimate(Y, ptrp, cfg, point.profile.f_D, interp)
@@ -385,9 +383,8 @@ def _run_trial(point: SweepPoint, trial_seed: int) -> dict:
     """One frame: bits (coded or not), OTFS or OFDM modulation, channel and
     phase noise, the waveform's receiver, then EVM and BER."""
     rng = np.random.default_rng(trial_seed)
-    s, cfg, qam = point.scenario, point.cfg, point.qam
-    ofdm = point.ptrp is not None
-    layout = point.ptrp if ofdm else point.layout
+    s, cfg, qam, layout = point.scenario, point.cfg, point.qam, point.layout
+    ofdm = isinstance(layout, est.PtrpLayout)
     n_bits = est.n_data(layout, cfg) * qam.bits_per_symbol
     if s.coded:
         n_info = n_bits // 2 - (eq.CONV_K - 1)
@@ -405,9 +402,9 @@ def _run_trial(point: SweepPoint, trial_seed: int) -> dict:
         window = cfg.frame_len          # the CP makes it circular
 
     chan = _realize(point, rng, window)
-    path = sample_path(point.model, tx.size, rng)
-    r = ch.apply_channel(tx, chan, path, point.noise_var, rng)
-    symbols, out = (_receive_ofdm if ofdm else _receive_otfs)(point, r, chan, path)
+    psi = sample_path(point.model, tx.size, rng)
+    r = ch.apply_channel(tx, chan, psi, point.noise_var, rng)
+    symbols, out = (_receive_ofdm if ofdm else _receive_otfs)(point, r, chan, psi)
 
     out["evm"] = eq.evm(symbols, data)
     if s.coded:

@@ -23,7 +23,6 @@ analytical interference expressions without discretization bias.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,25 +71,6 @@ class PhaseNoiseModel:
         return 2.0 / (2.0 + self.T_s * self.f_pll)
 
 
-@dataclass
-class PhasePath:
-    """One realization of the phase process; psi = exp(j*theta) is unit-modulus.
-
-    psi is evaluated once per path and is read-only; theta is not meant to
-    change after psi has been read."""
-
-    theta: np.ndarray
-
-    @functools.cached_property
-    def psi(self) -> np.ndarray:
-        psi = np.exp(1j * self.theta)
-        psi.setflags(write=False)
-        return psi
-
-    def __len__(self) -> int:
-        return self.theta.size
-
-
 def dpll_autocovariance(model: PhaseNoiseModel, lags) -> np.ndarray:
     """Stationary autocovariance of the discrete PLL output phase.
 
@@ -128,9 +108,14 @@ def expected_rotation(model: PhaseNoiseModel, delta) -> np.ndarray:
     return np.exp(-0.5 * v)
 
 
-def _sample_many(model: PhaseNoiseModel, n_paths: int, length: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """(n_paths, length) matrix of phase angles; exact stationary statistics."""
+def sample_paths(model: PhaseNoiseModel, n_paths: int, length: int, seed) -> np.ndarray:
+    """(n_paths, length) matrix of phase angles, rows independent paths;
+    exact stationary statistics.
+
+    ``seed`` may be an integer (counter-style per-trial seeding) or an
+    existing numpy Generator.
+    """
+    rng = np.random.default_rng(seed)
     if length < 1:
         raise ValueError("path length must be >= 1")
     if model.beta_pn == 0.0:
@@ -164,17 +149,7 @@ def _sample_many(model: PhaseNoiseModel, n_paths: int, length: int,
     return theta
 
 
-def sample_path(model: PhaseNoiseModel, length: int, seed) -> PhasePath:
-    """Draw one phase path of ``length`` samples.
-
-    ``seed`` may be an integer (counter-style per-trial seeding) or an
-    existing numpy Generator.
-    """
-    rng = np.random.default_rng(seed)
-    return PhasePath(_sample_many(model, 1, length, rng)[0])
-
-
-def sample_paths(model: PhaseNoiseModel, n_paths: int, length: int, seed) -> np.ndarray:
-    """Batch version of sample_path; rows are independent paths."""
-    rng = np.random.default_rng(seed)
-    return _sample_many(model, n_paths, length, rng)
+def sample_path(model: PhaseNoiseModel, length: int, seed) -> np.ndarray:
+    """One phase path of ``length`` samples as the unit-modulus rotation
+    psi = exp(j*theta) that multiplies the received samples."""
+    return np.exp(1j * sample_paths(model, 1, length, seed)[0])

@@ -35,7 +35,7 @@ from otfspn.channel import (ChannelProfile, apply_channel, doppler_from_velocity
 from otfspn.dd_analysis import (dd_coefficients, k_phi_fro_closed_form,
                                 measured_sinr, sinr_ofdm, sinr_otfs)
 from otfspn.equalization import ber, lsmr_ic_equalize, nmse
-from otfspn.estimation import (PartialEstimate, PilotLayout, bem_estimate,
+from otfspn.estimation import (PilotLayout, bem_estimate,
                                build_pilot_frame, build_wiener,
                                effective_autocorr, n_data, spline_estimate,
                                stage1_estimate, stage1_hold_estimate,
@@ -172,19 +172,19 @@ def test_criterion_05_operator_oracles():
     mn = cfg.frame_len
     rng = np.random.default_rng(505)
     model = PhaseNoiseModel("FRO", 2e3, TS)
-    path = sample_path(model, mn + cfg.n_cp, rng)
-    op = dd_coefficients(path, cfg)
+    psi = sample_path(model, mn + cfg.n_cp, rng)
+    op = dd_coefficients(psi, cfg)
     F = np.fft.fft(np.eye(8)) / np.sqrt(8)
     A = np.kron(F, np.eye(8))
-    dense = A @ np.diag(path.psi[-mn:]) @ A.conj().T
+    dense = A @ np.diag(psi[-mn:]) @ A.conj().T
     e_op = np.abs(as_dense(op) - dense).max()
     x = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
     e_apply = np.abs(op.apply(x) - dense @ x).max()
 
     chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
-    G = effective_dd_channel(chan, path, cfg)
+    G = effective_dd_channel(chan, psi, cfg)
     X = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    r = apply_channel(otfs_modulate(X, cfg), chan, path, 0.0, rng)
+    r = apply_channel(otfs_modulate(X, cfg), chan, psi, 0.0, rng)
     e_pipe = np.abs(otfs_demodulate(r, cfg).reshape(-1, order="F")
                     - G @ X.reshape(-1, order="F")).max()
     ok = max(e_op, e_apply, e_pipe) < 1e-10
@@ -219,16 +219,16 @@ def test_criterion_06_wiener_optimality():
             rng.standard_normal((cfg.N, n_draws))
             + 1j * rng.standard_normal((cfg.N, n_draws)))
         wf = build_wiener(model, f_D, noise_ratio, cfg, layout)
-        part = PartialEstimate(obs.T.copy(), np.ones(n_draws, dtype=bool))
+        g_hat = obs.T.copy()
         per_draw = {
             "wiener": np.mean(np.abs(wf.W @ obs - g) ** 2, axis=0),
             "bem": np.mean(np.abs(bem_estimate(
-                part, cfg, layout, f_D, 2e3,
+                g_hat, cfg, layout, f_D, 2e3,
                 include_pn_bandwidth=(f_D == 0.0)) - g) ** 2, axis=0),
             "spline": np.mean(np.abs(
-                spline_estimate(part, cfg, layout) - g) ** 2, axis=0),
+                spline_estimate(g_hat, cfg, layout) - g) ** 2, axis=0),
             "hold": np.mean(np.abs(
-                stage1_hold_estimate(part, cfg) - g) ** 2, axis=0),
+                stage1_hold_estimate(g_hat, cfg) - g) ** 2, axis=0),
         }
         theory = np.mean(wf.mse_per_sample)
         rel = abs(per_draw["wiener"].mean() - theory) / theory
@@ -246,13 +246,13 @@ def test_criterion_06_wiener_optimality():
 def _shared_trial(point_seed, cfg, layout, prof, model, qam, noise_var):
     rng = np.random.default_rng(point_seed)
     chan = realize_channel(prof, cfg, rng)
-    path = sample_path(model, cfg.frame_len + cfg.n_cp, rng)
+    psi = sample_path(model, cfg.frame_len + cfg.n_cp, rng)
     bits = rng.integers(0, 2, qam.bits_per_symbol * n_data(layout, cfg))
     frame = build_pilot_frame(layout, qam_map(bits, qam), cfg)
-    r = apply_channel(otfs_modulate(frame, cfg), chan, path, noise_var, rng)
-    part = stage1_estimate(r, layout, cfg, noise_var)
-    g = effective_channel(chan, path)
-    return rng, bits, r, part, g
+    r = apply_channel(otfs_modulate(frame, cfg), chan, psi, noise_var, rng)
+    g_hat = stage1_estimate(r, layout, cfg, noise_var)
+    g = effective_channel(chan, psi)
+    return rng, bits, r, g_hat, g
 
 
 def test_criterion_07_nmse_ordering_vs_beta():
@@ -275,12 +275,12 @@ def test_criterion_07_nmse_ordering_vs_beta():
         acc = dict.fromkeys(("proposed", "bem", "spline", "stage1",
                              "spline_inner", "stage1_inner"), 0.0)
         for t in range(trials):
-            _, _, _, part, g = _shared_trial(700_000 + t, cfg, layout, prof,
-                                             model, qam, noise_var)
-            spline = spline_estimate(part, cfg, layout)
-            hold = stage1_hold_estimate(part, cfg)
-            acc["proposed"] += nmse(stage2_estimate(part, w), g)
-            acc["bem"] += nmse(bem_estimate(part, cfg, layout, 0.0, beta,
+            _, _, _, g_hat, g = _shared_trial(700_000 + t, cfg, layout, prof,
+                                              model, qam, noise_var)
+            spline = spline_estimate(g_hat, cfg, layout)
+            hold = stage1_hold_estimate(g_hat, cfg)
+            acc["proposed"] += nmse(stage2_estimate(g_hat, w), g)
+            acc["bem"] += nmse(bem_estimate(g_hat, cfg, layout, 0.0, beta,
                                             include_pn_bandwidth=True), g)
             acc["spline"] += nmse(spline, g)
             acc["stage1"] += nmse(hold, g)
@@ -333,12 +333,12 @@ def test_criterion_08_ber_ordering_lsmr_ic():
     trials = 5000
     errs = {k: np.empty(trials) for k in ("proposed", "bem", "stage1")}
     for t in range(trials):
-        _, bits, r, part, g = _shared_trial(800_000 + t, cfg, layout, prof,
-                                            model, qam, noise_var)
+        _, bits, r, g_hat, g = _shared_trial(800_000 + t, cfg, layout, prof,
+                                             model, qam, noise_var)
         ests = {
-            "proposed": stage2_estimate(part, w),
-            "bem": bem_estimate(part, cfg, layout, F_D_500),
-            "stage1": stage1_hold_estimate(part, cfg),
+            "proposed": stage2_estimate(g_hat, w),
+            "bem": bem_estimate(g_hat, cfg, layout, F_D_500),
+            "stage1": stage1_hold_estimate(g_hat, cfg),
         }
         for k, gd in ests.items():
             det = lsmr_ic_equalize(r, gd, noise_var, cfg, layout, qam, 10, 20)

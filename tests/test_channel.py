@@ -10,7 +10,7 @@ from otfspn.channel import (ChannelProfile, ChannelRealization, SPEED_OF_LIGHT,
                             effective_channel, realize_channel)
 from otfspn.equalization import banded_circular
 from otfspn.grid import GridConfig, ofdm_modulate, otfs_demodulate, otfs_modulate
-from otfspn.oscillator import PhaseNoiseModel, PhasePath, sample_path
+from otfspn.oscillator import PhaseNoiseModel, sample_path
 
 TS = 1.0 / 7.68e6
 
@@ -144,11 +144,11 @@ def test_identity_channel_passthrough():
     cfg = GridConfig(M=16, N=8, n_cp=4)
     mn = cfg.frame_len
     chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
-    path = PhasePath(np.zeros(mn + cfg.n_cp))
+    psi = np.ones(mn + cfg.n_cp, dtype=complex)
     rng = np.random.default_rng(3)
     X = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
     s = otfs_modulate(X, cfg)
-    r = apply_channel(s, chan, path, 0.0, rng)
+    r = apply_channel(s, chan, psi, 0.0, rng)
     np.testing.assert_allclose(r, s[cfg.n_cp:], atol=1e-14)
 
 
@@ -156,11 +156,11 @@ def test_constant_phase_is_cpe():
     cfg = GridConfig(M=16, N=8, n_cp=4)
     mn = cfg.frame_len
     chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
-    path = PhasePath(np.full(mn + cfg.n_cp, 1.1))
+    psi = np.exp(1j * np.full(mn + cfg.n_cp, 1.1))
     rng = np.random.default_rng(4)
     X = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
     s = otfs_modulate(X, cfg)
-    r = apply_channel(s, chan, path, 0.0, rng)
+    r = apply_channel(s, chan, psi, 0.0, rng)
     Y = otfs_demodulate(r, cfg)
     np.testing.assert_allclose(Y, np.exp(1.1j) * X, atol=1e-12)
 
@@ -172,12 +172,12 @@ def test_apply_channel_matches_dense_matrices():
     rng = np.random.default_rng(5)
     chan = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
     model = PhaseNoiseModel("FRO", 2e3, TS)
-    path = sample_path(model, mn + cfg.n_cp, rng)
+    psi = sample_path(model, mn + cfg.n_cp, rng)
     X = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
     s = otfs_modulate(X, cfg)
-    r = apply_channel(s, chan, path, 0.0, rng)
+    r = apply_channel(s, chan, psi, 0.0, rng)
     H = banded_circular(chan.dense_taps()).toarray()
-    Phi = np.diag(path.psi[cfg.n_cp:])
+    Phi = np.diag(psi[cfg.n_cp:])
     ref = Phi @ H @ s[cfg.n_cp:]
     assert np.abs(r - ref).max() < 1e-10
     # receiver-side model: phase multiplies after the channel, not before
@@ -190,7 +190,7 @@ def _noise(rng, n, noise_var):
                                        + 1j * rng.standard_normal(n))
 
 
-def _linear_stream_oracle(tx, chan, path, noise_var, rng):
+def _linear_stream_oracle(tx, chan, psi, noise_var, rng):
     """Linear LTV convolution of a whole stream, lag by lag."""
     n = tx.size
     acc = np.zeros(n, dtype=complex)
@@ -199,17 +199,17 @@ def _linear_stream_oracle(tx, chan, path, noise_var, rng):
             acc += chan.taps[:, col] * tx
         else:
             acc[l:] += chan.taps[l:, col] * tx[:-l]
-    return path.psi[:n] * acc + _noise(rng, n, noise_var)
+    return psi[:n] * acc + _noise(rng, n, noise_var)
 
 
-def _circular_block_oracle(s, chan, path, noise_var, rng, cfg):
+def _circular_block_oracle(s, chan, psi, noise_var, rng, cfg):
     """CP removal, then circular LTV convolution of the M*N block."""
     mn = cfg.frame_len
     s = s[cfg.n_cp:]
     acc = np.zeros(mn, dtype=complex)
     for col, l in enumerate(chan.tap_delays):
         acc += chan.taps[:, col] * np.roll(s, l)
-    return path.psi[-mn:] * acc + _noise(rng, mn, noise_var)
+    return psi[-mn:] * acc + _noise(rng, mn, noise_var)
 
 
 def test_apply_channel_linear_on_ofdm_stream():
@@ -221,9 +221,9 @@ def test_apply_channel_linear_on_ofdm_stream():
     taps = rng.standard_normal((tx.size, 8)) + 1j * rng.standard_normal((tx.size, 8))
     taps[:, 5] = 0.0
     chan = ChannelRealization(taps, np.arange(8))
-    path = sample_path(PhaseNoiseModel("FRO", 2e3, TS), tx.size, rng)
-    got = apply_channel(tx, chan, path, 0.01, np.random.default_rng(1))
-    ref = _linear_stream_oracle(tx, chan, path, 0.01, np.random.default_rng(1))
+    psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), tx.size, rng)
+    got = apply_channel(tx, chan, psi, 0.01, np.random.default_rng(1))
+    ref = _linear_stream_oracle(tx, chan, psi, 0.01, np.random.default_rng(1))
     assert np.array_equal(got, ref)
 
 
@@ -232,15 +232,15 @@ def test_apply_channel_circular_on_cp_prefixed_block():
     cfg = GridConfig(M=16, N=4, n_cp=8)
     rng = np.random.default_rng(10)
     chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
-    path = sample_path(PhaseNoiseModel("FRO", 2e3, TS), cfg.frame_len + cfg.n_cp, rng)
+    psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), cfg.frame_len + cfg.n_cp, rng)
     X = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
     s = otfs_modulate(X, cfg)
-    got = apply_channel(s, chan, path, 0.01, np.random.default_rng(2))
-    ref = _circular_block_oracle(s, chan, path, 0.01, np.random.default_rng(2), cfg)
+    got = apply_channel(s, chan, psi, 0.01, np.random.default_rng(2))
+    ref = _circular_block_oracle(s, chan, psi, 0.01, np.random.default_rng(2), cfg)
     assert chan.L == 8
     assert np.array_equal(got, ref)
     with pytest.raises(ValueError):
-        apply_channel(s[:cfg.frame_len - 1], chan, path, 0.0, rng)
+        apply_channel(s[:cfg.frame_len - 1], chan, psi, 0.0, rng)
 
 
 def test_banded_circular_builders_match_lag_loop():
@@ -260,8 +260,8 @@ def test_effective_dd_channel_identity():
     cfg = GridConfig(M=8, N=4, n_cp=4)
     mn = cfg.frame_len
     chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
-    path = PhasePath(np.zeros(mn + cfg.n_cp))
-    G = effective_dd_channel(chan, path, cfg)
+    psi = np.ones(mn + cfg.n_cp, dtype=complex)
+    G = effective_dd_channel(chan, psi, cfg)
     np.testing.assert_allclose(G, np.eye(mn), atol=1e-12)
 
 
@@ -270,11 +270,11 @@ def test_effective_dd_channel_matches_pipeline():
     mn = cfg.frame_len
     rng = np.random.default_rng(6)
     chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
-    path = sample_path(PhaseNoiseModel("FRO", 2e3, TS), mn + cfg.n_cp, rng)
-    G = effective_dd_channel(chan, path, cfg)
+    psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), mn + cfg.n_cp, rng)
+    G = effective_dd_channel(chan, psi, cfg)
     X = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
     s = otfs_modulate(X, cfg)
-    r = apply_channel(s, chan, path, 0.0, rng)
+    r = apply_channel(s, chan, psi, 0.0, rng)
     y = otfs_demodulate(r, cfg).reshape(-1, order="F")
     assert np.abs(y - G @ X.reshape(-1, order="F")).max() < 1e-10
 
@@ -285,8 +285,8 @@ def test_effective_dd_channel_energy():
     vals = []
     for _ in range(4000):
         chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
-        path = sample_path(PhaseNoiseModel("FRO", 2e3, TS), 40, rng)
-        G = effective_dd_channel(chan, path, cfg)
+        psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), 40, rng)
+        G = effective_dd_channel(chan, psi, cfg)
         vals.append(np.linalg.norm(G, "fro") ** 2 / cfg.frame_len)
     assert np.mean(vals) == pytest.approx(1.0, rel=0.05)
 
@@ -296,7 +296,7 @@ def test_effective_channel_alignment():
     mn = cfg.frame_len
     rng = np.random.default_rng(8)
     chan = realize_channel(ChannelProfile.tdl_c(100e-9, 0.0), cfg, rng)
-    path = sample_path(PhaseNoiseModel("FRO", 5e3, TS), mn + cfg.n_cp, rng)
-    g = effective_channel(chan, path)
+    psi = sample_path(PhaseNoiseModel("FRO", 5e3, TS), mn + cfg.n_cp, rng)
+    g = effective_channel(chan, psi)
     np.testing.assert_allclose(
-        g, path.psi[cfg.n_cp:, None] * chan.dense_taps(), atol=1e-14)
+        g, psi[cfg.n_cp:, None] * chan.dense_taps(), atol=1e-14)

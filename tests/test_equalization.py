@@ -13,16 +13,16 @@ from otfspn.equalization import (CONV_K, _OUT, ChannelOp, _adjoint, _lsmr, _norm
 from otfspn.estimation import PilotLayout, build_pilot_frame, n_data
 from otfspn.grid import (GridConfig, QamConfig, otfs_demodulate, otfs_modulate,
                          qam_demap, qam_map)
-from otfspn.oscillator import PhaseNoiseModel, PhasePath, sample_path
+from otfspn.oscillator import PhaseNoiseModel, sample_path
 
 TS = 1.0 / 7.68e6
 
 
-def _frame_through(cfg, layout, qam, chan, path, noise_var, rng):
+def _frame_through(cfg, layout, qam, chan, psi, noise_var, rng):
     bits = rng.integers(0, 2, qam.bits_per_symbol * n_data(layout, cfg))
     data = qam_map(bits, qam)
     tx = otfs_modulate(build_pilot_frame(layout, data, cfg), cfg)
-    r = apply_channel(tx, chan, path, noise_var, rng)
+    r = apply_channel(tx, chan, psi, noise_var, rng)
     return bits, data, r
 
 
@@ -206,9 +206,9 @@ def test_mmse_identity_channel_low_noise():
     qam = QamConfig(4)
     layout = PilotLayout(L=1).resolved(cfg)
     chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
-    path = PhasePath(np.zeros(mn + cfg.n_cp))
-    bits, data, r = _frame_through(cfg, layout, qam, chan, path, 0.0, rng)
-    det = mmse_equalize(r, effective_channel(chan, path), 1e-12, cfg, layout)
+    psi = np.ones(mn + cfg.n_cp, dtype=complex)
+    bits, data, r = _frame_through(cfg, layout, qam, chan, psi, 0.0, rng)
+    det = mmse_equalize(r, effective_channel(chan, psi), 1e-12, cfg, layout)
     np.testing.assert_allclose(det.symbols, data, atol=1e-6)
     assert ber(qam_demap(det.symbols, qam), bits) == 0.0
 
@@ -217,12 +217,12 @@ def test_mmse_normal_equations_residual():
     cfg = GridConfig(M=16, N=8, n_cp=8)
     rng = np.random.default_rng(2)
     chan = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
-    path = sample_path(PhaseNoiseModel("FRO", 2e3, TS), cfg.frame_len + cfg.n_cp, rng)
-    g = effective_channel(chan, path)
+    psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), cfg.frame_len + cfg.n_cp, rng)
+    g = effective_channel(chan, psi)
     layout = PilotLayout(L=chan.L).resolved(cfg)
     qam = QamConfig(4)
     noise_var = 0.01
-    bits, data, r = _frame_through(cfg, layout, qam, chan, path, noise_var, rng)
+    bits, data, r = _frame_through(cfg, layout, qam, chan, psi, noise_var, rng)
     det = mmse_equalize(r, g, noise_var, cfg, layout)
     op = ChannelOp(g)
     y = r - op.matvec(otfs_modulate(layout.pilot_frame(cfg), cfg,
@@ -243,11 +243,11 @@ def test_mmse_high_snr_near_ml():
     n_sym = 0
     for _ in range(30):
         chan = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
-        path = sample_path(PhaseNoiseModel("FRO", 100.0, TS),
-                           cfg.frame_len + cfg.n_cp, rng)
+        psi = sample_path(PhaseNoiseModel("FRO", 100.0, TS),
+                          cfg.frame_len + cfg.n_cp, rng)
         layout = PilotLayout(L=chan.L).resolved(cfg)
-        bits, data, r = _frame_through(cfg, layout, qam, chan, path, noise_var, rng)
-        det = mmse_equalize(r, effective_channel(chan, path), noise_var,
+        bits, data, r = _frame_through(cfg, layout, qam, chan, psi, noise_var, rng)
+        det = mmse_equalize(r, effective_channel(chan, psi), noise_var,
                             cfg, layout)
         hard = qam_demap(det.symbols, qam)
         n_err += np.sum(hard != bits) // 1
@@ -283,11 +283,11 @@ def test_mmse_domains_agree():
     rng = np.random.default_rng(5)
     prof = ChannelProfile((0.0, 2 * TS), (0.7, 0.3), 2e3)
     chan = realize_channel(prof, cfg, rng)
-    path = sample_path(PhaseNoiseModel("FRO", 2e3, TS), cfg.frame_len + cfg.n_cp, rng)
-    g = effective_channel(chan, path)
+    psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), cfg.frame_len + cfg.n_cp, rng)
+    g = effective_channel(chan, psi)
     layout = PilotLayout(L=chan.L).resolved(cfg)
     qam = QamConfig(4)
-    bits, data, r = _frame_through(cfg, layout, qam, chan, path, 0.01, rng)
+    bits, data, r = _frame_through(cfg, layout, qam, chan, psi, 0.01, rng)
     det = mmse_equalize(r, g, 0.01, cfg, layout)
     mn = cfg.frame_len
     G = banded_circular(g).toarray()
@@ -316,9 +316,9 @@ def test_lsmr_ic_identity_channel():
     qam = QamConfig(4)
     layout = PilotLayout(L=1).resolved(cfg)
     chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
-    path = PhasePath(np.zeros(mn + cfg.n_cp))
-    bits, data, r = _frame_through(cfg, layout, qam, chan, path, 0.0, rng)
-    det = lsmr_ic_equalize(r, effective_channel(chan, path), 1e-12, cfg,
+    psi = np.ones(mn + cfg.n_cp, dtype=complex)
+    bits, data, r = _frame_through(cfg, layout, qam, chan, psi, 0.0, rng)
+    det = lsmr_ic_equalize(r, effective_channel(chan, psi), 1e-12, cfg,
                            layout, qam, i_ic=1, i_lsmr=30)
     assert det.converged
     assert ber(qam_demap(det.symbols, qam), bits) == 0.0
@@ -331,11 +331,11 @@ def test_lsmr_ic_residual_nonincreasing():
     qam = QamConfig(4)
     for trial in range(5):
         chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
-        path = sample_path(PhaseNoiseModel("FRO", 5e3, TS),
-                           cfg.frame_len + cfg.n_cp, rng)
+        psi = sample_path(PhaseNoiseModel("FRO", 5e3, TS),
+                          cfg.frame_len + cfg.n_cp, rng)
         layout = PilotLayout(L=chan.L).resolved(cfg)
-        g = effective_channel(chan, path)
-        bits, data, r = _frame_through(cfg, layout, qam, chan, path, 0.05, rng)
+        g = effective_channel(chan, psi)
+        bits, data, r = _frame_through(cfg, layout, qam, chan, psi, 0.05, rng)
         op = ChannelOp(g)
         y = r - op.matvec(otfs_modulate(layout.pilot_frame(cfg), cfg,
                                         with_cp=False))
@@ -354,11 +354,11 @@ def test_lsmr_ic_matches_mmse_ber():
     nbits = 0
     for _ in range(40):
         chan = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
-        path = sample_path(PhaseNoiseModel("FRO", 100.0, TS),
-                           cfg.frame_len + cfg.n_cp, rng)
+        psi = sample_path(PhaseNoiseModel("FRO", 100.0, TS),
+                          cfg.frame_len + cfg.n_cp, rng)
         layout = PilotLayout(L=chan.L).resolved(cfg)
-        g = effective_channel(chan, path)
-        bits, data, r = _frame_through(cfg, layout, qam, chan, path, 0.01, rng)
+        g = effective_channel(chan, psi)
+        bits, data, r = _frame_through(cfg, layout, qam, chan, psi, 0.01, rng)
         m = mmse_equalize(r, g, 0.01, cfg, layout)
         s = lsmr_ic_equalize(r, g, 0.01, cfg, layout, qam,
                              i_ic=1, i_lsmr=60)

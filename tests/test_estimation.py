@@ -3,8 +3,8 @@ import pytest
 
 from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
     effective_channel, realize_channel
-from otfspn.estimation import (PartialEstimate, PilotLayout, PtrpLayout,
-                               _ce_basis, bem_estimate, bem_order,
+from otfspn.estimation import (PilotLayout, PtrpLayout, _ce_basis,
+                               bem_estimate, bem_order,
                                build_pilot_frame, build_wiener,
                                effective_autocorr, extract_data, n_data,
                                ofdm_cpe_estimate, spline_estimate,
@@ -13,7 +13,7 @@ from otfspn.estimation import (PartialEstimate, PilotLayout, PtrpLayout,
 from otfspn.equalization import nmse
 from otfspn.grid import (GridConfig, QamConfig, ofdm_demodulate,
                          ofdm_modulate, otfs_modulate, qam_map)
-from otfspn.oscillator import PhaseNoiseModel, PhasePath, sample_path
+from otfspn.oscillator import PhaseNoiseModel, sample_path
 
 TS = 1.0 / 7.68e6
 CFG = GridConfig(M=32, N=16, n_cp=16)
@@ -47,10 +47,10 @@ def test_pilot_frame_structure():
     data = _random_data(layout, CFG, rng)
     frame = build_pilot_frame(layout, data, CFG)
     # pilot cell and silent guards
-    assert frame[layout.m_p, layout.n_p] == pytest.approx(np.sqrt(layout.sigma2_p))
+    assert frame[layout.m_p, 0] == pytest.approx(np.sqrt(layout.sigma2_p))
     guards = layout.guard_rows(CFG)
     masked = frame.copy()
-    masked[layout.m_p, layout.n_p] = 0.0
+    masked[layout.m_p, 0] = 0.0
     assert np.abs(masked[guards, :]).max() == 0.0
     # data cells are carried through untouched, in fill order
     assert np.array_equal(extract_data(frame, layout, CFG), data)
@@ -75,10 +75,10 @@ def test_stage1_identity_channel():
     frame = build_pilot_frame(layout, data, CFG)
     s = otfs_modulate(frame, CFG)
     chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
-    path = PhasePath(np.zeros(mn + CFG.n_cp))
-    r = apply_channel(s, chan, path, 0.0, rng)
-    part = stage1_estimate(r, layout, CFG, 0.0)
-    np.testing.assert_allclose(part.g_hat[0], np.ones(CFG.N), atol=1e-10)
+    psi = np.ones(mn + CFG.n_cp, dtype=complex)
+    r = apply_channel(s, chan, psi, 0.0, rng)
+    g_hat = stage1_estimate(r, layout, CFG, 0.0)
+    np.testing.assert_allclose(g_hat[0], np.ones(CFG.N), atol=1e-10)
 
 
 def test_stage1_exact_recovery_with_guards():
@@ -87,48 +87,31 @@ def test_stage1_exact_recovery_with_guards():
     prof = ChannelProfile.tdl_c(100e-9, 1e3)
     chan = realize_channel(prof, CFG, rng)
     layout = PilotLayout(L=chan.L).resolved(CFG)
-    path = sample_path(PhaseNoiseModel("FRO", 2e3, TS), CFG.frame_len + CFG.n_cp, rng)
+    psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), CFG.frame_len + CFG.n_cp, rng)
     data = _random_data(layout, CFG, rng)
     frame = build_pilot_frame(layout, data, CFG)
-    r = apply_channel(otfs_modulate(frame, CFG), chan, path, 0.0, rng)
-    part = stage1_estimate(r, layout, CFG, 0.0)
-    g = effective_channel(chan, path)
+    r = apply_channel(otfs_modulate(frame, CFG), chan, psi, 0.0, rng)
+    g_hat = stage1_estimate(r, layout, CFG, 0.0)
+    g = effective_channel(chan, psi)
     k = np.arange(CFG.N)
     for l in range(layout.L):
         truth = g[layout.m_p + l + k * CFG.M, l]
-        np.testing.assert_allclose(part.g_hat[l], truth, atol=1e-10)
+        np.testing.assert_allclose(g_hat[l], truth, atol=1e-10)
 
 
-def test_stage1_nonzero_doppler_pilot():
-    # the Doppler ramp of a pilot at n_p != 0 is compensated
-    rng = np.random.default_rng(3)
-    layout = PilotLayout(L=1, n_p=5).resolved(CFG)
-    mn = CFG.frame_len
-    chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
-    path = sample_path(PhaseNoiseModel("FRO", 5e3, TS), mn + CFG.n_cp, rng)
-    data = _random_data(layout, CFG, rng)
-    r = apply_channel(otfs_modulate(build_pilot_frame(layout, data, CFG), CFG),
-                      chan, path, 0.0, rng)
-    part = stage1_estimate(r, layout, CFG, 0.0)
-    g = effective_channel(chan, path)
-    truth = g[layout.pilot_indices(CFG), 0]
-    np.testing.assert_allclose(part.g_hat[0], truth, atol=1e-10)
-
-
-@pytest.mark.parametrize("L,n_p", [(1, 0), (8, 0), (8, 5)])
-def test_stage1_matches_per_tap_loop_bitwise(L, n_p):
+@pytest.mark.parametrize("L", [1, 8])
+def test_stage1_matches_per_tap_loop_bitwise(L):
     """Stage 1 gathers all taps in one product; the per-tap loop it replaced
     is the reference, bit for bit."""
-    layout = PilotLayout(L=L, n_p=n_p).resolved(CFG)
+    layout = PilotLayout(L=L).resolved(CFG)
     rng = np.random.default_rng(7)
     r = rng.standard_normal(CFG.frame_len) + 1j * rng.standard_normal(CFG.frame_len)
     k = np.arange(CFG.N)
-    ramp = np.exp(-2j * np.pi * layout.n_p * k / CFG.N)
     scale = np.sqrt(CFG.N / layout.sigma2_p)
     ref = np.empty((L, CFG.N), dtype=complex)
     for l in range(L):
-        ref[l] = r[(layout.m_p + l + k * CFG.M) % CFG.frame_len] * scale * ramp
-    assert stage1_estimate(r, layout, CFG, 0.0).g_hat.tobytes() == ref.tobytes()
+        ref[l] = r[(layout.m_p + l + k * CFG.M) % CFG.frame_len] * scale
+    assert stage1_estimate(r, layout, CFG, 0.0).tobytes() == ref.tobytes()
 
 
 def test_stage1_noise_variance():
@@ -138,14 +121,14 @@ def test_stage1_noise_variance():
     mn = CFG.frame_len
     noise_var = 0.01
     chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
-    path = PhasePath(np.zeros(mn + CFG.n_cp))
+    psi = np.ones(mn + CFG.n_cp, dtype=complex)
     data = np.zeros(n_data(layout, CFG))
     tx = otfs_modulate(build_pilot_frame(layout, data, CFG), CFG)
     errs = []
     for _ in range(300):
-        r = apply_channel(tx, chan, path, noise_var, rng)
-        part = stage1_estimate(r, layout, CFG, noise_var)
-        errs.append(np.mean(np.abs(part.g_hat[0] - 1.0) ** 2))
+        r = apply_channel(tx, chan, psi, noise_var, rng)
+        g_hat = stage1_estimate(r, layout, CFG, noise_var)
+        errs.append(np.mean(np.abs(g_hat[0] - 1.0) ** 2))
     expect = noise_var * CFG.N / layout.sigma2_p
     assert np.mean(errs) == pytest.approx(expect, rel=0.10)
 
@@ -155,13 +138,12 @@ def test_stage1_threshold_zeroes_empty_taps():
     prof = ChannelProfile((0.0, 3 * TS), (0.6, 0.4), 0.0)
     chan = realize_channel(prof, CFG, rng)
     layout = PilotLayout(L=4).resolved(CFG)
-    path = PhasePath(np.zeros(CFG.frame_len + CFG.n_cp))
+    psi = np.ones(CFG.frame_len + CFG.n_cp, dtype=complex)
     data = _random_data(layout, CFG, rng)
     r = apply_channel(otfs_modulate(build_pilot_frame(layout, data, CFG), CFG),
-                      chan, path, 1e-4, rng)
-    part = stage1_estimate(r, layout, CFG, 1e-4)
-    assert list(part.active) == [True, False, False, True]
-    assert np.all(part.g_hat[1] == 0) and np.all(part.g_hat[2] == 0)
+                      chan, psi, 1e-4, rng)
+    g_hat = stage1_estimate(r, layout, CFG, 1e-4)
+    assert list(g_hat.any(axis=1)) == [True, False, False, True]
 
 
 def test_wiener_static_limit_is_mean():
@@ -228,9 +210,8 @@ def test_stage2_shapes_and_static_columns():
     layout = PilotLayout(L=3).resolved(CFG)
     model = PhaseNoiseModel("FRO", 0.0, TS)
     w = build_wiener(model, 0.0, 1e-6, CFG, layout)
-    part = PartialEstimate(np.ones((3, CFG.N), dtype=complex) * [[1], [2], [3]],
-                           np.ones(3, dtype=bool))
-    full = stage2_estimate(part, w)
+    g_hat = np.ones((3, CFG.N), dtype=complex) * [[1], [2], [3]]
+    full = stage2_estimate(g_hat, w)
     assert full.shape == (CFG.frame_len, 3)
     # beta=0, f_D=0: constant down each column
     for l in range(3):
@@ -248,14 +229,14 @@ def test_stage2_beats_hold_under_phase_noise():
     n2, nh = [], []
     for _ in range(150):
         chan = realize_channel(prof, CFG, rng)
-        path = sample_path(model, CFG.frame_len + CFG.n_cp, rng)
+        psi = sample_path(model, CFG.frame_len + CFG.n_cp, rng)
         data = _random_data(layout, CFG, rng)
         r = apply_channel(otfs_modulate(build_pilot_frame(layout, data, CFG), CFG),
-                          chan, path, noise_var, rng)
-        part = stage1_estimate(r, layout, CFG, noise_var)
-        g = effective_channel(chan, path)
-        n2.append(nmse(stage2_estimate(part, w), g))
-        nh.append(nmse(stage1_hold_estimate(part, CFG), g))
+                          chan, psi, noise_var, rng)
+        g_hat = stage1_estimate(r, layout, CFG, noise_var)
+        g = effective_channel(chan, psi)
+        n2.append(nmse(stage2_estimate(g_hat, w), g))
+        nh.append(nmse(stage1_hold_estimate(g_hat, CFG), g))
     assert np.mean(n2) < np.mean(nh)
 
 
@@ -272,8 +253,7 @@ def test_bem_constant_fit_is_mean():
     layout = PilotLayout(L=1).resolved(CFG)
     rng = np.random.default_rng(9)
     vals = rng.standard_normal(CFG.N) + 1j * rng.standard_normal(CFG.N)
-    part = PartialEstimate(vals[None, :], np.ones(1, dtype=bool))
-    full = bem_estimate(part, CFG, layout, f_D=0.0)
+    full = bem_estimate(vals[None, :], CFG, layout, f_D=0.0)
     np.testing.assert_allclose(full[:, 0], vals.mean(), rtol=1e-9)
 
 
@@ -287,33 +267,28 @@ def test_bem_reconstructs_spanned_tone():
     assert q >= 3
     f_tone = ((q - 1) - (q - 1) / 2.0) / (k_over * mn)   # edge basis tone
     tone = np.exp(2j * np.pi * f_tone * np.arange(mn))
-    part = PartialEstimate(tone[layout.pilot_indices(CFG)][None, :],
-                           np.ones(1, dtype=bool))
-    full = bem_estimate(part, CFG, layout, f_D=f_D, k_over=k_over)
+    full = bem_estimate(tone[layout.pilot_indices(CFG)][None, :], CFG, layout,
+                        f_D=f_D, k_over=k_over)
     assert np.abs(full[:, 0] - tone).max() < 1e-6
 
 
 def test_bem_order_clamped_with_warning():
     layout = PilotLayout(L=1).resolved(CFG)
-    part = PartialEstimate(np.ones((1, CFG.N), dtype=complex),
-                           np.ones(1, dtype=bool))
     with pytest.warns(UserWarning, match="clamp"):
-        bem_estimate(part, CFG, layout, f_D=0.0, beta_pn=1e6,
-                     include_pn_bandwidth=True)
+        bem_estimate(np.ones((1, CFG.N), dtype=complex), CFG, layout, f_D=0.0,
+                     beta_pn=1e6, include_pn_bandwidth=True)
 
 
 def test_spline_constant_and_smooth():
     layout = PilotLayout(L=1).resolved(CFG)
-    part = PartialEstimate(np.full((1, CFG.N), 2.0 - 1.0j), np.ones(1, dtype=bool))
-    full = spline_estimate(part, CFG, layout)
+    full = spline_estimate(np.full((1, CFG.N), 2.0 - 1.0j), CFG, layout)
     np.testing.assert_allclose(full[:, 0], 2.0 - 1.0j, rtol=1e-12)
     # slow sinusoid: fD*Ts*M << 1
     mn = CFG.frame_len
     f = 0.1 / mn
     wave = np.exp(2j * np.pi * f * np.arange(mn))
-    part = PartialEstimate(wave[layout.pilot_indices(CFG)][None, :],
-                           np.ones(1, dtype=bool))
-    out = spline_estimate(part, CFG, layout)[:, 0]
+    out = spline_estimate(wave[layout.pilot_indices(CFG)][None, :], CFG,
+                          layout)[:, 0]
     assert np.abs(out - wave).max() / np.abs(wave).max() < 0.01
 
 
@@ -334,8 +309,7 @@ def test_spline_matches_cubic_spline_bitwise(N, L):
                          + 1j * rng.standard_normal((L, N)))
         g_hat[0, :2] = complex(-0.0, -0.0)
         g_hat[-1, -1] = 0.0
-        got = spline_estimate(PartialEstimate(g_hat, np.ones(L, dtype=bool)),
-                              cfg, layout)
+        got = spline_estimate(g_hat, cfg, layout)
         vals = g_hat.T
         want = (CubicSpline(pilots, vals.real, axis=0, bc_type="not-a-knot")(grid)
                 + 1j * CubicSpline(pilots, vals.imag, axis=0,

@@ -21,7 +21,6 @@ from otfspn.cli import main as cli_main
 from otfspn.harness import (PRESETS, ResultRow, Scenario, emit_csv,
                             load_scenario, parse_csv, preset, run_scenarios,
                             save_scenario)
-from otfspn.oscillator import PhaseNoiseModel, sample_path
 
 
 def _csv_bytes(rows) -> str:
@@ -182,14 +181,13 @@ def _cached_arrays():
             *eq._banded_index(cfg.frame_len, 8),
             ch._jakes_factor(cfg.frame_len, 1e-3),
             layout.data_mask(cfg), est.PtrpLayout().data_mask(cfg),
-            *est._tap_samples(cfg, layout),
+            est._tap_samples(cfg, layout),
             est._ce_basis(cfg.frame_len, 3, 1.0 * cfg.frame_len),
             *est._spline_grid(tuple(layout.pilot_indices(cfg).tolist()),
                               cfg.frame_len),
             eq._pilot_samples(cfg, layout), *eq._adjoint_index(cfg.frame_len, 8),
             *eq._fold(cfg.frame_len, 8),
-            grid._axis_tables(qam)[1], grid.constellation(qam),
-            sample_path(PhaseNoiseModel("FRO", 1e3, cfg.T_s), 64, 0).psi]
+            grid._axis_tables(qam)[1], grid.constellation(qam)]
 
 
 def test_cached_arrays_are_read_only():
@@ -579,15 +577,15 @@ print(sorted(m for m in ("scipy.signal", "scipy.interpolate", "scipy.stats",
 _LAZY_PATHS = """
 import hashlib
 import numpy as np
-from otfspn.estimation import PartialEstimate, PilotLayout, spline_estimate
+from otfspn.estimation import PilotLayout, spline_estimate
 from otfspn.grid import GridConfig
-from otfspn.oscillator import PhaseNoiseModel, sample_path
+from otfspn.oscillator import PhaseNoiseModel, sample_paths
 cfg = GridConfig(M=32, N=16, n_cp=16)
-thetas = [sample_path(PhaseNoiseModel(kind, 1e3, 1e-7), 512, 4).theta
+thetas = [sample_paths(PhaseNoiseModel(kind, 1e3, 1e-7), 1, 512, 4)[0]
           for kind in ("CPLL", "DPLL")]
 layout = PilotLayout(L=2).resolved(cfg)
 g_hat = np.random.default_rng(5).standard_normal((2, cfg.N)) + 0j
-g_dt = spline_estimate(PartialEstimate(g_hat, np.ones(2, bool)), cfg, layout)
+g_dt = spline_estimate(g_hat, cfg, layout)
 digest = hashlib.sha256(b"".join(a.tobytes() for a in (*thetas, g_dt))).hexdigest()
 """
 

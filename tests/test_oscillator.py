@@ -25,26 +25,25 @@ def test_model_validation():
 def test_zero_linewidth_paths_are_constant():
     for kind in ("FRO", "CPLL", "DPLL"):
         m = PhaseNoiseModel(kind, 0.0, TS, 1e6)
-        p = sample_path(m, 256, 0)
-        assert np.all(p.theta == p.theta[0])
+        theta = sample_paths(m, 1, 256, 0)[0]
+        assert np.all(theta == theta[0])
         assert variogram(m, 100) == 0.0
         assert expected_rotation(m, 100) == 1.0
 
 
 def test_path_unit_modulus_and_length_error():
     m = PhaseNoiseModel("FRO", 2e3, TS)
-    p = sample_path(m, 64, 1)
-    np.testing.assert_allclose(np.abs(p.psi), 1.0, atol=0)
+    np.testing.assert_allclose(np.abs(sample_path(m, 64, 1)), 1.0, atol=0)
     with pytest.raises(ValueError):
         sample_path(m, 0, 1)
 
 
-def test_path_psi_is_evaluated_once_and_read_only():
-    p = sample_path(PhaseNoiseModel("FRO", 2e3, TS), 64, 1)
-    assert np.array_equal(p.psi, np.exp(1j * p.theta))
-    assert p.psi is p.psi
-    with pytest.raises(ValueError):
-        p.psi[0] = 1.0
+def test_path_is_exp_of_sample_paths_bitwise():
+    for kind in ("FRO", "CPLL", "DPLL"):
+        m = PhaseNoiseModel(kind, 2e3, TS, 1e6)
+        for make_seed in (lambda: 1, lambda: np.random.default_rng(1)):
+            want = np.exp(1j * sample_paths(m, 1, 64, make_seed())[0])
+            assert sample_path(m, 64, make_seed()).tobytes() == want.tobytes()
 
 
 def test_variogram_values():
@@ -139,8 +138,8 @@ def test_dpll_variogram_fro_limit():
 
 def test_counter_seeding_reproducible():
     m = PhaseNoiseModel("DPLL", 2e3, TS, 1e6)
-    a = sample_path(m, 100, 42).theta
-    b = sample_path(m, 100, 42).theta
+    a = sample_paths(m, 1, 100, 42)
+    b = sample_paths(m, 1, 100, 42)
     assert np.array_equal(a, b)
-    c = sample_path(m, 100, 43).theta
+    c = sample_paths(m, 1, 100, 43)
     assert not np.array_equal(a, c)
