@@ -276,6 +276,12 @@ class SweepPoint:
 def _channel_at(s: Scenario, params: dict):
     """Grid and channel profile (with its Doppler shift) at one sweep point."""
     cfg = GridConfig(s.M, s.N, s.n_cp, s.bandwidth)
+    vel = params.get("velocity", s.velocity)
+    # checked here: ChannelProfile's own checks would name f_D or no key
+    for key, value in (("delay_spread", s.delay_spread), ("velocity", vel),
+                       ("f_D_norm", params.get("f_D_norm", 0.0))):
+        if value < 0:
+            raise ValueError(f"{key} must be >= 0, got {value}")
     if "f_D_norm" in params:
         f_D = params["f_D_norm"] * cfg.doppler_spacing
     elif "f_D" in params:
@@ -283,7 +289,6 @@ def _channel_at(s: Scenario, params: dict):
     elif s.f_D is not None:
         f_D = s.f_D
     else:
-        vel = params.get("velocity", s.velocity)
         f_D = ch.doppler_from_velocity(vel, s.f_c)
 
     if s.channel == "tdl_c":

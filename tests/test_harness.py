@@ -433,7 +433,13 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
                       ("a: 1\n3: 2\n", "unknown scenario keys: [3, 'a']"),
                       ("trials: 5\nname: a\ntrials: 50\n", "duplicate key 'trials'"),
                       ("? [a]\n: 1\n", "found unhashable key"),
-                      ("estimator: ofdm_ptrp\nptrp_spacing: 0\n", "ptrp_spacing")]:
+                      ("estimator: ofdm_ptrp\nptrp_spacing: 0\n", "ptrp_spacing"),
+                      ("velocity: -100.0\n", "velocity must be >= 0"),
+                      ("sweep: velocity\nsweep_values: [-100.0]\n",
+                       "velocity must be >= 0"),
+                      ("sweep: f_D_norm\nsweep_values: [-0.5]\n",
+                       "f_D_norm must be >= 0"),
+                      ("delay_spread: -1.0e-9\n", "delay_spread must be >= 0")]:
         bad.write_text(text)
         assert cli_main(["run", str(bad)]) == 1, text
         err = capsys.readouterr().err
