@@ -369,7 +369,7 @@ def ofdm_cpe_estimate(rx_freq: np.ndarray, layout: PtrpLayout, cfg: GridConfig,
     if Y.shape != (cfg.M, cfg.N):
         raise ValueError(f"expected ({cfg.M}, {cfg.N}) frame, got {Y.shape}")
     comb = layout.comb(cfg)
-    h0 = Y[:, 0]                    # unit pilots: symbol 0 reads the channel
+    h0 = Y[:, 0]                                    # unit pilots: Y reads the channel
     corr = (Y[comb, :].conj().T @ h0[comb]).conj()  # per-symbol pilot correlation
     cpe = np.angle(corr)
     if not interpolate:
