@@ -282,6 +282,8 @@ def _channel_at(s: Scenario, params: dict):
                        ("f_D_norm", params.get("f_D_norm", 0.0))):
         if value < 0:
             raise ValueError(f"{key} must be >= 0, got {value}")
+    if s.f_c <= 0:
+        raise ValueError(f"f_c must be > 0, got {s.f_c}")
     if "f_D_norm" in params:
         f_D = params["f_D_norm"] * cfg.doppler_spacing
     elif "f_D" in params:

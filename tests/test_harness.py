@@ -439,7 +439,9 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
                        "velocity must be >= 0"),
                       ("sweep: f_D_norm\nsweep_values: [-0.5]\n",
                        "f_D_norm must be >= 0"),
-                      ("delay_spread: -1.0e-9\n", "delay_spread must be >= 0")]:
+                      ("delay_spread: -1.0e-9\n", "delay_spread must be >= 0"),
+                      ("f_c: -5.9e+9\nvelocity: 100.0\n", "f_c must be > 0"),
+                      ("f_c: -5.9e+9\nvelocity: 0.0\n", "f_c must be > 0")]:
         bad.write_text(text)
         assert cli_main(["run", str(bad)]) == 1, text
         err = capsys.readouterr().err
