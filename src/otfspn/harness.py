@@ -4,7 +4,11 @@ A scenario is a flat bag of parameters with exactly one sweep axis.  Every
 sweep point runs ``trials`` independent frames; trial t draws all of its
 randomness (bits, channel, phase path, noise) from one generator seeded with
 ``seed + t``, so the CSV bytes depend only on the scenario and the seed.
-OTFS and OFDM trials share one runner; only the receiver differs.
+OTFS and OFDM trials share one runner; only the receiver differs.  Curves
+that differ only in their receiver (estimator, equalizer and their
+settings) draw the same frame in every trial, so they share one transmit per
+trial: it is drawn once, up to the OTFS stage-1 estimate, and each receiver
+reads it.
 
 Metric rows carry the scenario hash (canonical JSON, SHA-256) so CSV output
 is self-identifying; presets reproduce the reference experiments at desk
@@ -49,6 +53,10 @@ _CHOICES = {"kind": ("link", "sinr"), "estimator": ESTIMATORS,
 _RETIRED = {"eq_domain": "delay_time"}
 # Scenario field -> smallest accepted value
 _MINIMA = {"i_ic": 1, "i_lsmr": 1, "ptrp_spacing": 1, "trials": 1, "seed": 0}
+# Scenario fields that only the receiver reads; link scenarios equal in every
+# other field, and in waveform, share one transmit per trial
+_RECEIVER_ONLY = ("name", "label", "estimator", "equalizer", "i_ic", "i_lsmr",
+                  "bem_k_over", "bem_include_pn")
 # Scenario fields that only a link trial reads; a kind 'sinr' run keeps the defaults
 _LINK_ONLY = ("channel", "delay_spread", "velocity", "f_D", "pilot_L", "pilot_boost_db",
               "estimator", "bem_k_over", "bem_include_pn", "ptrp_spacing",
@@ -181,13 +189,17 @@ class Scenario:
             raise ValueError(f"unknown scenario keys: {sorted(unknown, key=str)}")
         return cls(**d)
 
-    def hash(self) -> str:
+    def _canonical(self, drop=()) -> str:
         d = {**self.to_dict(), **_RETIRED}
         # YAML reads 1.0e5 as text and 1.0e+5 as a number: one sweep, one hash
         d["sweep_values"] = [float(v) if isinstance(v, str) else v
                              for v in d["sweep_values"]]
-        blob = json.dumps(d, sort_keys=True, default=repr)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        for key in drop:
+            del d[key]
+        return json.dumps(d, sort_keys=True, default=repr)
+
+    def hash(self) -> str:
+        return hashlib.sha256(self._canonical().encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -270,7 +282,6 @@ class SweepPoint:
     wiener: est.WienerFilter | None
     noise_var: float
     scenario: Scenario
-    sweep_value: float
 
 
 def _channel_at(s: Scenario, params: dict):
@@ -342,7 +353,7 @@ def _resolve_point(s: Scenario, value: float) -> SweepPoint:
             if s.estimator == "proposed":
                 noise_ratio = noise_var * cfg.N / layout.sigma2_p
                 wiener = est.build_wiener(model, profile.f_D, noise_ratio, cfg, layout)
-    return SweepPoint(cfg, qam, model, profile, layout, wiener, noise_var, s, value)
+    return SweepPoint(cfg, qam, model, profile, layout, wiener, noise_var, s)
 
 
 # --------------------------------------------------------------------------
@@ -357,45 +368,31 @@ def _realize(point: SweepPoint, rng, n_samples: int) -> ch.ChannelRealization:
     return ch.realize_channel(point.profile, point.cfg, rng, n_samples)
 
 
-def _receive_otfs(point: SweepPoint, r, chan, psi):
-    """Estimate the channel, equalize; data symbols and the estimate NMSE."""
-    s, cfg = point.scenario, point.cfg
-    g_true = ch.effective_channel(chan, psi)
-    if s.estimator == "perfect":
-        g_dt, nmse = g_true, 0.0
-    else:
-        g_hat = est.stage1_estimate(r, point.layout, cfg, point.noise_var)
-        g_dt = _INTERPOLATORS[s.estimator](point, g_hat)
-        # a guard longer than the channel estimates taps past L, whose truth is 0
-        pad = point.layout.L - g_true.shape[1]
-        nmse = eq.nmse(g_dt, np.pad(g_true, ((0, 0), (0, pad))) if pad else g_true)
-    if s.equalizer == "lsmr_ic":
-        det = eq.lsmr_ic_equalize(r, g_dt, point.noise_var, cfg, point.layout,
-                                  point.qam, s.i_ic, s.i_lsmr)
-    else:
-        det = eq.mmse_equalize(r, g_dt, point.noise_var, cfg, point.layout)
-    return det.symbols, {"nmse": nmse}
+@dataclass
+class _Transmit:
+    """One trial's frame as every receiver of a group sees it; read-only."""
+
+    bits: np.ndarray                # the mapped bits (code bits when coded)
+    info: np.ndarray | None         # information bits of a coded frame
+    data: np.ndarray                # data symbols
+    r: np.ndarray                   # received samples
+    g_true: np.ndarray | None       # OTFS: true effective taps (n, L)
+    g_hat: np.ndarray | None        # OTFS: stage-1 snapshots, if a receiver needs them
+    Y: np.ndarray | None            # OFDM: demodulated M x N grid
 
 
-def _receive_ofdm(point: SweepPoint, r, chan, psi):
-    """CPE tracking from the PTRPs and one-tap equalization; data symbols."""
-    cfg, ptrp = point.cfg, point.layout
-    Y = ofdm_demodulate(r, cfg)
-    interp = point.scenario.estimator == "ofdm_ptrp_interp"
-    _, H = est.ofdm_cpe_estimate(Y, ptrp, cfg, point.profile.f_D, interp)
-    return est.extract_data(Y / H, ptrp, cfg), {}
-
-
-def _run_trial(point: SweepPoint, trial_seed: int) -> dict:
+def _transmit(point: SweepPoint, trial_seed: int, stage1: bool) -> _Transmit:
     """One frame: bits (coded or not), OTFS or OFDM modulation, channel and
-    phase noise, the waveform's receiver, then EVM and BER."""
+    phase noise; then what every receiver of the waveform starts from, the
+    true taps and (if ``stage1``) the stage-1 snapshots for OTFS, the
+    demodulated grid for OFDM.  All of the trial's randomness is drawn here."""
     rng = np.random.default_rng(trial_seed)
     s, cfg, qam, layout = point.scenario, point.cfg, point.qam, point.layout
     ofdm = isinstance(layout, est.PtrpLayout)
     n_bits = est.n_data(layout, cfg) * qam.bits_per_symbol
+    info = None
     if s.coded:
-        n_info = n_bits // 2 - (eq.CONV_K - 1)
-        info = rng.integers(0, 2, n_info)
+        info = rng.integers(0, 2, n_bits // 2 - (eq.CONV_K - 1))
         bits = eq.conv_encode(info)
     else:
         bits = rng.integers(0, 2, n_bits)
@@ -411,15 +408,64 @@ def _run_trial(point: SweepPoint, trial_seed: int) -> dict:
     chan = _realize(point, rng, window)
     psi = sample_path(point.model, tx.size, rng)
     r = ch.apply_channel(tx, chan, psi, point.noise_var, rng)
-    symbols, out = (_receive_ofdm if ofdm else _receive_otfs)(point, r, chan, psi)
+    g_true = g_hat = Y = None
+    if ofdm:
+        Y = ofdm_demodulate(r, cfg)
+    else:
+        g_true = ch.effective_channel(chan, psi)
+        if stage1:
+            g_hat = est.stage1_estimate(r, layout, cfg, point.noise_var)
+    shared = _Transmit(bits, info, data, r, g_true, g_hat, Y)
+    # a receiver that wrote into its input would corrupt the next one's
+    for a in vars(shared).values():
+        if a is not None:
+            a.flags.writeable = False
+    return shared
 
-    out["evm"] = eq.evm(symbols, data)
+
+def _receive_otfs(point: SweepPoint, tx: _Transmit):
+    """Estimate the channel, equalize; data symbols and the estimate NMSE."""
+    s, cfg = point.scenario, point.cfg
+    if s.estimator == "perfect":
+        g_dt, nmse = tx.g_true, 0.0
+    else:
+        g_dt = _INTERPOLATORS[s.estimator](point, tx.g_hat)
+        # a guard longer than the channel estimates taps past L, whose truth is 0
+        pad = point.layout.L - tx.g_true.shape[1]
+        nmse = eq.nmse(g_dt, np.pad(tx.g_true, ((0, 0), (0, pad))) if pad
+                       else tx.g_true)
+    if s.equalizer == "lsmr_ic":
+        det = eq.lsmr_ic_equalize(tx.r, g_dt, point.noise_var, cfg, point.layout,
+                                  point.qam, s.i_ic, s.i_lsmr)
+    else:
+        det = eq.mmse_equalize(tx.r, g_dt, point.noise_var, cfg, point.layout)
+    return det.symbols, (nmse,)
+
+
+def _receive_ofdm(point: SweepPoint, tx: _Transmit):
+    """CPE tracking from the PTRPs and one-tap equalization; data symbols."""
+    cfg, ptrp = point.cfg, point.layout
+    interp = point.scenario.estimator == "ofdm_ptrp_interp"
+    _, H = est.ofdm_cpe_estimate(tx.Y, ptrp, cfg, point.profile.f_D, interp)
+    return est.extract_data(tx.Y / H, ptrp, cfg), ()
+
+
+# per-trial metrics, in CSV order; an OFDM trial has no channel NMSE
+_METRICS = ("ber", "evm", "nmse")
+
+
+def _receive(point: SweepPoint, tx: _Transmit) -> tuple:
+    """The waveform's receiver on a shared transmit, then BER, EVM and (OTFS)
+    NMSE, in ``_METRICS`` order."""
+    s, qam = point.scenario, point.qam
+    ofdm = isinstance(point.layout, est.PtrpLayout)
+    symbols, nmse = (_receive_ofdm if ofdm else _receive_otfs)(point, tx)
     if s.coded:
         llrs = eq.qam_llrs(symbols, qam, point.noise_var)
-        out["ber"] = eq.ber(eq.viterbi_decode(llrs, n_info), info)
+        ber = eq.ber(eq.viterbi_decode(llrs, tx.info.size), tx.info)
     else:
-        out["ber"] = eq.ber(qam_demap(symbols, qam), bits)
-    return out
+        ber = eq.ber(qam_demap(symbols, qam), tx.bits)
+    return (ber, eq.evm(symbols, tx.data), *nmse)
 
 
 # --------------------------------------------------------------------------
@@ -433,16 +479,22 @@ def _ci95(vals) -> float:
     return float(1.96 * np.std(vals, ddof=1) / np.sqrt(len(vals)))
 
 
-def _aggregate(per_trial: list, key: str):
-    vals = np.array([t[key] for t in per_trial], dtype=float)
-    return float(np.mean(vals)), _ci95(vals)
-
-
-def _run_link_point(point: SweepPoint) -> list:
-    """Mean and 95 % interval of each per-trial metric: (metric, value, ci95)."""
-    s = point.scenario
-    results = [_run_trial(point, s.seed + t) for t in range(s.trials)]
-    return [(key, *_aggregate(results, key)) for key in sorted(results[0])]
+def _run_link_points(points: list) -> list:
+    """One sweep point of a group of receiver-only variants, every trial's
+    transmit drawn once and shared: per member, the mean and 95 % interval
+    of each per-trial metric as (metric, value, ci95)."""
+    s = points[0].scenario
+    stage1 = any(p.scenario.estimator in _INTERPOLATORS for p in points)
+    keys = _METRICS[:2] if isinstance(points[0].layout, est.PtrpLayout) else _METRICS
+    # (member, metric, trial): each metric's trials are one contiguous row
+    results = np.empty((len(points), len(keys), s.trials))
+    for t in range(s.trials):
+        tx = _transmit(points[0], s.seed + t, stage1)
+        for i, point in enumerate(points):
+            results[i, :, t] = _receive(point, tx)
+        del tx      # freed before the next trial's transmit is drawn
+    return [[(key, float(np.mean(vals)), _ci95(vals)) for key, vals in zip(keys, res)]
+            for res in results]
 
 
 def _run_sinr_point(point: SweepPoint) -> list:
@@ -479,23 +531,36 @@ def _run_sinr_point(point: SweepPoint) -> list:
 
 
 def run_scenarios(scenarios, workers: int = 1) -> list:
-    """Run every sweep point of every scenario, in order; returns ResultRow
-    list.  Every point is resolved before the first trial runs, so a
-    configuration error is reported before any work is done.  Trials run
-    serially; ``workers`` must be 1."""
+    """Run every sweep point of every scenario; returns ResultRow list, in
+    scenario order and then sweep order.  Every point is resolved before
+    the first trial runs, so a configuration error is reported before any
+    work is done.  Link scenarios that differ only in receiver fields run
+    together, on one shared transmit per trial; the bytes do not depend on
+    that grouping.  Trials run serially; ``workers`` must be 1."""
     if workers != 1:
         raise ValueError(f"workers must be 1 (trials run serially), got {workers}")
-    points = [_resolve_point(s, float(value))
-              for s in scenarios for value in s.sweep_values]
+    points = [[_resolve_point(s, float(value)) for value in s.sweep_values]
+              for s in scenarios]
+    groups = {}     # link scenarios with one key draw the same transmits
+    for i, s in enumerate(scenarios):
+        key = i if s.kind == "sinr" else (s._canonical(drop=_RECEIVER_ONLY),
+                                          s.estimator.startswith("ofdm"))
+        groups.setdefault(key, []).append(i)
+    out = [[] for _ in scenarios]   # per sweep point: (metric, value, ci95) rows
+    for members in groups.values():
+        for group in zip(*(points[i] for i in members)):
+            done = (_run_link_points(group) if group[0].scenario.kind == "link"
+                    else [_run_sinr_point(group[0])])
+            for i, metrics in zip(members, done):
+                out[i].append(metrics)
     rows = []
-    for point in points:
-        s = point.scenario
-        run = _run_sinr_point if s.kind == "sinr" else _run_link_point
+    for s, per_point in zip(scenarios, out):
         prefix = f"{s.label}_" if s.label else ""
         key = s.hash()
-        rows.extend(ResultRow(s.sweep, float(point.sweep_value), prefix + metric,
-                              value, ci, s.trials, key, s.seed)
-                    for metric, value, ci in run(point))
+        rows.extend(ResultRow(s.sweep, float(value), prefix + metric, mean, ci,
+                              s.trials, key, s.seed)
+                    for value, metrics in zip(s.sweep_values, per_point)
+                    for metric, mean, ci in metrics)
     return rows
 
 

@@ -23,6 +23,9 @@ from otfspn.harness import (PRESETS, ResultRow, Scenario, emit_csv,
                             save_scenario)
 
 
+CSV_HEADER = "sweep_name,sweep_value,metric,value,ci95,trials,scenario_hash,seed\n"
+
+
 def _csv_bytes(rows) -> str:
     buf = io.StringIO()
     emit_csv(rows, buf)
@@ -464,7 +467,7 @@ def test_cli_rejects_ineffective_sweep_before_any_trial(tmp_path, capsys,
 def _count_trials(monkeypatch):
     import otfspn.harness as harness
     calls = []
-    for name in ("_run_trial", "_run_sinr_point"):
+    for name in ("_transmit", "_run_sinr_point"):
         fn = getattr(harness, name)
         monkeypatch.setattr(harness, name,
                             lambda *a, _fn=fn, **k: calls.append(a) or _fn(*a, **k))
@@ -519,6 +522,60 @@ def test_fail_fast_check_accepts_what_trials_accept(monkeypatch):
                     sweep_values=(10.0,), trials=2)
     rows = run_scenarios([GOOD, sinr])
     assert len(calls) == 3 and len(rows) == 3 + 4
+
+
+@pytest.mark.parametrize("name", ["fig11", "fig13"])
+def test_bytes_do_not_depend_on_grouping(name):
+    """A preset's curves share one transmit per trial (fig11: an OTFS group
+    and an OFDM group; fig13: coded), and give the bytes of its curves run
+    one at a time."""
+    curves = preset(name, trials=2)
+    alone = "".join(_csv_bytes(run_scenarios([s])).split("\n", 1)[1]
+                    for s in curves)
+    assert _csv_bytes(run_scenarios(curves)) == CSV_HEADER + alone
+
+
+def test_grouped_rows_keep_list_order():
+    fig6 = {s.label: s for s in preset("fig6", trials=2)}
+    fig11 = {s.label: s for s in preset("fig11", trials=2)}
+    mixed = [replace(fig6["proposed"], sweep_values=(1e3, 5e3)),
+             replace(fig11["proposed"], sweep_values=(20.0,)),
+             replace(fig6["bem"], sweep_values=(1e3, 5e3))]
+    # fig6's two curves share a group, but their rows keep the list order
+    assert _csv_bytes(run_scenarios(mixed)) == _csv_bytes(
+        [r for s in mixed for r in run_scenarios([s])])
+
+
+def test_curves_share_one_transmit_and_stage1_per_trial(monkeypatch):
+    calls = _count_trials(monkeypatch)
+    stage1 = []
+    fn = est.stage1_estimate
+    monkeypatch.setattr(est, "stage1_estimate",
+                        lambda *a, **k: stage1.append(a) or fn(*a, **k))
+    curves = [replace(s, sweep_values=(1e3, 5e3)) for s in preset("fig8", trials=3)]
+    run_scenarios(curves)
+    # four OTFS curves share one group, the OFDM curve is a group of its own
+    assert len(calls) == 2 * 3 * 2 and len(stage1) == 2 * 3
+
+
+def test_receivers_only_read_the_shared_transmit():
+    """The shared transmit is read-only, so a receiver that wrote into it
+    would raise here instead of changing the next curve's input."""
+    from otfspn import harness
+    base = Scenario(velocity=300.0, coded=True, sweep_values=(15.0,), trials=1)
+    for waveform, estimators in (("otfs", ("proposed", "bem", "spline",
+                                            "stage1", "perfect")),
+                                 ("ofdm", ("ofdm_ptrp", "ofdm_ptrp_interp"))):
+        points = [harness._resolve_point(replace(base, estimator=e, equalizer=q), 15.0)
+                  for e in estimators for q in ("mmse", "lsmr_ic")]
+        tx = harness._transmit(points[0], 4, stage1=True)
+        shared = [v for v in vars(tx).values() if v is not None]
+        assert len(shared) == (6 if waveform == "otfs" else 5)
+        assert not any(a.flags.writeable for a in shared)
+        copies = [a.copy() for a in shared]
+        for point in points:
+            assert np.all(np.isfinite(harness._receive(point, tx)))
+        assert all(np.array_equal(a, b) for a, b in zip(shared, copies))
 
 
 def test_cli_rejects_unwritable_out_before_any_trial(tmp_path, capsys,
