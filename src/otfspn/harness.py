@@ -399,15 +399,15 @@ def _transmit(point: SweepPoint, trial_seed: int, stage1: bool) -> _Transmit:
     data = qam_map(bits, qam)
     frame = est.build_pilot_frame(layout, data, cfg)
     if ofdm:
-        tx = ofdm_modulate(frame, cfg)
-        window = tx.size                # linear convolution over the stream
+        sent = ofdm_modulate(frame, cfg)
+        window = sent.size              # linear convolution over the stream
     else:
-        tx = otfs_modulate(frame, cfg)
+        sent = otfs_modulate(frame, cfg)
         window = cfg.frame_len          # the CP makes it circular
 
     chan = _realize(point, rng, window)
-    psi = sample_path(point.model, tx.size, rng)
-    r = ch.apply_channel(tx, chan, psi, point.noise_var, rng)
+    psi = sample_path(point.model, sent.size, rng)
+    r = ch.apply_channel(sent, chan, psi, point.noise_var, rng)
     g_true = g_hat = Y = None
     if ofdm:
         Y = ofdm_demodulate(r, cfg)
