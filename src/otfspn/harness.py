@@ -21,7 +21,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -45,29 +45,24 @@ _INTERPOLATORS = {
 }
 ESTIMATORS = (*_INTERPOLATORS, "perfect", "ofdm_ptrp", "ofdm_ptrp_interp")
 SWEEPS = ("snr_db", "beta_pn", "f_pll", "f_D", "f_D_norm", "velocity")
-# Scenario field -> accepted names
-_CHOICES = {"kind": ("link", "sinr"), "estimator": ESTIMATORS,
-            "channel": ("tdl_c", "awgn"), "equalizer": ("mmse", "lsmr_ic"),
-            "oscillator": KINDS, "sweep": SWEEPS}
 # retired field -> the one value it had; hashed, so old scenario hashes stay put
 _RETIRED = {"eq_domain": "delay_time"}
-# Scenario field -> smallest accepted value
-_MINIMA = {"i_ic": 1, "i_lsmr": 1, "ptrp_spacing": 1, "trials": 1, "seed": 0}
-# Scenario fields that only the receiver reads; link scenarios equal in every
-# other field, and in waveform, share one transmit per trial
-_RECEIVER_ONLY = ("name", "label", "estimator", "equalizer", "i_ic", "i_lsmr",
-                  "bem_k_over", "bem_include_pn")
-# Scenario fields that only a link trial reads; a kind 'sinr' run keeps the defaults
-_LINK_ONLY = ("channel", "delay_spread", "velocity", "f_D", "pilot_L", "pilot_boost_db",
-              "estimator", "bem_k_over", "bem_include_pn", "ptrp_spacing",
-              "equalizer", "i_ic", "i_lsmr")
 # Scenario field annotation -> accepted value type; a bool is no number here
 _FIELD_TYPES = {"int": (Integral, "an integer"), "float": (Real, "a number"),
                 "bool": (bool, "true or false"), "str": (str, "a string")}
 
 
-def _check_type(key: str, value, annotation: str) -> None:
-    """Raise ValueError unless ``value`` fits the field's annotation.
+def _f(default, choices=(), low=None, link=False, rx=False):
+    """One row of the Scenario table: the default; the domain, a tuple of
+    choices or a lower bound (">=", x) or (">", x); and whether only a link
+    trial reads the field (link) or only its receiver does (rx)."""
+    return field(default=default, metadata={"choices": choices, "low": low,
+                                            "link": link, "rx": rx})
+
+
+def _check_field(key: str, value, annotation: str, row) -> None:
+    """Raise ValueError unless ``value`` fits the field's annotation and the
+    domain of its table ``row``.
 
     Values are checked, never converted: 20 -> 20.0 would change the hash.
     """
@@ -82,56 +77,65 @@ def _check_type(key: str, value, annotation: str) -> None:
         raise ValueError(f"{key} must be {what}, got {value!r}{hint}")
     if kind == "float" and not math.isfinite(value):
         raise ValueError(f"{key} must be finite, got {value!r}")
+    if row["choices"] and value not in row["choices"]:
+        raise ValueError(f"unknown {key} {value!r}, "
+                         f"expected one of {', '.join(map(str, row['choices']))}")
+    op, low = row["low"] or (None, None)
+    if op and not (value > low if op == ">" else value >= low):
+        raise ValueError(f"{key} must be {op} {low}, got {value}")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation campaign: fixed parameters plus a single sweep axis."""
+    """One simulation campaign: fixed parameters plus a single sweep axis.
 
-    name: str = "scenario"
-    kind: str = "link"                  # "link" (BER/EVM/NMSE) | "sinr"
-    label: str = ""                     # metric-name prefix for multi-curve CSVs
+    Each field is one row of the table of scenario rules (see ``_f``);
+    ``__post_init__`` checks every value against it."""
 
-    M: int = 32
-    N: int = 16
-    n_cp: int = 16
-    f_c: float = 5.9e9
-    bandwidth: float = 7.68e6
-    qam_order: int = 4
+    name: str = _f("scenario", rx=True)
+    kind: str = _f("link", ("link", "sinr"))  # link: BER/EVM/NMSE
+    label: str = _f("", rx=True)        # metric-name prefix for multi-curve CSVs
 
-    oscillator: str = "FRO"
-    beta_pn: float = 2e3
-    f_pll: float = 1e6
+    M: int = _f(32, low=(">=", 2))
+    N: int = _f(16, low=(">=", 2))
+    n_cp: int = _f(16, low=(">=", 0))
+    f_c: float = _f(5.9e9, low=(">", 0))
+    bandwidth: float = _f(7.68e6, low=(">", 0))
+    qam_order: int = _f(4, (4, 16))
 
-    channel: str = "tdl_c"              # "tdl_c" | "awgn"
-    delay_spread: float = 100e-9
-    velocity: float = 0.0               # km/h
-    f_D: float | None = None            # Hz; overrides velocity when set
+    oscillator: str = _f("FRO", KINDS)
+    beta_pn: float = _f(2e3, low=(">=", 0))
+    f_pll: float = _f(1e6, low=(">", 0))
 
-    pilot_L: int | None = None          # default: quantized channel length
-    pilot_boost_db: float = 30.0
+    channel: str = _f("tdl_c", ("tdl_c", "awgn"), link=True)
+    delay_spread: float = _f(100e-9, low=(">=", 0), link=True)
+    velocity: float = _f(0.0, low=(">=", 0), link=True)     # km/h
+    f_D: float | None = _f(None, low=(">=", 0), link=True)  # Hz; overrides velocity
 
-    estimator: str = "proposed"
-    bem_k_over: float = 1.0
-    bem_include_pn: bool = False
-    ptrp_spacing: int = 8
+    pilot_L: int | None = _f(None, low=(">=", 1), link=True)  # default: channel length
+    pilot_boost_db: float = _f(30.0, link=True)
 
-    equalizer: str = "mmse"             # "mmse" | "lsmr_ic"
-    i_ic: int = 10
-    i_lsmr: int = 20
-    coded: bool = False
-    snr_is_ebn0: bool = False
+    estimator: str = _f("proposed", ESTIMATORS, link=True, rx=True)
+    bem_k_over: float = _f(1.0, low=(">", 0), link=True, rx=True)
+    bem_include_pn: bool = _f(False, link=True, rx=True)
+    ptrp_spacing: int = _f(8, low=(">=", 1), link=True)
 
-    snr_db: float = 20.0
-    sweep: str = "snr_db"
-    sweep_values: tuple = (0.0, 10.0, 20.0)
-    trials: int = 100
-    seed: int = 0
+    equalizer: str = _f("mmse", ("mmse", "lsmr_ic"), link=True, rx=True)
+    i_ic: int = _f(10, low=(">=", 1), link=True, rx=True)
+    i_lsmr: int = _f(20, low=(">=", 1), link=True, rx=True)
+    coded: bool = _f(False)
+    snr_is_ebn0: bool = _f(False)
+
+    snr_db: float = _f(20.0)
+    sweep: str = _f("snr_db", SWEEPS)
+    sweep_values: tuple = _f((0.0, 10.0, 20.0))
+    trials: int = _f(100, low=(">=", 1))
+    seed: int = _f(0, low=(">=", 0))
 
     def __post_init__(self):
         for f in fields(self):
             if f.name != "sweep_values":
-                _check_type(f.name, getattr(self, f.name), f.type)
+                _check_field(f.name, getattr(self, f.name), f.type, f.metadata)
         if not isinstance(self.sweep_values, (list, tuple)):
             raise ValueError(f"sweep_values must be a list, got {self.sweep_values!r}")
         for v in self.sweep_values:   # YAML reads 1.0e5 as text; float() takes it
@@ -145,15 +149,6 @@ class Scenario:
                 raise ValueError(f"sweep_values entry {v!r} is not finite")
         if len(self.sweep_values) == 0:
             raise ValueError("sweep_values must not be empty")
-        for key, allowed in _CHOICES.items():
-            if getattr(self, key) not in allowed:
-                raise ValueError(f"unknown {key} {getattr(self, key)!r}, "
-                                 f"expected one of {', '.join(allowed)}")
-        for key, low in _MINIMA.items():
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        if self.bem_k_over <= 0:
-            raise ValueError(f"bem_k_over must be > 0, got {self.bem_k_over}")
         # a sweep axis the scenario ignores would repeat one point
         if self.sweep == "f_pll" and self.oscillator == "FRO":
             raise ValueError("sweep f_pll has no effect on the FRO oscillator")
@@ -164,9 +159,9 @@ class Scenario:
                 raise ValueError(f"sweep {self.sweep} has no effect on kind 'sinr', "
                                  "which draws no channel")
             # a field the run ignores would give one experiment two hashes
-            for key in _LINK_ONLY:
-                if getattr(self, key) != self.__dataclass_fields__[key].default:
-                    raise ValueError(f"{key} has no effect on kind 'sinr', which "
+            for f in fields(self):
+                if f.metadata["link"] and getattr(self, f.name) != f.default:
+                    raise ValueError(f"{f.name} has no effect on kind 'sinr', which "
                                      "draws no channel and runs no receiver")
 
     def to_dict(self) -> dict:
@@ -200,6 +195,13 @@ class Scenario:
 
     def hash(self) -> str:
         return hashlib.sha256(self._canonical().encode()).hexdigest()[:16]
+
+
+# f_D_norm, in multiples of the Doppler spacing, is a sweep axis only
+_F_D_NORM = _f(None, low=(">=", 0))
+# Scenario fields that only the receiver reads; link scenarios equal in every
+# other field, and in waveform, share one transmit per trial
+_RECEIVER_ONLY = tuple(f.name for f in fields(Scenario) if f.metadata["rx"])
 
 
 @dataclass(frozen=True)
@@ -287,14 +289,6 @@ class SweepPoint:
 def _channel_at(s: Scenario, params: dict):
     """Grid and channel profile (with its Doppler shift) at one sweep point."""
     cfg = GridConfig(s.M, s.N, s.n_cp, s.bandwidth)
-    vel = params.get("velocity", s.velocity)
-    # checked here: ChannelProfile's own checks would name f_D or no key
-    for key, value in (("delay_spread", s.delay_spread), ("velocity", vel),
-                       ("f_D_norm", params.get("f_D_norm", 0.0))):
-        if value < 0:
-            raise ValueError(f"{key} must be >= 0, got {value}")
-    if s.f_c <= 0:
-        raise ValueError(f"f_c must be > 0, got {s.f_c}")
     if "f_D_norm" in params:
         f_D = params["f_D_norm"] * cfg.doppler_spacing
     elif "f_D" in params:
@@ -302,7 +296,7 @@ def _channel_at(s: Scenario, params: dict):
     elif s.f_D is not None:
         f_D = s.f_D
     else:
-        f_D = ch.doppler_from_velocity(vel, s.f_c)
+        f_D = ch.doppler_from_velocity(params.get("velocity", s.velocity), s.f_c)
 
     if s.channel == "tdl_c":
         profile = ch.ChannelProfile.tdl_c(s.delay_spread, f_D)
@@ -311,23 +305,14 @@ def _channel_at(s: Scenario, params: dict):
     return cfg, profile
 
 
-def _pilot_length(s: Scenario, L: int) -> int:
-    """Pilot guard length: pilot_L if set, else the channel length L.  A
-    guard shorter than L would leave taps unestimated."""
-    if s.pilot_L is None:
-        return L
-    if s.pilot_L < L:
-        raise ValueError(f"pilot_L {s.pilot_L} is shorter than the channel "
-                         f"length {L}")
-    return s.pilot_L
-
-
 def _resolve_point(s: Scenario, value: float) -> SweepPoint:
     """Build one sweep point, raising whatever its trials would raise: the
-    QAM order, the oscillator parameters, the pilot guard (L <= pilot_L,
-    2*pilot_L-1 <= M) of OTFS links and the CP (n_cp >= L-1) of every
-    channel a link trial draws."""
+    sweep value against its field's domain, then the checks that need the
+    grid: the CP (n_cp >= L-1) of every channel a link trial draws and the
+    pilot guard (L <= pilot_L, 2*pilot_L-1 <= M) of OTFS links."""
     params = {s.sweep: value}
+    row = Scenario.__dataclass_fields__.get(s.sweep, _F_D_NORM)
+    _check_field(s.sweep, value, "float", row.metadata)
     cfg, profile = _channel_at(s, params)
     beta = params.get("beta_pn", s.beta_pn)
     f_pll = params.get("f_pll", s.f_pll)
@@ -347,8 +332,12 @@ def _resolve_point(s: Scenario, value: float) -> SweepPoint:
         if s.estimator.startswith("ofdm"):
             layout = est.PtrpLayout(spacing=s.ptrp_spacing)
         else:
+            # a guard shorter than the channel would leave taps unestimated
+            if s.pilot_L is not None and s.pilot_L < L:
+                raise ValueError(f"pilot_L {s.pilot_L} is shorter than the "
+                                 f"channel length {L}")
             sigma2_p = cfg.N * 10.0 ** (s.pilot_boost_db / 10.0)
-            layout = est.PilotLayout(L=_pilot_length(s, L),
+            layout = est.PilotLayout(L=L if s.pilot_L is None else s.pilot_L,
                                      sigma2_p=sigma2_p).resolved(cfg)
             if s.estimator == "proposed":
                 noise_ratio = noise_var * cfg.N / layout.sigma2_p

@@ -409,7 +409,7 @@ def test_cli_run_and_preset(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("qam_order: 6\n")
     assert cli_main(["run", str(bad), "--out", str(out)]) == 1
-    assert "unsupported QAM order 6" in capsys.readouterr().err
+    assert "unknown qam_order 6" in capsys.readouterr().err
     assert out.read_bytes() == good
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.yaml", "out.csv", "s.yaml"]
 
@@ -482,7 +482,7 @@ GOOD = Scenario(name="good", channel="awgn", n_cp=0, beta_pn=0.0,
     (dict(n_cp=4, estimator="ofdm_ptrp"), "exceeds CP"),
     (dict(M=8), "guard region"),
     (dict(pilot_L=20), "guard region"),
-    (dict(qam_order=8), "QAM order"),
+    (dict(qam_order=8), "qam_order 8"),
     (dict(beta_pn=-1.0), "beta_pn"),
     (dict(oscillator="CPLL", f_pll=-1.0), "f_pll"),
     (dict(i_ic=0), "i_ic"),
