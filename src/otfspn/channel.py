@@ -88,11 +88,11 @@ class ChannelProfile:
     def length(self, cfg: GridConfig) -> int:
         """Channel length L (largest quantized delay + 1) on cfg's sample
         grid; raises unless the CP covers the channel memory, n_cp >= L - 1."""
-        delays, _ = self.quantized(cfg.T_s)
-        L = int(delays.max()) + 1
-        if L - 1 > cfg.n_cp:
-            raise ValueError(f"channel length {L} exceeds CP ({cfg.n_cp} samples)")
-        return L
+        # in float: quantized()'s int cast overflows past 2**63 samples
+        memory = np.rint(max(self.delays) / cfg.T_s)
+        if memory > cfg.n_cp:
+            raise ValueError(f"channel length {memory + 1:g} exceeds CP (n_cp = {cfg.n_cp})")
+        return int(memory) + 1
 
 
 @dataclass

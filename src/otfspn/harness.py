@@ -286,18 +286,30 @@ class SweepPoint:
     scenario: Scenario
 
 
-def _channel_at(s: Scenario, params: dict):
-    """Grid and channel profile (with its Doppler shift) at one sweep point."""
-    cfg = GridConfig(s.M, s.N, s.n_cp, s.bandwidth)
-    if "f_D_norm" in params:
-        f_D = params["f_D_norm"] * cfg.doppler_spacing
-    elif "f_D" in params:
-        f_D = params["f_D"]
-    elif s.f_D is not None:
-        f_D = s.f_D
-    else:
-        f_D = ch.doppler_from_velocity(params.get("velocity", s.velocity), s.f_c)
+def _power(key: str, db: float, scale: float = 1.0) -> float:
+    """``scale * 10**(db/10)``; ValueError naming ``key`` unless finite and > 0."""
+    try:
+        power = scale * 10.0 ** (db / 10.0)
+    except OverflowError:
+        power = math.inf
+    if not 0.0 < power < math.inf:
+        raise ValueError(f"{key} {db} dB is out of range: its power {power} is not "
+                         "finite and positive")
+    return power
 
+
+def _channel_at(s: Scenario, v: dict):
+    """Grid and channel profile (with its Doppler shift) at one sweep point;
+    ``v`` maps each field to its value there."""
+    cfg = GridConfig(s.M, s.N, s.n_cp, s.bandwidth)
+    if s.sweep == "f_D_norm":
+        key, f_D = "f_D_norm", v["f_D_norm"] * cfg.doppler_spacing
+    elif v["f_D"] is not None:
+        key, f_D = "f_D", v["f_D"]
+    else:
+        key, f_D = "velocity and f_c", ch.doppler_from_velocity(v["velocity"], s.f_c)
+    if not f_D < cfg.bandwidth / 2:     # where the sampled Jakes process aliases
+        raise ValueError(f"Doppler shift {f_D} Hz from {key} is not below bandwidth/2")
     if s.channel == "tdl_c":
         profile = ch.ChannelProfile.tdl_c(s.delay_spread, f_D)
     else:
@@ -307,41 +319,39 @@ def _channel_at(s: Scenario, params: dict):
 
 def _resolve_point(s: Scenario, value: float) -> SweepPoint:
     """Build one sweep point, raising whatever its trials would raise: the
-    sweep value against its field's domain, then the checks that need the
-    grid: the CP (n_cp >= L-1) of every channel a link trial draws and the
-    pilot guard (L <= pilot_L, 2*pilot_L-1 <= M) of OTFS links."""
-    params = {s.sweep: value}
+    sweep value against the table, then the checks that need the grid: the
+    CP (n_cp >= L-1) of a link's channel, an OTFS guard (L <= pilot_L,
+    2*pilot_L-1 <= M), an OFDM n_cp <= M and at least one data cell."""
+    v = {**vars(s), s.sweep: value}
     row = Scenario.__dataclass_fields__.get(s.sweep, _F_D_NORM)
     _check_field(s.sweep, value, "float", row.metadata)
-    cfg, profile = _channel_at(s, params)
-    beta = params.get("beta_pn", s.beta_pn)
-    f_pll = params.get("f_pll", s.f_pll)
-    model = PhaseNoiseModel(s.oscillator, beta, cfg.T_s, f_pll)
+    cfg, profile = _channel_at(s, v)
+    model = PhaseNoiseModel(s.oscillator, v["beta_pn"], cfg.T_s, v["f_pll"])
     qam = QamConfig(s.qam_order)
-
-    snr_db = params.get("snr_db", s.snr_db)
-    snr = 10.0 ** (snr_db / 10.0)
-    if s.snr_is_ebn0:
-        rate = 0.5 if s.coded else 1.0
-        snr = snr * qam.bits_per_symbol * rate
-    noise_var = 1.0 / snr
+    rate = qam.bits_per_symbol * (0.5 if s.coded else 1.0) if s.snr_is_ebn0 else 1.0
+    noise_var = 1.0 / _power("snr_db", v["snr_db"], rate)
 
     layout = wiener = None
     if s.kind == "link":
         L = profile.length(cfg)
         if s.estimator.startswith("ofdm"):
+            if s.n_cp > s.M:    # ofdm_modulate would cut the CP to M samples
+                raise ValueError(f"n_cp {s.n_cp} exceeds the OFDM symbol, M = {s.M}")
             layout = est.PtrpLayout(spacing=s.ptrp_spacing)
         else:
             # a guard shorter than the channel would leave taps unestimated
             if s.pilot_L is not None and s.pilot_L < L:
                 raise ValueError(f"pilot_L {s.pilot_L} is shorter than the "
                                  f"channel length {L}")
-            sigma2_p = cfg.N * 10.0 ** (s.pilot_boost_db / 10.0)
+            sigma2_p = _power("pilot_boost_db", s.pilot_boost_db, cfg.N)
             layout = est.PilotLayout(L=L if s.pilot_L is None else s.pilot_L,
                                      sigma2_p=sigma2_p).resolved(cfg)
-            if s.estimator == "proposed":
-                noise_ratio = noise_var * cfg.N / layout.sigma2_p
-                wiener = est.build_wiener(model, profile.f_D, noise_ratio, cfg, layout)
+        if est.n_data(layout, cfg) == 0:
+            raise ValueError("the pilots (OTFS: 2*pilot_L-1 rows, OFDM: ptrp_spacing) "
+                             f"leave no data cell on the M x N = {s.M} x {s.N} grid")
+        if s.estimator == "proposed":
+            noise_ratio = noise_var * cfg.N / layout.sigma2_p
+            wiener = est.build_wiener(model, profile.f_D, noise_ratio, cfg, layout)
     return SweepPoint(cfg, qam, model, profile, layout, wiener, noise_var, s)
 
 

@@ -51,11 +51,11 @@ class PhaseNoiseModel:
             raise ValueError("beta_pn must be >= 0")
         if self.T_s <= 0:
             raise ValueError("T_s must be positive")
-        if self.kind != "FRO":
-            if self.f_pll <= 0:
-                raise ValueError("f_pll must be positive for PLL models")
-            if abs(self.a_pll) >= 1:
-                raise ValueError("unstable discrete PLL: |a| >= 1")
+        if self.kind != "FRO" and self.f_pll <= 0:
+            raise ValueError("f_pll must be positive for PLL models")
+        if self.kind == "DPLL" and abs(self.a_pll) >= 1:    # CPLL reads no a
+            raise ValueError(f"unstable discrete PLL: |a| >= 1 at f_pll = {self.f_pll}"
+                             f" (T_s*f_pll = {self.T_s * self.f_pll:g})")
 
     @property
     def nu2_pn(self) -> float:

@@ -4,9 +4,10 @@ import inspect
 import io
 import os
 import pkgutil
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,9 @@ from otfspn import equalization as eq
 from otfspn import estimation as est
 from otfspn import grid
 from otfspn.cli import main as cli_main
-from otfspn.harness import (PRESETS, ResultRow, Scenario, emit_csv,
-                            load_scenario, parse_csv, preset, run_scenarios,
-                            save_scenario)
+from otfspn.harness import (_F_D_NORM, ESTIMATORS, PRESETS, SWEEPS, ResultRow,
+                            Scenario, emit_csv, load_scenario, parse_csv, preset,
+                            run_scenarios, save_scenario)
 
 
 def _csv_bytes(rows) -> str:
@@ -441,7 +442,23 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
                        "f_D_norm must be >= 0"),
                       ("delay_spread: -1.0e-9\n", "delay_spread must be >= 0"),
                       ("f_c: -5.9e+9\nvelocity: 100.0\n", "f_c must be > 0"),
-                      ("f_c: -5.9e+9\nvelocity: 0.0\n", "f_c must be > 0")]:
+                      ("f_c: -5.9e+9\nvelocity: 0.0\n", "f_c must be > 0"),
+                      # the pilots leave no data cell, and an OFDM CP longer than M
+                      ("estimator: ofdm_ptrp\nptrp_spacing: 1\n", "ptrp_spacing"),
+                      ("M: 15\n", "M x N = 15 x 16"),
+                      ("estimator: ofdm_ptrp\nM: 3\n",
+                       "n_cp 16 exceeds the OFDM symbol, M = 3"),
+                      # dB values whose power is not a finite positive float
+                      ("sweep: beta_pn\nsnr_db: 1.0e+300\n", "snr_db 1e+300 dB"),
+                      ("sweep_values: [1.0e+300]\n", "snr_db 1e+300 dB"),
+                      ("sweep_values: [-1.0e+300]\n", "snr_db -1e+300 dB"),
+                      ("pilot_boost_db: 1.0e+300\n", "pilot_boost_db 1e+300 dB"),
+                      # past 2**63 samples of delay, and Doppler past bandwidth/2
+                      ("bandwidth: 1.0e+300\n", "exceeds CP (n_cp = 16)"),
+                      ("delay_spread: 1.0e+300\n", "exceeds CP (n_cp = 16)"),
+                      ("velocity: 1.0e+300\n", "from velocity and f_c"),
+                      ("oscillator: DPLL\nf_pll: 1.0e-300\n", "f_pll = 1e-300"),
+                      ("oscillator: DPLL\nf_pll: 1.0e+300\n", "f_pll = 1e+300")]:
         bad.write_text(text)
         assert cli_main(["run", str(bad)]) == 1, text
         err = capsys.readouterr().err
@@ -519,6 +536,80 @@ def test_fail_fast_check_accepts_what_trials_accept(monkeypatch):
                     sweep_values=(10.0,), trials=2)
     rows = run_scenarios([GOOD, sinr])
     assert len(calls) == 3 and len(rows) == 3 + 4
+
+
+# Bases of the generated edge test, one sweep value and one trial each.  The
+# link bases run every receiver of their waveform on one transmit, and between
+# them they cover the two PLL oscillators; sinr tries the fields it reads.
+_EDGE_BASES = {
+    "otfs": Scenario(name="otfs", oscillator="CPLL", velocity=100.0,
+                     equalizer="lsmr_ic", sweep_values=(10.0,), trials=1),
+    "ofdm": Scenario(name="ofdm", oscillator="DPLL", velocity=100.0,
+                     estimator="ofdm_ptrp", sweep_values=(10.0,), trials=1),
+    "sinr": Scenario(name="sinr", kind="sinr", sweep="beta_pn",
+                     sweep_values=(10.0,), trials=1),
+}
+# a check that relates several fields may name another of them
+_RELATED = {"bandwidth": ("n_cp", "f_pll"), "delay_spread": ("n_cp",)}
+
+
+def _edges(annotation: str, row) -> list:
+    """(value, inside the domain) at each edge of a table row's domain and one
+    step outside it: every choice and one unknown, a lower bound, and +-1e300
+    where the domain allows.  A huge integer would allocate or loop in
+    proportion (M, N, trials, i_ic, i_lsmr), so integers stop at the bound."""
+    kind = annotation.partition(" | ")[0]
+    if row["choices"]:
+        wrong = "unknown" if kind == "str" else max(row["choices"]) + 1
+        return [(c, True) for c in row["choices"]] + [(wrong, False)]
+    if kind == "bool":
+        return [(True, True), (False, True)]
+    if row["low"] is None:
+        return [(-1e300, True), (1e300, True)] if kind == "float" else []
+    op, low = row["low"]
+    step = 1 if kind == "int" else 1e-300
+    edge = low + step if op == ">" else low
+    out = [(edge, True), (edge - step, False)]
+    return out if kind == "int" else out + [(1e300, True)]
+
+
+def _edge_cases():
+    table = {f.name: f for f in fields(Scenario)}
+    for name, base in _EDGE_BASES.items():
+        for f in table.values():
+            if base.kind == "link" or not f.metadata["link"]:
+                for value, inside in _edges(f.type, f.metadata):
+                    yield pytest.param(name, f.name, {f.name: value}, inside,
+                                       id=f"{name}-{f.name}={value}")
+        for axis in SWEEPS:
+            if base.kind == "sinr" and axis in ("f_D", "f_D_norm", "velocity"):
+                continue
+            for value, inside in _edges("float", table.get(axis, _F_D_NORM).metadata):
+                yield pytest.param(name, axis, {"sweep": axis, "sweep_values": (value,)},
+                                   inside, id=f"{name}-sweep-{axis}={value}")
+
+
+@pytest.mark.parametrize("base,key,kw,inside", list(_edge_cases()))
+def test_every_field_edge_fails_before_any_trial_or_runs_finite(monkeypatch, base,
+                                                                key, kw, inside):
+    """Generated from the Scenario table: a value is rejected with a
+    ValueError naming its key before the first trial, or it runs and writes
+    a finite BER and EVM.  A value outside its domain is always rejected."""
+    calls = _count_trials(monkeypatch)
+    try:
+        s = replace(_EDGE_BASES[base], **kw)
+        family = [e for e in ESTIMATORS if e.startswith("ofdm") == (base == "ofdm")]
+        curves = [s] if "estimator" in kw or s.kind == "sinr" else [
+            replace(s, label=e, estimator=e) for e in family]
+        rows = run_scenarios(curves)
+    except ValueError as e:
+        assert calls == []
+        names = "|".join((key, *_RELATED.get(key, ())))
+        assert re.search(rf"\b({names})\b", str(e)), str(e)
+        return
+    assert inside, f"{kw} ran"
+    assert all(np.isfinite(r.value) for r in rows
+               if r.metric.endswith(("ber", "evm"))), rows
 
 
 def _interleaved():
