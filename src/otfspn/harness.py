@@ -89,8 +89,8 @@ def _check_field(key: str, value, annotation: str, row) -> None:
 class Scenario:
     """One simulation campaign: fixed parameters plus a single sweep axis.
 
-    Each field is one row of the table of scenario rules (see ``_f``);
-    ``__post_init__`` checks every value against it."""
+    Each field is one row of the table of rules (see ``_f``): ``__post_init__``
+    checks the fields against it, ``_resolve_point`` each sweep value."""
 
     name: str = _f("scenario", rx=True)
     kind: str = _f("link", ("link", "sinr"))  # link: BER/EVM/NMSE
