@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridConfig, frozen_cache
+from .grid import GridConfig, _serial_matmul, frozen_cache
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -164,7 +164,7 @@ def _jakes_process(n_samples: int, f_d_norm: float, rng: np.random.Generator,
     r = fac.shape[1]
     w = (rng.standard_normal((n_procs, r))
          + 1j * rng.standard_normal((n_procs, r))) / np.sqrt(2.0)
-    return w @ fac.T
+    return _serial_matmul(w, fac.T)
 
 
 def realize_channel(profile: ChannelProfile, cfg: GridConfig, seed,

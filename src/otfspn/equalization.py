@@ -26,7 +26,7 @@ from math import inf, nan, sqrt
 
 import numpy as np
 
-from .estimation import PilotLayout, extract_data
+from .estimation import PilotLayout, _cancel_pilot, extract_data
 from .grid import (GridConfig, QamConfig, constellation, frozen_cache, otfs_demodulate,
                    otfs_modulate)
 
@@ -234,9 +234,9 @@ def _fold(mn: int, n_taps: int):
     In the order perm = (0, MN-1, 1, MN-2, ...) the circular band of
     A = G^H G (A[m, (m + d) mod MN], |d| <= L-1) lies within 2L-2 of the
     diagonal, wrap corners included.  Entry m of diagonal d goes to
-    ``flat[d, m]`` of the flattened (2L-1, MN) upper band that
-    ``solveh_banded`` reads, conjugated where ``conj[d, m]`` (the entry
-    lands below the folded diagonal).
+    ``flat[d, m]`` of the (2L-1, MN) upper band that zpbsv reads, flattened
+    in its Fortran order, conjugated where ``conj[d, m]`` (the entry lands
+    below the folded diagonal).
     """
     if mn < 2 * n_taps - 1:
         raise ValueError(f"banded MMSE needs M*N >= 2L-1, got M*N={mn}, L={n_taps}")
@@ -247,12 +247,12 @@ def _fold(mn: int, n_taps: int):
     pos[perm] = np.arange(mn)
     col = pos[(np.arange(mn) + np.arange(n_taps)[:, None]) % mn]
     lo, hi = np.minimum(pos, col), np.maximum(pos, col)
-    flat = (2 * n_taps - 2 + lo - hi) * mn + hi
+    flat = hi * (2 * n_taps - 1) + 2 * n_taps - 2 + lo - hi
     return perm, flat, pos > col
 
 
 def _normal_band(g_dt: np.ndarray, noise_var: float):
-    """G^H G + noise_var I in folded order, as ``solveh_banded``'s upper band.
+    """G^H G + noise_var I in folded order, as zpbsv's upper band.
 
     A[m, m+d] = sum_{l=d}^{L-1} conj(g[m+l, l]) g[m+l, l-d], indices mod MN;
     the taps are read with a wrap of L rows so every term is a contiguous
@@ -269,23 +269,22 @@ def _normal_band(g_dt: np.ndarray, noise_var: float):
     diags[0] += noise_var
     band = np.zeros((2 * n_taps - 1) * mn, dtype=complex)
     band[flat] = np.where(conj, np.conj(diags), diags)
-    return band.reshape(2 * n_taps - 1, mn), perm
+    return band.reshape(2 * n_taps - 1, mn, order="F"), perm
 
 
 def _solve_normal(g_dt: np.ndarray, b: np.ndarray, noise_var: float) -> np.ndarray:
-    """(G^H G + noise_var I)^-1 b by one banded Cholesky in folded order."""
-    from scipy.linalg import solveh_banded
+    """(G^H G + noise_var I)^-1 b by one banded Cholesky (LAPACK zpbsv) in
+    folded order, in place on the fresh band and right-hand side."""
+    from scipy.linalg import LinAlgError
+    from scipy.linalg.lapack import zpbsv
 
     band, perm = _normal_band(g_dt, noise_var)
+    _, sol, info = zpbsv(band, b[perm], overwrite_ab=1, overwrite_b=1)
+    if info != 0:
+        raise LinAlgError(f"zpbsv failed with info = {info}")
     x = np.empty(len(perm), dtype=complex)
-    x[perm] = solveh_banded(band, b[perm])
+    x[perm] = sol
     return x
-
-
-@frozen_cache
-def _pilot_samples(cfg: GridConfig, layout: PilotLayout) -> np.ndarray:
-    """Delay-time samples of the pilot-only frame, without CP."""
-    return otfs_modulate(layout.pilot_frame(cfg), cfg, with_cp=False)
 
 
 @frozen_cache
@@ -324,7 +323,7 @@ def mmse_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     from y first; the solve runs on the banded normal equations in
     delay-time.
     """
-    y = np.asarray(r).ravel() - banded_circular(g_dt) @ _pilot_samples(cfg, layout)
+    y = _cancel_pilot(r, g_dt, cfg, layout)
     x_dt = _solve_normal(g_dt, _adjoint(g_dt) @ y, noise_var)
     x_dd = otfs_demodulate(x_dt, cfg)
     return DetectionResult(extract_data(x_dd, layout, cfg), x_dd)
@@ -355,10 +354,7 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     damp = float(np.sqrt(noise_var))
     points = constellation(qam)
     mask = layout.data_mask(cfg)
-    # not _pilot_samples: against a full-grid LSMR-IC trial the cached copy
-    # saves nothing measurable and held peak memory ≈1 MB higher
-    y = np.asarray(r).ravel() - op.matvec(
-        otfs_modulate(layout.pilot_frame(cfg), cfg, with_cp=False))
+    y = _cancel_pilot(r, g_dt, cfg, layout)
 
     x_dt = _lsmr(op, y, damp, i_lsmr)
     x_dd = otfs_demodulate(x_dt, cfg)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridConfig, frozen_cache
+from .grid import GridConfig, _serial_matmul, frozen_cache, otfs_modulate
 from .oscillator import PhaseNoiseModel, expected_rotation
 
 
@@ -135,6 +135,30 @@ def _tap_samples(cfg: GridConfig, layout: PilotLayout) -> np.ndarray:
     return (layout.m_p + np.arange(layout.L)[:, None] + k * cfg.M) % cfg.frame_len
 
 
+@frozen_cache
+def _pilot_train(cfg: GridConfig, layout: PilotLayout) -> np.ndarray:
+    """The N delay-time samples m_p + kM of the pilot-only frame (no CP),
+    its only nonzero ones.  They share one real height unless the N-point
+    FFT is inexact (Bluestein's, for a large prime N), so all N are kept."""
+    s = otfs_modulate(layout.pilot_frame(cfg), cfg, with_cp=False)
+    return s[layout.m_p::cfg.M].copy()
+
+
+def _cancel_pilot(r: np.ndarray, g_dt: np.ndarray, cfg: GridConfig,
+                  layout: PilotLayout) -> np.ndarray:
+    """r minus the pilot's echo, ``equalization.banded_circular(g_dt)`` times
+    the pilot-only samples: tap l carries those to the stage-1 tap samples
+    m_p + l + kM alone.  Bit for bit with a real pilot train (every preset
+    grid; see ``_pilot_train``).  Both equalizers start from it."""
+    n_taps = g_dt.shape[1]
+    if n_taps > layout.L:
+        raise ValueError(f"{n_taps} taps exceed the pilot guard, L = {layout.L}")
+    rows = _tap_samples(cfg, layout)[:n_taps]
+    y = np.array(r, dtype=complex).ravel()
+    y[rows] -= g_dt[rows, np.arange(n_taps)[:, None]] * _pilot_train(cfg, layout)
+    return y
+
+
 def effective_autocorr(model: PhaseNoiseModel, f_D: float, T_s: float,
                        lags) -> np.ndarray:
     """k_g(lag): phase rotation factor times the Jakes Bessel factor."""
@@ -180,12 +204,13 @@ def build_wiener(model: PhaseNoiseModel, f_D: float, noise_ratio: float,
 
 def stage2_estimate(g_hat: np.ndarray, wiener: WienerFilter) -> np.ndarray:
     """Apply the shared Wiener filter to every tap row of the (L, N) stage-1
-    snapshots: the per-sample effective channel estimate (MN x L)."""
+    snapshots: the per-sample effective channel estimate (MN x L), computed
+    on the calling thread."""
     n_obs = wiener.W.shape[1]
     if g_hat.shape[1] != n_obs:
         raise ValueError(f"filter expects {n_obs} snapshots per tap, "
                          f"got {g_hat.shape[1]}")
-    return wiener.W @ g_hat.T
+    return _serial_matmul(wiener.W, g_hat.T)
 
 
 def stage1_hold_estimate(g_hat: np.ndarray, cfg: GridConfig) -> np.ndarray:
@@ -226,7 +251,7 @@ def bem_estimate(g_hat: np.ndarray, cfg: GridConfig, layout: PilotLayout,
     basis = _ce_basis(cfg.frame_len, q, k_over * cfg.frame_len)
     coef, *_ = np.linalg.lstsq(basis[layout.pilot_indices(cfg), :],
                                g_hat.T, rcond=None)
-    return basis @ coef
+    return _serial_matmul(basis, coef)
 
 
 @frozen_cache

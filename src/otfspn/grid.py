@@ -85,6 +85,33 @@ def frozen_cache(fn):
     return frozen
 
 
+# OpenBLAS hands a GEMM to its thread pool once M*N*K reaches this; waking
+# the parked pool costs milliseconds, far more than a trial's small products
+_POOL_MNK = 65536
+
+
+def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` bit for bit, as equal row blocks of ``a`` (column blocks of
+    ``b`` if longer) under OpenBLAS's threading cut-off, on this thread.  A
+    block of one row or column would be a GEMV; then the product stays whole."""
+    m, k = a.shape
+    n = b.shape[1]
+    size, other = (m, n) if m >= n else (n, m)
+    if m * n * k < _POOL_MNK or other < 2:
+        return a @ b
+    parts = -(-size // max((_POOL_MNK - 1) // (other * k), 1))
+    if size // parts < 2:
+        return a @ b
+    out = np.empty((m, n), dtype=np.result_type(a, b))
+    cuts = [i * size // parts for i in range(parts + 1)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if m >= n:
+            np.matmul(a[lo:hi], b, out=out[lo:hi])
+        else:
+            np.matmul(a, b[:, lo:hi], out=out[:, lo:hi])
+    return out
+
+
 # Gray-coded PAM levels per axis, before the unit-power scaling.  The single
 # bit 0 maps to +1 so 4-QAM bits 00 land on (1+1j)/sqrt(2).
 _PAM = {

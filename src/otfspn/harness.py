@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
 
@@ -75,7 +76,8 @@ def _check_field(key: str, value, annotation: str, row) -> None:
         if kind == "float" and isinstance(value, str):
             hint = " (YAML reads 1.0e5 as text; write 1.0e+5)"
         raise ValueError(f"{key} must be {what}, got {value!r}{hint}")
-    if kind == "float" and not math.isfinite(value):
+    # not math.isfinite, which raises OverflowError for an int past the float range
+    if kind == "float" and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{key} must be finite, got {value!r}")
     if row["choices"] and value not in row["choices"]:
         raise ValueError(f"unknown {key} {value!r}, "
@@ -145,6 +147,8 @@ class Scenario:
                 finite = math.isfinite(float(v))
             except (TypeError, ValueError):
                 raise ValueError(f"sweep_values entry {v!r} is not a number") from None
+            except OverflowError:
+                raise ValueError("a sweep_values entry is too large for a float") from None
             if not finite:
                 raise ValueError(f"sweep_values entry {v!r} is not finite")
         if len(self.sweep_values) == 0:
@@ -321,7 +325,8 @@ def _resolve_point(s: Scenario, value: float) -> SweepPoint:
     """Build one sweep point, raising whatever its trials would raise: the
     sweep value against the table, then the checks that need the grid: the
     CP (n_cp >= L-1) of a link's channel, an OTFS guard (L <= pilot_L,
-    2*pilot_L-1 <= M), an OFDM n_cp <= M and at least one data cell."""
+    2*pilot_L-1 <= M), an OFDM n_cp <= M, at least one data cell and, for a
+    coded frame, at least one information bit past the code's tail."""
     v = {**vars(s), s.sweep: value}
     row = Scenario.__dataclass_fields__.get(s.sweep, _F_D_NORM)
     _check_field(s.sweep, value, "float", row.metadata)
@@ -346,9 +351,14 @@ def _resolve_point(s: Scenario, value: float) -> SweepPoint:
             sigma2_p = _power("pilot_boost_db", s.pilot_boost_db, cfg.N)
             layout = est.PilotLayout(L=L if s.pilot_L is None else s.pilot_L,
                                      sigma2_p=sigma2_p).resolved(cfg)
-        if est.n_data(layout, cfg) == 0:
+        n_bits = est.n_data(layout, cfg) * qam.bits_per_symbol
+        if n_bits == 0:
             raise ValueError("the pilots (OTFS: 2*pilot_L-1 rows, OFDM: ptrp_spacing) "
                              f"leave no data cell on the M x N = {s.M} x {s.N} grid")
+        if s.coded and n_bits // 2 <= eq.CONV_K - 1:   # no room past the tail
+            raise ValueError(f"coded: true needs more than {2 * (eq.CONV_K - 1)} data bits "
+                             f"for the code's tail; the pilots leave {n_bits} on "
+                             f"the M x N = {s.M} x {s.N} grid")
         if s.estimator == "proposed":
             noise_ratio = noise_var * cfg.N / layout.sigma2_p
             wiener = est.build_wiener(model, profile.f_D, noise_ratio, cfg, layout)

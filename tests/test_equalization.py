@@ -10,7 +10,7 @@ from otfspn.equalization import (CONV_K, _OUT, ChannelOp, _adjoint, _lsmr, _norm
                                  _solve_normal, _viterbi_forward, banded_circular, ber,
                                  conv_encode, evm, lsmr_ic_equalize, mmse_equalize, nmse,
                                  qam_llrs, viterbi_decode)
-from otfspn.estimation import PilotLayout, build_pilot_frame, n_data
+from otfspn.estimation import PilotLayout, _cancel_pilot, build_pilot_frame, n_data
 from otfspn.grid import (GridConfig, QamConfig, otfs_demodulate, otfs_modulate,
                          qam_demap, qam_map)
 from otfspn.oscillator import PhaseNoiseModel, sample_path
@@ -136,6 +136,33 @@ def test_mmse_adjoint_matches_conj_transpose_bitwise(mn, n_taps):
     got = _adjoint(g) @ y
     ref = banded_circular(g).conj().T @ y
     assert got.view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("M,N,L,n_taps", [(32, 16, 8, 8), (128, 32, 8, 8),
+                                          (32, 16, 8, 5), (16, 89, 4, 4)])
+def test_pilot_cancellation_matches_product_bitwise(M, N, L, n_taps):
+    """Both equalizers subtract the pilot's echo from the L*N tap samples
+    alone, with the bits of the product banded_circular(g) @ pilot samples
+    it replaced: for fewer taps than the guard (a perfect estimate under a
+    longer pilot_L) and for inactive and signed-zero taps.  At N = 89 the
+    FFT (Bluestein's) gives a complex pilot train, whose products round
+    otherwise than scipy's, so only the values are compared there."""
+    cfg = GridConfig(M, N, 16)
+    layout = PilotLayout(L).resolved(cfg)
+    rng = np.random.default_rng(M + N + n_taps)
+    g = _random_taps(rng, cfg.frame_len, n_taps)
+    g[:, n_taps // 2] = 0.0
+    g.real[rng.random(g.shape) < 0.1] = -0.0
+    r = rng.standard_normal(cfg.frame_len) + 1j * rng.standard_normal(cfg.frame_len)
+    ref = r - banded_circular(g) @ otfs_modulate(layout.pilot_frame(cfg), cfg,
+                                                 with_cp=False)
+    got = _cancel_pilot(r, g, cfg, layout)
+    if N == 89:
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.abs(ref).max())
+    else:
+        assert got.tobytes() == ref.tobytes()
+    with pytest.raises(ValueError, match="exceed the pilot guard"):
+        _cancel_pilot(r, np.zeros((cfg.frame_len, L + 1)), cfg, layout)
 
 
 def test_channel_op_leaves_taps_untouched():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from otfspn.grid import (GridConfig, QamConfig, constellation,
+from otfspn.channel import _jakes_factor, doppler_from_velocity
+from otfspn.estimation import PilotLayout, _ce_basis
+from otfspn.grid import (GridConfig, QamConfig, _serial_matmul, constellation,
                          ofdm_demodulate, ofdm_modulate, otfs_demodulate,
                          otfs_modulate, qam_demap, qam_map)
 
@@ -175,3 +177,38 @@ def test_ofdm_single_subcarrier_is_tone():
     k = np.arange(16)
     np.testing.assert_allclose(sym0, np.exp(2j * np.pi * 3 * k / 16) / 4, atol=1e-14)
     assert np.abs(tx[16:]).max() < 1e-14
+
+
+@pytest.mark.parametrize("M,N", [(32, 16), (128, 32)])
+def test_serial_matmul_is_matmul_bit_for_bit(M, N):
+    """The trial path's products, split below OpenBLAS's threading cut-off,
+    give the bytes of ``a @ b`` in the operand layouts of their callers."""
+    cfg, n_taps = GridConfig(M, N, 16), 8
+    mn = cfg.frame_len
+    rng = np.random.default_rng(0)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    # Wiener stage 2: W @ g_hat.T, the snapshots (L, N) transposed
+    products = [(cplx(mn, N), cplx(n_taps, N).T)]
+    # BEM: basis @ least-squares coefficients, every order up to N
+    pilots = PilotLayout(n_taps).resolved(cfg).pilot_indices(cfg)
+    for q in range(2, N + 1):
+        basis = _ce_basis(mn, q, 1.0 * mn)
+        coef = np.linalg.lstsq(basis[pilots], cplx(n_taps, N).T, rcond=None)[0]
+        products.append((basis, coef))
+    # Jakes draw: complex weights @ the real factor transposed, at fig11's
+    # 500 km/h and fig9's largest Doppler
+    for f_d_norm in (doppler_from_velocity(500.0, 5.9e9) * cfg.T_s, 2.0 / mn):
+        fac = _jakes_factor(mn, f_d_norm)
+        products.append((cplx(7, fac.shape[1]), fac.T))
+    # 65536 = 2 * 512 * 8 * 8: fixed blocks of the largest size under the
+    # cut-off (1023 columns here, 511 rows for the desk Wiener product)
+    # would leave a last block of one column or row
+    products.append((cplx(8, 8), cplx(8, 1024)))
+    for a, b in products:
+        want = a @ b
+        got = _serial_matmul(a, b)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (a.shape, b.shape)

@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import inspect
 import io
+import json
 import os
 import pkgutil
 import re
@@ -186,7 +187,7 @@ def _cached_arrays():
             est._ce_basis(cfg.frame_len, 3, 1.0 * cfg.frame_len),
             *est._spline_grid(tuple(layout.pilot_indices(cfg).tolist()),
                               cfg.frame_len),
-            eq._pilot_samples(cfg, layout), *eq._adjoint_index(cfg.frame_len, 8),
+            est._pilot_train(cfg, layout), *eq._adjoint_index(cfg.frame_len, 8),
             *eq._fold(cfg.frame_len, 8),
             grid._axis_tables(qam)[1], grid.constellation(qam)]
 
@@ -458,7 +459,14 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
                       ("delay_spread: 1.0e+300\n", "exceeds CP (n_cp = 16)"),
                       ("velocity: 1.0e+300\n", "from velocity and f_c"),
                       ("oscillator: DPLL\nf_pll: 1.0e-300\n", "f_pll = 1e-300"),
-                      ("oscillator: DPLL\nf_pll: 1.0e+300\n", "f_pll = 1e+300")]:
+                      ("oscillator: DPLL\nf_pll: 1.0e+300\n", "f_pll = 1e+300"),
+                      # a coded frame with no information bit past the code's tail
+                      ("coded: true\nM: 16\nN: 2\n", "coded: true needs more than 12 "
+                       "data bits for the code's tail; the pilots leave 4 on the "
+                       "M x N = 16 x 2 grid"),
+                      # an integer past the float range
+                      ("snr_db: 1" + "0" * 400 + "\n", "snr_db must be finite"),
+                      ("sweep_values: [1" + "0" * 400 + "]\n", "sweep_values entry")]:
         bad.write_text(text)
         assert cli_main(["run", str(bad)]) == 1, text
         err = capsys.readouterr().err
@@ -748,3 +756,75 @@ print(digest, "scipy.signal" in sys.modules, "scipy.interpolate" in sys.modules)
     scope = {}
     exec(_LAZY_PATHS, scope)   # here every module is imported already
     assert out.split() == [scope["digest"], "True", "True"]
+
+
+def _numpy_blas() -> str:
+    config = getattr(np.__config__, "CONFIG", {})
+    return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
+
+
+# One fig11 trial per scale after a warm-up: each shared transmit, then every
+# OTFS estimator with MMSE and with LSMR-IC.  Prints the CPU nanoseconds that
+# threads other than the main one gained during the trials, and during one
+# product on OpenBLAS's threading cut-off.  An idle pool thread spins for a
+# while before it parks, so each reading starts and ends after 0.3 s idle.
+_POOL_PROBE = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "2"    # before numpy loads OpenBLAS
+import glob, json, time
+from dataclasses import replace
+import numpy as np
+from otfspn import harness
+
+def others():
+    main = os.getpid()
+    ns = {}
+    for path in glob.glob("/proc/self/task/*/schedstat"):
+        tid = int(path.split("/")[-2])
+        if tid != main:
+            with open(path) as f:
+                ns[tid] = int(f.read().split()[0])
+    return ns
+
+def gained(before):
+    time.sleep(0.3)         # a running thread's time is booked when it parks
+    return {t: ns - before.get(t, 0) for t, ns in others().items()
+            if ns > before.get(t, 0)}
+
+scales = []
+for full in (False, True):
+    curves = [s for s in harness.preset("fig11", trials=1, full=full)
+              if not s.estimator.startswith("ofdm")]
+    curves.append(replace(curves[0], estimator="perfect"))
+    scales.append([harness._resolve_point(replace(s, equalizer=e), 20.0)
+                   for s in curves for e in ("mmse", "lsmr_ic")])
+
+def trial(seed):
+    for points in scales:
+        tx = harness._transmit(points[0], seed, True)
+        for point in points:
+            harness._receive(point, tx)
+
+trial(0)                    # per-point caches and first-call set-up
+time.sleep(0.3)             # the pool parks
+before = others()
+trial(1)
+in_trial = gained(before)
+before = others()
+np.ones((512, 16), complex) @ np.ones((16, 8), complex)   # M*N*K = 65536
+print(json.dumps([in_trial, gained(before)]))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2
+                    or "openblas" not in _numpy_blas().lower(),
+                    reason="needs Linux per-thread schedstat, 2 CPUs and OpenBLAS")
+def test_trials_never_wake_the_blas_pool():
+    """No product of a desk or full-grid trial reaches OpenBLAS's threading
+    cut-off, so no thread but the main one runs during the trial, even with
+    two BLAS threads.  The last product, on the cut-off, must wake the pool:
+    if a newer OpenBLAS moved the cut-off, that fails here."""
+    in_trial, canary = json.loads(_fresh_python(_POOL_PROBE))
+    assert in_trial == {}
+    assert canary, "a 512x16x8 complex product did not wake the BLAS pool"
