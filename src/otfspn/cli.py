@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 
-from .harness import PRESETS, emit_csv, load_scenario, preset, run_scenarios
+from .harness import PRESETS, _open_out, emit_csv, load_scenario, preset, run_scenarios
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -32,32 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="full reference grid (M=128, N=32) instead of desk scale")
     _add_common(pre_p)
     return p
-
-
-@contextmanager
-def _open_out(path):
-    """The CSV destination, opened before the first trial: stdout if no
-    path.  A regular file is written through a temporary file beside it that
-    replaces it only if the run succeeds, so a failed run leaves an existing
-    file as it was; any other path (a pipe, a device) is opened as given."""
-    if path is None:
-        yield sys.stdout
-        return
-    dest = os.path.realpath(path)
-    direct = os.path.exists(dest) and not os.path.isfile(dest)
-    tmp = dest if direct else f"{dest}.{os.getpid()}.tmp"
-    try:
-        f = open(tmp, "w" if direct else "x", encoding="utf-8", newline="")
-    except OSError as e:
-        raise OSError(f"cannot write CSV to {path}: {e}") from e
-    try:
-        with f:
-            yield f
-        if not direct:
-            os.replace(tmp, dest)
-    finally:
-        if not direct and os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def main(argv=None) -> int:

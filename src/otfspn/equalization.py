@@ -27,8 +27,8 @@ from math import inf, nan, sqrt
 import numpy as np
 
 from .estimation import PilotLayout, _cancel_pilot, extract_data
-from .grid import (GridConfig, QamConfig, constellation, frozen_cache, otfs_demodulate,
-                   otfs_modulate)
+from .grid import (GridConfig, QamConfig, _axis_tables, _nearest_labels, constellation,
+                   frozen_cache, otfs_demodulate, otfs_modulate)
 
 
 @dataclass
@@ -41,8 +41,9 @@ class DetectionResult:
 
 @frozen_cache
 def _banded_index(mn: int, n_taps: int):
-    """CSR column indices and row pointers of ``banded_circular``, in the
-    index dtype scipy would pick, so no matrix copies or rescans them."""
+    """CSR column indices and row pointers of ``banded_circular`` (read as
+    CSC, ``_adjoint``'s row indices and column pointers), in the index dtype
+    scipy would pick, so no matrix copies or rescans them."""
     import scipy.sparse as sp
 
     dtype = sp.get_index_dtype(maxval=mn * n_taps)
@@ -287,32 +288,17 @@ def _solve_normal(g_dt: np.ndarray, b: np.ndarray, noise_var: float) -> np.ndarr
     return x
 
 
-@frozen_cache
-def _adjoint_index(mn: int, n_taps: int):
-    """Flat tap index, columns and row pointers of ``_adjoint``'s CSR; the
-    row pointers are ``banded_circular``'s."""
-    rows = np.arange(mn)[:, None]
-    cols = np.sort((rows + np.arange(n_taps)) % mn, axis=1)
-    take = (cols * n_taps + (cols - rows) % mn).ravel()
-    _, indptr = _banded_index(mn, n_taps)
-    return take, cols.astype(indptr.dtype).ravel(), indptr
-
-
 def _adjoint(g_dt: np.ndarray):
-    """G^H of ``banded_circular(g_dt)`` as CSR, for one product G^H y.
-
-    Row m holds conj(g[n, (n - m) mod MN]) at the columns n = (m + l) mod MN,
-    l < L, in ascending n: on the L-1 wrap rows the wrapped entries come
-    first.  That is the order in which ``G.conj().T @ y`` (scipy's
-    csc_matvec) sums them, so the product is the same bits, and G is never
-    copied or converted.
-    """
+    """G^H of ``banded_circular(g_dt)``, for one product G^H y: the conjugated
+    taps in G's own index arrays, read as CSC, so column n holds
+    conj(g[n, l]) at rows (n - l) mod MN.  That is the matrix
+    ``G.conj().T``, so the product sums in its order and gives its bits."""
     import scipy.sparse as sp
 
-    g = np.asarray(g_dt, dtype=complex)
-    mn, n_taps = g.shape
-    take, cols, indptr = _adjoint_index(mn, n_taps)
-    return sp.csr_matrix((np.conj(g.ravel()[take]), cols, indptr), shape=(mn, mn))
+    taps = np.conj(np.asarray(g_dt, dtype=complex))
+    mn, n_taps = taps.shape
+    rows, indptr = _banded_index(mn, n_taps)
+    return sp.csc_matrix((taps.ravel(), rows, indptr), shape=(mn, mn))
 
 
 def mmse_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
@@ -329,12 +315,12 @@ def mmse_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     return DetectionResult(extract_data(x_dd, layout, cfg), x_dd)
 
 
-def _harden(x_dd: np.ndarray, mask: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Nearest-constellation decisions on the data cells, zeros elsewhere."""
+def _harden(x_dd: np.ndarray, mask: np.ndarray, qam: QamConfig) -> np.ndarray:
+    """Nearest-constellation decisions on the data cells, zeros elsewhere,
+    decided per axis by ``qam_demap``'s rule."""
     hard = np.zeros_like(x_dd)
-    data = x_dd[mask]
-    idx = np.argmin(np.abs(data[:, None] - points[None, :]), axis=1)
-    hard[mask] = points[idx]
+    iq = _axis_tables(qam)[1][_nearest_labels(x_dd[mask], qam)]    # (cells, 2)
+    hard[mask] = iq.view(complex)[:, 0]
     return hard
 
 
@@ -352,7 +338,6 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     """
     op = ChannelOp(g_dt)
     damp = float(np.sqrt(noise_var))
-    points = constellation(qam)
     mask = layout.data_mask(cfg)
     y = _cancel_pilot(r, g_dt, cfg, layout)
 
@@ -362,7 +347,7 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     best_dd = x_dd
     converged = True
     for t in range(1, i_ic + 1):
-        hard = _harden(x_dd, mask, points)
+        hard = _harden(x_dd, mask, qam)
         frac = t / i_ic
         if frac < 1.0:
             # cancel only the most reliable decisions on early passes

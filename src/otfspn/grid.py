@@ -112,29 +112,20 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# Gray-coded PAM levels per axis, before the unit-power scaling.  The single
-# bit 0 maps to +1 so 4-QAM bits 00 land on (1+1j)/sqrt(2).
-_PAM = {
-    2: {(0,): 1.0, (1,): -1.0},
-    4: {(0, 0): 3.0, (0, 1): 1.0, (1, 1): -1.0, (1, 0): -3.0},
-}
+# Gray-coded PAM levels per axis, indexed by the Gray label's value, before
+# the unit-power scaling.  Label 0 maps to +1 so 4-QAM bits 00 land on
+# (1+1j)/sqrt(2).
+_PAM = {2: (1.0, -1.0), 4: (3.0, 1.0, -3.0, -1.0)}
 
 
 @frozen_cache
 def _axis_tables(cfg: QamConfig):
-    """(bits per axis, levels indexed by Gray label value, scale) for one
+    """(bits per axis, unit-power levels indexed by Gray label value) for one
     axis."""
-    k = cfg.bits_per_symbol // 2
-    table = _PAM[cfg.levels_per_axis]
-    levels = np.empty(cfg.levels_per_axis)
-    for bits, lv in table.items():
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        levels[idx] = lv
+    levels = np.array(_PAM[cfg.levels_per_axis])
     # unit average symbol power: E|s|^2 = 2 * E[level^2] * scale^2 = 1
     scale = 1.0 / np.sqrt(2.0 * np.mean(levels**2))
-    return k, levels, scale
+    return cfg.bits_per_symbol // 2, levels * scale
 
 
 def qam_map(bits, cfg: QamConfig) -> np.ndarray:
@@ -147,27 +138,28 @@ def qam_map(bits, cfg: QamConfig) -> np.ndarray:
     bps = cfg.bits_per_symbol
     if bits.size % bps != 0:
         raise ValueError(f"bit count {bits.size} not divisible by {bps}")
-    k, levels, scale = _axis_tables(cfg)
+    k, levels = _axis_tables(cfg)
     b = bits.reshape(-1, bps)
     weights = 1 << np.arange(k - 1, -1, -1)
-    i_idx = b[:, :k] @ weights
-    q_idx = b[:, k:] @ weights
-    return scale * (levels[i_idx] + 1j * levels[q_idx])
+    return levels[b[:, :k] @ weights] + 1j * levels[b[:, k:] @ weights]
+
+
+def _nearest_labels(symbols: np.ndarray, cfg: QamConfig) -> np.ndarray:
+    """(n, 2) Gray labels of the level nearest to each symbol's I and Q
+    value; a value on a decision edge takes the lower level."""
+    levels = _axis_tables(cfg)[1]
+    order = np.argsort(levels)          # level rank -> Gray label
+    ranked = levels[order]
+    edges = 0.5 * (ranked[1:] + ranked[:-1])
+    iq = np.asarray(symbols, dtype=complex).ravel().view(np.float64)
+    return order[np.searchsorted(edges, iq)].reshape(-1, 2)
 
 
 def qam_demap(symbols, cfg: QamConfig) -> np.ndarray:
     """Hard-decision demapping (nearest level per axis), inverse of qam_map."""
-    symbols = np.asarray(symbols).ravel()
-    k, levels, scale = _axis_tables(cfg)
-    order = np.argsort(levels)          # level value -> Gray label index
-    sorted_levels = levels[order] * scale
-    edges = 0.5 * (sorted_levels[1:] + sorted_levels[:-1])
-    bits = np.empty((symbols.size, cfg.bits_per_symbol), dtype=np.int64)
-    for axis, vals in enumerate((symbols.real, symbols.imag)):
-        idx = order[np.searchsorted(edges, vals)]
-        for j in range(k):
-            bits[:, axis * k + j] = (idx >> (k - 1 - j)) & 1
-    return bits.ravel()
+    k = cfg.bits_per_symbol // 2
+    labels = _nearest_labels(symbols, cfg)
+    return ((labels[:, :, None] >> np.arange(k - 1, -1, -1)) & 1).ravel()
 
 
 @frozen_cache

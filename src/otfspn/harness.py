@@ -21,7 +21,9 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
 
@@ -153,6 +155,11 @@ class Scenario:
                 raise ValueError(f"sweep_values entry {v!r} is not finite")
         if len(self.sweep_values) == 0:
             raise ValueError("sweep_values must not be empty")
+        top = np.iinfo(np.intp).max     # numpy indexes no array past this
+        for key, n in (("M", self.M), ("N", self.N), ("M*N", self.M * self.N),
+                       ("trials", self.trials)):
+            if n > top:
+                raise ValueError(f"{key} = {n} is past numpy's index range ({top})")
         # a sweep axis the scenario ignores would repeat one point
         if self.sweep == "f_pll" and self.oscillator == "FRO":
             raise ValueError("sweep f_pll has no effect on the FRO oscillator")
@@ -224,24 +231,47 @@ CSV_COLUMNS = ("sweep_name", "sweep_value", "metric", "value", "ci95",
                "trials", "scenario_hash", "seed")
 
 
+@contextmanager
+def _open_out(path):
+    """The CSV destination, which the CLI opens before the first trial:
+    stdout if no path.  A regular file is written through a temporary file
+    beside it that replaces it only if the write succeeds, so a failed run
+    leaves an existing file as it was; any other path (a pipe, a device) is
+    opened as given."""
+    if path is None:
+        yield sys.stdout
+        return
+    dest = os.path.realpath(path)
+    direct = os.path.exists(dest) and not os.path.isfile(dest)
+    tmp = dest if direct else f"{dest}.{os.getpid()}.tmp"
+    try:
+        f = open(tmp, "w" if direct else "x", encoding="utf-8", newline="")
+    except OSError as e:
+        raise OSError(f"cannot write CSV to {path}: {e}") from e
+    try:
+        with f:
+            yield f
+        if not direct:
+            os.replace(tmp, dest)
+    finally:
+        if not direct and os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def emit_csv(rows, path_or_file) -> None:
-    """Write rows with the fixed column order; floats use repr for exact
-    round-tripping and platform-stable bytes."""
-    def _write(f):
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(CSV_COLUMNS)
-        for r in rows:
-            w.writerow([r.sweep_name, repr(float(r.sweep_value)), r.metric,
-                        repr(float(r.value)), repr(float(r.ci95)),
-                        r.trials, r.scenario_hash, r.seed])
-    if hasattr(path_or_file, "write"):
-        _write(path_or_file)
-    else:
-        try:
-            with open(path_or_file, "w", encoding="utf-8", newline="") as f:
-                _write(f)
-        except OSError as e:
-            raise OSError(f"cannot write CSV to {path_or_file}: {e}") from e
+    """Write rows with the fixed column order to an open file or, through
+    ``_open_out``, a path; floats use repr for exact round-tripping and
+    platform-stable bytes."""
+    if not hasattr(path_or_file, "write"):
+        with _open_out(path_or_file) as f:
+            emit_csv(rows, f)
+        return
+    w = csv.writer(path_or_file, lineterminator="\n")
+    w.writerow(CSV_COLUMNS)
+    for r in rows:
+        w.writerow([r.sweep_name, repr(float(r.sweep_value)), r.metric,
+                    repr(float(r.value)), repr(float(r.ci95)),
+                    r.trials, r.scenario_hash, r.seed])
 
 
 def parse_csv(path_or_file) -> list:

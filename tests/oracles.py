@@ -40,3 +40,13 @@ def k_phi(model, cfg):
     R = expected_rotation(model, lags)
     F = np.fft.fft(np.eye(cfg.N)) / np.sqrt(cfg.N)
     return F @ R @ F.conj().T / cfg.N
+
+
+def harden(x_dd, mask, points):
+    """Nearest-constellation decisions on the data cells, zeros elsewhere, by
+    an argmin of |x - p| over every point: LSMR-IC's former decision rule."""
+    hard = np.zeros_like(x_dd)
+    data = x_dd[mask]
+    idx = np.argmin(np.abs(data[:, None] - points[None, :]), axis=1)
+    hard[mask] = points[idx]
+    return hard

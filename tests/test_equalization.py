@@ -3,16 +3,17 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import LinearOperator, lsmr, spsolve
 
+import oracles
 from oracles import dd_transform
 from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
     effective_channel, realize_channel
-from otfspn.equalization import (CONV_K, _OUT, ChannelOp, _adjoint, _lsmr, _normal_band,
+from otfspn.equalization import (CONV_K, _OUT, ChannelOp, _adjoint, _harden, _lsmr, _normal_band,
                                  _solve_normal, _viterbi_forward, banded_circular, ber,
                                  conv_encode, evm, lsmr_ic_equalize, mmse_equalize, nmse,
                                  qam_llrs, viterbi_decode)
 from otfspn.estimation import PilotLayout, _cancel_pilot, build_pilot_frame, n_data
-from otfspn.grid import (GridConfig, QamConfig, otfs_demodulate, otfs_modulate,
-                         qam_demap, qam_map)
+from otfspn.grid import (GridConfig, QamConfig, constellation, otfs_demodulate,
+                         otfs_modulate, qam_demap, qam_map)
 from otfspn.oscillator import PhaseNoiseModel, sample_path
 
 TS = 1.0 / 7.68e6
@@ -394,6 +395,43 @@ def test_lsmr_ic_matches_mmse_ber():
         nbits += bits.size
     # both operate in the same near-error-free regime
     assert abs(total["mmse"] - total["lsmr"]) <= max(4, 0.2 * max(total.values()))
+
+
+def _data_mask(M, N):
+    cfg = GridConfig(M=M, N=N, n_cp=16)
+    return PilotLayout(L=8).resolved(cfg).data_mask(cfg)
+
+
+@pytest.mark.parametrize("M,N", [(32, 16), (128, 32)])
+@pytest.mark.parametrize("order", [4, 16])
+def test_harden_matches_all_points_argmin(M, N, order):
+    """LSMR-IC's per-axis decisions are the nearest constellation points,
+    bit for bit, on symbols scattered near and far from the grid."""
+    qam, mask = QamConfig(order), _data_mask(M, N)
+    points = constellation(qam)
+    rng = np.random.default_rng(31 + M + order)
+    for spread in (0.05, 0.3, 2.0):
+        x = points[rng.integers(0, order, (M, N))] + spread * (
+            rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N)))
+        got, ref = _harden(x, mask, qam), oracles.harden(x, mask, points)
+        assert got.view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("order", [4, 16])
+def test_harden_decides_edges_as_qam_demap(order):
+    """On a decision edge, signed zero included, or one ulp from one,
+    LSMR-IC's decisions carry qam_demap's bits: the two share one tie rule."""
+    qam, mask = QamConfig(order), _data_mask(32, 16)
+    levels = np.unique(constellation(qam).real)
+    edges = 0.5 * (levels[1:] + levels[:-1])
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                           np.nextafter(edges, np.inf), [-0.0]])
+    rng = np.random.default_rng(37 + order)
+    x = rng.choice(near, (32, 16)) + 1j * rng.choice(np.concatenate([near, levels]),
+                                                      (32, 16))
+    x[::2] = x[::2].imag + 1j * x[::2].real      # the edge on the other axis
+    hard = _harden(x, mask, qam)
+    assert np.array_equal(qam_demap(hard[mask], qam), qam_demap(x[mask], qam))
 
 
 def test_conv_code_roundtrip_many_blocks():

@@ -1,4 +1,5 @@
-"""Every name a module of the package or of its tests imports is used there."""
+"""Every name a module of the package or of its tests imports is used there,
+and every private name a package module defines is read somewhere."""
 
 import ast
 from pathlib import Path
@@ -24,9 +25,49 @@ def _unused_imports(path: Path) -> list:
     return sorted(imported - used)
 
 
-def test_no_module_imports_a_name_it_never_uses():
+def _modules() -> list:
     modules = sorted([*(ROOT / "src" / "otfspn").glob("*.py"), *(ROOT / "tests").glob("*.py")])
     assert len(modules) > 10
+    return modules
+
+
+def _private_definitions(path: Path) -> set:
+    """Private names (``_x``, not ``__x__``) bound at the top level of ``path``
+    by a def, a class or an assignment."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def _references(path: Path) -> set:
+    """Names ``path`` reads, as a bare name, an attribute or an import."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(a.name for a in node.names)
+    return refs
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    modules = _modules()
     unused = {str(p.relative_to(ROOT)): names for p in modules
               if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def test_every_private_package_name_is_read():
+    modules = _modules()
+    read = set().union(*map(_references, modules))
+    unread = {str(p.relative_to(ROOT)): sorted(names) for p in modules
+              if p.parent.name == "otfspn" and (names := _private_definitions(p) - read)}
+    assert unread == {}
