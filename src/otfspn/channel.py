@@ -95,29 +95,6 @@ class ChannelProfile:
         return int(memory) + 1
 
 
-@dataclass
-class ChannelRealization:
-    """Per-sample tap gains ``taps[n, l]`` for one frame window.
-
-    ``tap_delays`` holds the sample delay of each column; columns between
-    quantized taps are absent (zero power).  ``L`` is the channel length in
-    samples, i.e. max delay + 1.
-    """
-
-    taps: np.ndarray          # (n_samples, n_taps)
-    tap_delays: np.ndarray    # (n_taps,)
-
-    @property
-    def L(self) -> int:
-        return int(self.tap_delays.max()) + 1
-
-    def dense_taps(self) -> np.ndarray:
-        """(n_samples, L) matrix with zero columns for empty delays."""
-        out = np.zeros((self.taps.shape[0], self.L), dtype=complex)
-        out[:, self.tap_delays] = self.taps
-        return out
-
-
 @frozen_cache
 def _jakes_factor(n_samples: int, f_d_norm: float) -> np.ndarray:
     """n x r factor F with F F^T equal to the Bessel covariance.
@@ -168,8 +145,9 @@ def _jakes_process(n_samples: int, f_d_norm: float, rng: np.random.Generator,
 
 
 def realize_channel(profile: ChannelProfile, cfg: GridConfig, seed,
-                    n_samples: int | None = None) -> ChannelRealization:
-    """Draw one channel realization over the frame window.
+                    n_samples: int | None = None) -> np.ndarray:
+    """Draw one channel realization over the frame window: the (n_samples, L)
+    tap gains ``taps[n, l]``, zero in the columns of empty delays.
 
     Taps are mutually independent, zero-mean complex Gaussian and stationary
     with autocorrelation J_0(2*pi*f_D*T_s*lag); tap powers follow the
@@ -178,31 +156,31 @@ def realize_channel(profile: ChannelProfile, cfg: GridConfig, seed,
     rng = np.random.default_rng(seed)
     if n_samples is None:
         n_samples = cfg.frame_len
-    profile.length(cfg)
+    L = profile.length(cfg)
     delays, powers = profile.quantized(cfg.T_s)
     procs = _jakes_process(n_samples, profile.f_D * cfg.T_s, rng, len(delays))
-    taps = (np.sqrt(powers)[:, None] * procs).T
-    return ChannelRealization(taps, delays)
+    taps = np.zeros((n_samples, L), dtype=complex)
+    taps[:, delays] = (np.sqrt(powers)[:, None] * procs).T
+    return taps
 
 
-def effective_channel(chan: ChannelRealization, psi: np.ndarray) -> np.ndarray:
-    """True effective taps g[n, l] = psi[n] h[n, l], dense in delay.
+def effective_channel(taps: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """True effective taps g[n, l] = psi[n] h[n, l].
 
     The trailing samples of the phase path psi align with the channel window
     (the path may include the CP, the channel does not)."""
-    h = chan.dense_taps()
-    n = h.shape[0]
+    n = taps.shape[0]
     if psi.size < n:
         raise ValueError("phase path shorter than channel window")
-    return psi[-n:, None] * h
+    return psi[-n:, None] * taps
 
 
-def apply_channel(s: np.ndarray, chan: ChannelRealization, psi: np.ndarray,
+def apply_channel(s: np.ndarray, taps: np.ndarray, psi: np.ndarray,
                   noise_var: float, seed) -> np.ndarray:
     """Pass transmit samples through the LTV channel plus phase noise.
 
-    The output covers the channel window, the last ``n = len(chan.taps)``
-    samples of ``s``: with ``off = len(s) - n``,
+    The output covers the channel window, the last ``n = len(taps)`` samples
+    of ``s``: with ``off = len(s) - n``,
 
         r[k] = psi[k] * sum_l h[k, l] * s[off + k - l] + eta[k],  k < n,
 
@@ -213,14 +191,14 @@ def apply_channel(s: np.ndarray, chan: ChannelRealization, psi: np.ndarray,
     """
     rng = np.random.default_rng(seed)
     s = np.asarray(s).ravel()
-    n = chan.taps.shape[0]
+    n = taps.shape[0]
     off = s.size - n
     if off < 0:
         raise ValueError(f"{s.size} samples cannot fill a {n}-sample channel window")
     acc = np.zeros(n, dtype=complex)
-    for col, l in enumerate(chan.tap_delays):
+    for l in range(taps.shape[1]):
         k = max(l - off, 0)             # outputs before k see no sample of s
-        acc[k:] += chan.taps[k:, col] * s[off + k - l:off + n - l]
+        acc[k:] += taps[k:, l] * s[off + k - l:off + n - l]
     r = psi[-n:] * acc
     if noise_var > 0:
         r = r + np.sqrt(noise_var / 2.0) * (rng.standard_normal(n)

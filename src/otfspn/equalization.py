@@ -86,9 +86,10 @@ class ChannelOp:
         self.mn, n_taps = g.shape
         self._G = banded_circular(g)
         cols = (np.arange(self.mn)[:, None] + np.arange(n_taps)) % self.mn
-        self._GH = sp.csr_matrix(
-            (np.conj(g[cols, np.arange(n_taps)]).ravel(), cols.ravel(),
-             self._G.indptr), shape=(self.mn, self.mn))
+        gh = g[cols, np.arange(n_taps)]
+        np.conjugate(gh, out=gh)
+        self._GH = sp.csr_matrix((gh.ravel(), cols.ravel(), self._G.indptr),
+                                 shape=(self.mn, self.mn))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self._G @ x

@@ -165,6 +165,10 @@ class Scenario:
             raise ValueError("sweep f_pll has no effect on the FRO oscillator")
         if self.sweep == "velocity" and self.f_D is not None:
             raise ValueError("sweep velocity has no effect while f_D is set")
+        if self.sweep == "f_D_norm":
+            for key, unset in (("f_D", None), ("velocity", 0.0)):
+                if getattr(self, key) != unset:
+                    raise ValueError(f"{key} has no effect with sweep f_D_norm")
         if self.kind == "sinr":
             if self.sweep in ("velocity", "f_D", "f_D_norm"):
                 raise ValueError(f"sweep {self.sweep} has no effect on kind 'sinr', "
@@ -399,14 +403,6 @@ def _resolve_point(s: Scenario, value: float) -> SweepPoint:
 # Per-trial pipeline
 # --------------------------------------------------------------------------
 
-def _realize(point: SweepPoint, rng, n_samples: int) -> ch.ChannelRealization:
-    if point.scenario.channel == "awgn":
-        # deterministic unit tap: pure AWGN once noise is added
-        return ch.ChannelRealization(np.ones((n_samples, 1), dtype=complex),
-                                     np.array([0]))
-    return ch.realize_channel(point.profile, point.cfg, rng, n_samples)
-
-
 @dataclass
 class _Transmit:
     """One trial's frame as every receiver of a group sees it; read-only."""
@@ -444,14 +440,18 @@ def _transmit(point: SweepPoint, trial_seed: int, stage1: bool) -> _Transmit:
         sent = otfs_modulate(frame, cfg)
         window = cfg.frame_len          # the CP makes it circular
 
-    chan = _realize(point, rng, window)
+    if s.channel == "awgn":
+        # deterministic unit tap: pure AWGN once noise is added
+        taps = np.ones((window, 1), dtype=complex)
+    else:
+        taps = ch.realize_channel(point.profile, cfg, rng, window)
     psi = sample_path(point.model, sent.size, rng)
-    r = ch.apply_channel(sent, chan, psi, point.noise_var, rng)
+    r = ch.apply_channel(sent, taps, psi, point.noise_var, rng)
     g_true = g_hat = Y = None
     if ofdm:
         Y = ofdm_demodulate(r, cfg)
     else:
-        g_true = ch.effective_channel(chan, psi)
+        g_true = ch.effective_channel(taps, psi)
         if stage1:
             g_hat = est.stage1_estimate(r, layout, cfg, point.noise_var)
     shared = _Transmit(bits, info, data, r, g_true, g_hat, Y)

@@ -16,10 +16,10 @@ def dd_transform(mat, cfg):
     return T.reshape(cfg.frame_len, cfg.frame_len)
 
 
-def effective_dd_channel(chan, psi, cfg):
+def effective_dd_channel(taps, psi, cfg):
     """G_DD = (F_N kron I_M) diag(psi) H_DT (F_N^H kron I_M); the demodulated
     receive vector equals G_DD @ x plus noise."""
-    return dd_transform(banded_circular(effective_channel(chan, psi)).toarray(), cfg)
+    return dd_transform(banded_circular(effective_channel(taps, psi)).toarray(), cfg)
 
 
 def as_dense(op):

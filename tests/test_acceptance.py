@@ -181,10 +181,10 @@ def test_criterion_05_operator_oracles():
     x = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
     e_apply = np.abs(op.apply(x) - dense @ x).max()
 
-    chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
-    G = effective_dd_channel(chan, psi, cfg)
+    taps = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
+    G = effective_dd_channel(taps, psi, cfg)
     X = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    r = apply_channel(otfs_modulate(X, cfg), chan, psi, 0.0, rng)
+    r = apply_channel(otfs_modulate(X, cfg), taps, psi, 0.0, rng)
     e_pipe = np.abs(otfs_demodulate(r, cfg).reshape(-1, order="F")
                     - G @ X.reshape(-1, order="F")).max()
     ok = max(e_op, e_apply, e_pipe) < 1e-10
@@ -245,13 +245,13 @@ def test_criterion_06_wiener_optimality():
 
 def _shared_trial(point_seed, cfg, layout, prof, model, qam, noise_var):
     rng = np.random.default_rng(point_seed)
-    chan = realize_channel(prof, cfg, rng)
+    taps = realize_channel(prof, cfg, rng)
     psi = sample_path(model, cfg.frame_len + cfg.n_cp, rng)
     bits = rng.integers(0, 2, qam.bits_per_symbol * n_data(layout, cfg))
     frame = build_pilot_frame(layout, qam_map(bits, qam), cfg)
-    r = apply_channel(otfs_modulate(frame, cfg), chan, psi, noise_var, rng)
+    r = apply_channel(otfs_modulate(frame, cfg), taps, psi, noise_var, rng)
     g_hat = stage1_estimate(r, layout, cfg, noise_var)
-    g = effective_channel(chan, psi)
+    g = effective_channel(taps, psi)
     return rng, bits, r, g_hat, g
 
 

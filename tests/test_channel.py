@@ -5,9 +5,9 @@ import pytest
 from scipy.special import j0
 
 from oracles import effective_dd_channel
-from otfspn.channel import (ChannelProfile, ChannelRealization, SPEED_OF_LIGHT,
-                            _jakes_factor, apply_channel, doppler_from_velocity,
-                            effective_channel, realize_channel)
+from otfspn.channel import (ChannelProfile, SPEED_OF_LIGHT, _jakes_factor,
+                            apply_channel, doppler_from_velocity, effective_channel,
+                            realize_channel)
 from otfspn.equalization import banded_circular
 from otfspn.grid import GridConfig, ofdm_modulate, otfs_demodulate, otfs_modulate
 from otfspn.oscillator import PhaseNoiseModel, sample_path
@@ -41,8 +41,8 @@ def test_doppler_from_velocity():
 
 def test_zero_doppler_taps_constant():
     cfg = GridConfig(M=16, N=8, n_cp=8)
-    chan = realize_channel(ChannelProfile.tdl_c(100e-9, 0.0), cfg, 0)
-    assert np.abs(chan.taps - chan.taps[0:1, :]).max() == 0.0
+    taps = realize_channel(ChannelProfile.tdl_c(100e-9, 0.0), cfg, 0)
+    assert np.abs(taps - taps[0:1, :]).max() == 0.0
 
 
 def test_tap_power_normalization():
@@ -51,8 +51,8 @@ def test_tap_power_normalization():
     tot = 0.0
     trials = 4000
     for _ in range(trials):
-        chan = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
-        tot += np.mean(np.sum(np.abs(chan.taps) ** 2, axis=1))
+        taps = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
+        tot += np.mean(np.sum(np.abs(taps) ** 2, axis=1))
     assert tot / trials == pytest.approx(1.0, rel=0.02)
 
 
@@ -66,8 +66,7 @@ def test_jakes_autocorrelation():
     acc = np.zeros(33, dtype=complex)
     trials = 10_000
     for _ in range(trials):
-        chan = realize_channel(prof, cfg, rng)
-        x = chan.taps[:, 0]
+        x = realize_channel(prof, cfg, rng)[:, 0]
         for i, lag in enumerate(range(33)):
             acc[i] += np.mean(x[lag:] * np.conj(x[:n - lag]))
     emp = acc / trials
@@ -125,13 +124,27 @@ def test_jakes_factor_memory_is_low_rank():
 def test_full_grid_tap_power():
     cfg = GridConfig(M=128, N=32, n_cp=16)
     prof = ChannelProfile.tdl_c(100e-9, doppler_from_velocity(500.0, 5.9e9))
-    _, powers = prof.quantized(cfg.T_s)
+    delays, powers = prof.quantized(cfg.T_s)
     rng = np.random.default_rng(9)
     # per-trial sd of the total is 0.38, so SE = 0.006 and 0.025 is 4 SE
-    per_tap = np.array([np.mean(np.abs(realize_channel(prof, cfg, rng).taps) ** 2,
-                                axis=0) for _ in range(4000)])
+    per_tap = np.array([np.mean(np.abs(realize_channel(prof, cfg, rng)) ** 2, axis=0)
+                        for _ in range(4000)])[:, delays]
     assert per_tap.sum(axis=1).mean() == pytest.approx(1.0, abs=0.025)
     np.testing.assert_allclose(per_tap.mean(axis=0), powers, rtol=0.05)
+
+
+@pytest.mark.parametrize("f_D", [0.0, 1e3])
+def test_realization_is_dense_in_delay(f_D):
+    # TDL-C at 100 ns and 7.68 MHz quantizes to delays 0..5 and 7: l = 6 is empty
+    cfg = GridConfig(M=16, N=8, n_cp=8)
+    prof = ChannelProfile.tdl_c(100e-9, f_D)
+    delays, _ = prof.quantized(cfg.T_s)
+    assert 6 not in delays
+    for n in (cfg.frame_len, cfg.N * (cfg.M + cfg.n_cp)):     # OTFS window, OFDM stream
+        taps = realize_channel(prof, cfg, 0, n)
+        assert taps.shape == (n, prof.length(cfg)) == (n, 8)
+        assert taps.dtype == complex and taps.flags.c_contiguous
+        assert np.all(taps[:, 6] == 0) and np.all(taps[:, delays] != 0)
 
 
 def test_cp_length_guard():
@@ -143,24 +156,24 @@ def test_cp_length_guard():
 def test_identity_channel_passthrough():
     cfg = GridConfig(M=16, N=8, n_cp=4)
     mn = cfg.frame_len
-    chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
+    taps = np.ones((mn, 1), dtype=complex)
     psi = np.ones(mn + cfg.n_cp, dtype=complex)
     rng = np.random.default_rng(3)
     X = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
     s = otfs_modulate(X, cfg)
-    r = apply_channel(s, chan, psi, 0.0, rng)
+    r = apply_channel(s, taps, psi, 0.0, rng)
     np.testing.assert_allclose(r, s[cfg.n_cp:], atol=1e-14)
 
 
 def test_constant_phase_is_cpe():
     cfg = GridConfig(M=16, N=8, n_cp=4)
     mn = cfg.frame_len
-    chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
+    taps = np.ones((mn, 1), dtype=complex)
     psi = np.exp(1j * np.full(mn + cfg.n_cp, 1.1))
     rng = np.random.default_rng(4)
     X = rng.standard_normal((16, 8)) + 1j * rng.standard_normal((16, 8))
     s = otfs_modulate(X, cfg)
-    r = apply_channel(s, chan, psi, 0.0, rng)
+    r = apply_channel(s, taps, psi, 0.0, rng)
     Y = otfs_demodulate(r, cfg)
     np.testing.assert_allclose(Y, np.exp(1.1j) * X, atol=1e-12)
 
@@ -170,13 +183,13 @@ def test_apply_channel_matches_dense_matrices():
     cfg = GridConfig(M=8, N=4, n_cp=8)
     mn = cfg.frame_len
     rng = np.random.default_rng(5)
-    chan = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
+    taps = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
     model = PhaseNoiseModel("FRO", 2e3, TS)
     psi = sample_path(model, mn + cfg.n_cp, rng)
     X = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
     s = otfs_modulate(X, cfg)
-    r = apply_channel(s, chan, psi, 0.0, rng)
-    H = banded_circular(chan.dense_taps()).toarray()
+    r = apply_channel(s, taps, psi, 0.0, rng)
+    H = banded_circular(taps).toarray()
     Phi = np.diag(psi[cfg.n_cp:])
     ref = Phi @ H @ s[cfg.n_cp:]
     assert np.abs(r - ref).max() < 1e-10
@@ -190,25 +203,25 @@ def _noise(rng, n, noise_var):
                                        + 1j * rng.standard_normal(n))
 
 
-def _linear_stream_oracle(tx, chan, psi, noise_var, rng):
+def _linear_stream_oracle(tx, taps, psi, noise_var, rng):
     """Linear LTV convolution of a whole stream, lag by lag."""
     n = tx.size
     acc = np.zeros(n, dtype=complex)
-    for col, l in enumerate(chan.tap_delays):
+    for l in range(taps.shape[1]):
         if l == 0:
-            acc += chan.taps[:, col] * tx
+            acc += taps[:, l] * tx
         else:
-            acc[l:] += chan.taps[l:, col] * tx[:-l]
+            acc[l:] += taps[l:, l] * tx[:-l]
     return psi[:n] * acc + _noise(rng, n, noise_var)
 
 
-def _circular_block_oracle(s, chan, psi, noise_var, rng, cfg):
+def _circular_block_oracle(s, taps, psi, noise_var, rng, cfg):
     """CP removal, then circular LTV convolution of the M*N block."""
     mn = cfg.frame_len
     s = s[cfg.n_cp:]
     acc = np.zeros(mn, dtype=complex)
-    for col, l in enumerate(chan.tap_delays):
-        acc += chan.taps[:, col] * np.roll(s, l)
+    for l in range(taps.shape[1]):
+        acc += taps[:, l] * np.roll(s, l)
     return psi[-mn:] * acc + _noise(rng, mn, noise_var)
 
 
@@ -220,10 +233,9 @@ def test_apply_channel_linear_on_ofdm_stream():
     tx = ofdm_modulate(X, cfg)
     taps = rng.standard_normal((tx.size, 8)) + 1j * rng.standard_normal((tx.size, 8))
     taps[:, 5] = 0.0
-    chan = ChannelRealization(taps, np.arange(8))
     psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), tx.size, rng)
-    got = apply_channel(tx, chan, psi, 0.01, np.random.default_rng(1))
-    ref = _linear_stream_oracle(tx, chan, psi, 0.01, np.random.default_rng(1))
+    got = apply_channel(tx, taps, psi, 0.01, np.random.default_rng(1))
+    ref = _linear_stream_oracle(tx, taps, psi, 0.01, np.random.default_rng(1))
     assert np.array_equal(got, ref)
 
 
@@ -231,16 +243,16 @@ def test_apply_channel_circular_on_cp_prefixed_block():
     # offset n_cp >= L - 1: the CP turns the window into a circular convolution
     cfg = GridConfig(M=16, N=4, n_cp=8)
     rng = np.random.default_rng(10)
-    chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
+    taps = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
     psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), cfg.frame_len + cfg.n_cp, rng)
     X = rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))
     s = otfs_modulate(X, cfg)
-    got = apply_channel(s, chan, psi, 0.01, np.random.default_rng(2))
-    ref = _circular_block_oracle(s, chan, psi, 0.01, np.random.default_rng(2), cfg)
-    assert chan.L == 8
+    got = apply_channel(s, taps, psi, 0.01, np.random.default_rng(2))
+    ref = _circular_block_oracle(s, taps, psi, 0.01, np.random.default_rng(2), cfg)
+    assert taps.shape[1] == 8
     assert np.array_equal(got, ref)
     with pytest.raises(ValueError):
-        apply_channel(s[:cfg.frame_len - 1], chan, psi, 0.0, rng)
+        apply_channel(s[:cfg.frame_len - 1], taps, psi, 0.0, rng)
 
 
 def test_banded_circular_builders_match_lag_loop():
@@ -259,9 +271,9 @@ def test_banded_circular_builders_match_lag_loop():
 def test_effective_dd_channel_identity():
     cfg = GridConfig(M=8, N=4, n_cp=4)
     mn = cfg.frame_len
-    chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
+    taps = np.ones((mn, 1), dtype=complex)
     psi = np.ones(mn + cfg.n_cp, dtype=complex)
-    G = effective_dd_channel(chan, psi, cfg)
+    G = effective_dd_channel(taps, psi, cfg)
     np.testing.assert_allclose(G, np.eye(mn), atol=1e-12)
 
 
@@ -269,12 +281,12 @@ def test_effective_dd_channel_matches_pipeline():
     cfg = GridConfig(M=8, N=4, n_cp=8)
     mn = cfg.frame_len
     rng = np.random.default_rng(6)
-    chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
+    taps = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
     psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), mn + cfg.n_cp, rng)
-    G = effective_dd_channel(chan, psi, cfg)
+    G = effective_dd_channel(taps, psi, cfg)
     X = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
     s = otfs_modulate(X, cfg)
-    r = apply_channel(s, chan, psi, 0.0, rng)
+    r = apply_channel(s, taps, psi, 0.0, rng)
     y = otfs_demodulate(r, cfg).reshape(-1, order="F")
     assert np.abs(y - G @ X.reshape(-1, order="F")).max() < 1e-10
 
@@ -284,9 +296,9 @@ def test_effective_dd_channel_energy():
     rng = np.random.default_rng(7)
     vals = []
     for _ in range(4000):
-        chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
+        taps = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
         psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), 40, rng)
-        G = effective_dd_channel(chan, psi, cfg)
+        G = effective_dd_channel(taps, psi, cfg)
         vals.append(np.linalg.norm(G, "fro") ** 2 / cfg.frame_len)
     assert np.mean(vals) == pytest.approx(1.0, rel=0.05)
 
@@ -295,8 +307,7 @@ def test_effective_channel_alignment():
     cfg = GridConfig(M=8, N=4, n_cp=8)
     mn = cfg.frame_len
     rng = np.random.default_rng(8)
-    chan = realize_channel(ChannelProfile.tdl_c(100e-9, 0.0), cfg, rng)
+    taps = realize_channel(ChannelProfile.tdl_c(100e-9, 0.0), cfg, rng)
     psi = sample_path(PhaseNoiseModel("FRO", 5e3, TS), mn + cfg.n_cp, rng)
-    g = effective_channel(chan, psi)
-    np.testing.assert_allclose(
-        g, psi[cfg.n_cp:, None] * chan.dense_taps(), atol=1e-14)
+    g = effective_channel(taps, psi)
+    np.testing.assert_allclose(g, psi[cfg.n_cp:, None] * taps, atol=1e-14)

@@ -5,7 +5,7 @@ from scipy.sparse.linalg import LinearOperator, lsmr, spsolve
 
 import oracles
 from oracles import dd_transform
-from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
+from otfspn.channel import ChannelProfile, apply_channel, \
     effective_channel, realize_channel
 from otfspn.equalization import (CONV_K, _OUT, ChannelOp, _adjoint, _harden, _lsmr, _normal_band,
                                  _solve_normal, _viterbi_forward, banded_circular, ber,
@@ -19,11 +19,11 @@ from otfspn.oscillator import PhaseNoiseModel, sample_path
 TS = 1.0 / 7.68e6
 
 
-def _frame_through(cfg, layout, qam, chan, psi, noise_var, rng):
+def _frame_through(cfg, layout, qam, taps, psi, noise_var, rng):
     bits = rng.integers(0, 2, qam.bits_per_symbol * n_data(layout, cfg))
     data = qam_map(bits, qam)
     tx = otfs_modulate(build_pilot_frame(layout, data, cfg), cfg)
-    r = apply_channel(tx, chan, psi, noise_var, rng)
+    r = apply_channel(tx, taps, psi, noise_var, rng)
     return bits, data, r
 
 
@@ -233,10 +233,10 @@ def test_mmse_identity_channel_low_noise():
     rng = np.random.default_rng(1)
     qam = QamConfig(4)
     layout = PilotLayout(L=1).resolved(cfg)
-    chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
+    taps = np.ones((mn, 1), dtype=complex)
     psi = np.ones(mn + cfg.n_cp, dtype=complex)
-    bits, data, r = _frame_through(cfg, layout, qam, chan, psi, 0.0, rng)
-    det = mmse_equalize(r, effective_channel(chan, psi), 1e-12, cfg, layout)
+    bits, data, r = _frame_through(cfg, layout, qam, taps, psi, 0.0, rng)
+    det = mmse_equalize(r, effective_channel(taps, psi), 1e-12, cfg, layout)
     np.testing.assert_allclose(det.symbols, data, atol=1e-6)
     assert ber(qam_demap(det.symbols, qam), bits) == 0.0
 
@@ -244,13 +244,13 @@ def test_mmse_identity_channel_low_noise():
 def test_mmse_normal_equations_residual():
     cfg = GridConfig(M=16, N=8, n_cp=8)
     rng = np.random.default_rng(2)
-    chan = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
+    taps = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
     psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), cfg.frame_len + cfg.n_cp, rng)
-    g = effective_channel(chan, psi)
-    layout = PilotLayout(L=chan.L).resolved(cfg)
+    g = effective_channel(taps, psi)
+    layout = PilotLayout(L=taps.shape[1]).resolved(cfg)
     qam = QamConfig(4)
     noise_var = 0.01
-    bits, data, r = _frame_through(cfg, layout, qam, chan, psi, noise_var, rng)
+    bits, data, r = _frame_through(cfg, layout, qam, taps, psi, noise_var, rng)
     det = mmse_equalize(r, g, noise_var, cfg, layout)
     op = ChannelOp(g)
     y = r - op.matvec(otfs_modulate(layout.pilot_frame(cfg), cfg,
@@ -270,12 +270,12 @@ def test_mmse_high_snr_near_ml():
     n_err = 0
     n_sym = 0
     for _ in range(30):
-        chan = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
+        taps = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
         psi = sample_path(PhaseNoiseModel("FRO", 100.0, TS),
                           cfg.frame_len + cfg.n_cp, rng)
-        layout = PilotLayout(L=chan.L).resolved(cfg)
-        bits, data, r = _frame_through(cfg, layout, qam, chan, psi, noise_var, rng)
-        det = mmse_equalize(r, effective_channel(chan, psi), noise_var,
+        layout = PilotLayout(L=taps.shape[1]).resolved(cfg)
+        bits, data, r = _frame_through(cfg, layout, qam, taps, psi, noise_var, rng)
+        det = mmse_equalize(r, effective_channel(taps, psi), noise_var,
                             cfg, layout)
         hard = qam_demap(det.symbols, qam)
         n_err += np.sum(hard != bits) // 1
@@ -310,12 +310,12 @@ def test_mmse_domains_agree():
     cfg = GridConfig(M=8, N=4, n_cp=8)
     rng = np.random.default_rng(5)
     prof = ChannelProfile((0.0, 2 * TS), (0.7, 0.3), 2e3)
-    chan = realize_channel(prof, cfg, rng)
+    taps = realize_channel(prof, cfg, rng)
     psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), cfg.frame_len + cfg.n_cp, rng)
-    g = effective_channel(chan, psi)
-    layout = PilotLayout(L=chan.L).resolved(cfg)
+    g = effective_channel(taps, psi)
+    layout = PilotLayout(L=taps.shape[1]).resolved(cfg)
     qam = QamConfig(4)
-    bits, data, r = _frame_through(cfg, layout, qam, chan, psi, 0.01, rng)
+    bits, data, r = _frame_through(cfg, layout, qam, taps, psi, 0.01, rng)
     det = mmse_equalize(r, g, 0.01, cfg, layout)
     mn = cfg.frame_len
     G = banded_circular(g).toarray()
@@ -343,10 +343,10 @@ def test_lsmr_ic_identity_channel():
     rng = np.random.default_rng(7)
     qam = QamConfig(4)
     layout = PilotLayout(L=1).resolved(cfg)
-    chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
+    taps = np.ones((mn, 1), dtype=complex)
     psi = np.ones(mn + cfg.n_cp, dtype=complex)
-    bits, data, r = _frame_through(cfg, layout, qam, chan, psi, 0.0, rng)
-    det = lsmr_ic_equalize(r, effective_channel(chan, psi), 1e-12, cfg,
+    bits, data, r = _frame_through(cfg, layout, qam, taps, psi, 0.0, rng)
+    det = lsmr_ic_equalize(r, effective_channel(taps, psi), 1e-12, cfg,
                            layout, qam, i_ic=1, i_lsmr=30)
     assert det.converged
     assert ber(qam_demap(det.symbols, qam), bits) == 0.0
@@ -358,12 +358,12 @@ def test_lsmr_ic_residual_nonincreasing():
     rng = np.random.default_rng(8)
     qam = QamConfig(4)
     for trial in range(5):
-        chan = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
+        taps = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
         psi = sample_path(PhaseNoiseModel("FRO", 5e3, TS),
                           cfg.frame_len + cfg.n_cp, rng)
-        layout = PilotLayout(L=chan.L).resolved(cfg)
-        g = effective_channel(chan, psi)
-        bits, data, r = _frame_through(cfg, layout, qam, chan, psi, 0.05, rng)
+        layout = PilotLayout(L=taps.shape[1]).resolved(cfg)
+        g = effective_channel(taps, psi)
+        bits, data, r = _frame_through(cfg, layout, qam, taps, psi, 0.05, rng)
         op = ChannelOp(g)
         y = r - op.matvec(otfs_modulate(layout.pilot_frame(cfg), cfg,
                                         with_cp=False))
@@ -381,12 +381,12 @@ def test_lsmr_ic_matches_mmse_ber():
     total = {"mmse": 0, "lsmr": 0}
     nbits = 0
     for _ in range(40):
-        chan = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
+        taps = realize_channel(ChannelProfile.tdl_c(100e-9, 1e3), cfg, rng)
         psi = sample_path(PhaseNoiseModel("FRO", 100.0, TS),
                           cfg.frame_len + cfg.n_cp, rng)
-        layout = PilotLayout(L=chan.L).resolved(cfg)
-        g = effective_channel(chan, psi)
-        bits, data, r = _frame_through(cfg, layout, qam, chan, psi, 0.01, rng)
+        layout = PilotLayout(L=taps.shape[1]).resolved(cfg)
+        g = effective_channel(taps, psi)
+        bits, data, r = _frame_through(cfg, layout, qam, taps, psi, 0.01, rng)
         m = mmse_equalize(r, g, 0.01, cfg, layout)
         s = lsmr_ic_equalize(r, g, 0.01, cfg, layout, qam,
                              i_ic=1, i_lsmr=60)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from otfspn.channel import ChannelProfile, ChannelRealization, apply_channel, \
+from otfspn.channel import ChannelProfile, apply_channel, \
     effective_channel, realize_channel
 from otfspn.estimation import (PilotLayout, PtrpLayout, _ce_basis,
                                bem_estimate, bem_order,
@@ -74,9 +74,9 @@ def test_stage1_identity_channel():
     data = _random_data(layout, CFG, rng)
     frame = build_pilot_frame(layout, data, CFG)
     s = otfs_modulate(frame, CFG)
-    chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
+    taps = np.ones((mn, 1), dtype=complex)
     psi = np.ones(mn + CFG.n_cp, dtype=complex)
-    r = apply_channel(s, chan, psi, 0.0, rng)
+    r = apply_channel(s, taps, psi, 0.0, rng)
     g_hat = stage1_estimate(r, layout, CFG, 0.0)
     np.testing.assert_allclose(g_hat[0], np.ones(CFG.N), atol=1e-10)
 
@@ -85,14 +85,14 @@ def test_stage1_exact_recovery_with_guards():
     # with guards >= L-1 the pilot observations carry zero data leakage
     rng = np.random.default_rng(2)
     prof = ChannelProfile.tdl_c(100e-9, 1e3)
-    chan = realize_channel(prof, CFG, rng)
-    layout = PilotLayout(L=chan.L).resolved(CFG)
+    taps = realize_channel(prof, CFG, rng)
+    layout = PilotLayout(L=taps.shape[1]).resolved(CFG)
     psi = sample_path(PhaseNoiseModel("FRO", 2e3, TS), CFG.frame_len + CFG.n_cp, rng)
     data = _random_data(layout, CFG, rng)
     frame = build_pilot_frame(layout, data, CFG)
-    r = apply_channel(otfs_modulate(frame, CFG), chan, psi, 0.0, rng)
+    r = apply_channel(otfs_modulate(frame, CFG), taps, psi, 0.0, rng)
     g_hat = stage1_estimate(r, layout, CFG, 0.0)
-    g = effective_channel(chan, psi)
+    g = effective_channel(taps, psi)
     k = np.arange(CFG.N)
     for l in range(layout.L):
         truth = g[layout.m_p + l + k * CFG.M, l]
@@ -120,13 +120,13 @@ def test_stage1_noise_variance():
     layout = PilotLayout(L=1).resolved(CFG)
     mn = CFG.frame_len
     noise_var = 0.01
-    chan = ChannelRealization(np.ones((mn, 1), dtype=complex), np.array([0]))
+    taps = np.ones((mn, 1), dtype=complex)
     psi = np.ones(mn + CFG.n_cp, dtype=complex)
     data = np.zeros(n_data(layout, CFG))
     tx = otfs_modulate(build_pilot_frame(layout, data, CFG), CFG)
     errs = []
     for _ in range(300):
-        r = apply_channel(tx, chan, psi, noise_var, rng)
+        r = apply_channel(tx, taps, psi, noise_var, rng)
         g_hat = stage1_estimate(r, layout, CFG, noise_var)
         errs.append(np.mean(np.abs(g_hat[0] - 1.0) ** 2))
     expect = noise_var * CFG.N / layout.sigma2_p
@@ -136,12 +136,12 @@ def test_stage1_noise_variance():
 def test_stage1_threshold_zeroes_empty_taps():
     rng = np.random.default_rng(5)
     prof = ChannelProfile((0.0, 3 * TS), (0.6, 0.4), 0.0)
-    chan = realize_channel(prof, CFG, rng)
+    taps = realize_channel(prof, CFG, rng)
     layout = PilotLayout(L=4).resolved(CFG)
     psi = np.ones(CFG.frame_len + CFG.n_cp, dtype=complex)
     data = _random_data(layout, CFG, rng)
     r = apply_channel(otfs_modulate(build_pilot_frame(layout, data, CFG), CFG),
-                      chan, psi, 1e-4, rng)
+                      taps, psi, 1e-4, rng)
     g_hat = stage1_estimate(r, layout, CFG, 1e-4)
     assert list(g_hat.any(axis=1)) == [True, False, False, True]
 
@@ -223,18 +223,18 @@ def test_stage2_beats_hold_under_phase_noise():
     model = PhaseNoiseModel("FRO", 2e3, TS)
     prof = ChannelProfile.tdl_c(100e-9, 0.0)
     noise_var = 0.01  # SNR 20 dB
-    chan0 = realize_channel(prof, CFG, rng)
-    layout = PilotLayout(L=chan0.L).resolved(CFG)
+    taps0 = realize_channel(prof, CFG, rng)
+    layout = PilotLayout(L=taps0.shape[1]).resolved(CFG)
     w = build_wiener(model, 0.0, noise_var * CFG.N / layout.sigma2_p, CFG, layout)
     n2, nh = [], []
     for _ in range(150):
-        chan = realize_channel(prof, CFG, rng)
+        taps = realize_channel(prof, CFG, rng)
         psi = sample_path(model, CFG.frame_len + CFG.n_cp, rng)
         data = _random_data(layout, CFG, rng)
         r = apply_channel(otfs_modulate(build_pilot_frame(layout, data, CFG), CFG),
-                          chan, psi, noise_var, rng)
+                          taps, psi, noise_var, rng)
         g_hat = stage1_estimate(r, layout, CFG, noise_var)
-        g = effective_channel(chan, psi)
+        g = effective_channel(taps, psi)
         n2.append(nmse(stage2_estimate(g_hat, w), g))
         nh.append(nmse(stage1_hold_estimate(g_hat, CFG), g))
     assert np.mean(n2) < np.mean(nh)

@@ -60,12 +60,18 @@ def test_scenario_validation():
     {"sweep": "velocity", "kind": "sinr"},
     {"sweep": "f_D", "kind": "sinr"},
     {"sweep": "f_D_norm", "kind": "sinr"},
+    {"sweep": "f_D_norm", "f_D": 3000.0},
+    {"sweep": "f_D_norm", "f_D": 0.0},
+    {"sweep": "f_D_norm", "velocity": 500.0},
     {"kind": "sinr", "estimator": "bem"},
     {"kind": "sinr", "velocity": 500.0},
 ])
 def test_scenario_rejects_ineffective_sweep(kw):
-    with pytest.raises(ValueError, match="no effect"):
+    with pytest.raises(ValueError, match="no effect") as e:
         Scenario(**kw)
+    # the message names the swept axis and every other key the row sets
+    for name in (v if k == "sweep" else k for k, v in kw.items()):
+        assert re.search(rf"\b{name}\b", str(e.value)), str(e.value)
 
 
 def test_scenario_accepts_effective_sweeps():
@@ -616,8 +622,11 @@ def _edge_cases():
         for axis in SWEEPS:
             if base.kind == "sinr" and axis in ("f_D", "f_D_norm", "velocity"):
                 continue
+            # sweeping f_D_norm rejects a base velocity, which it would ignore
+            reset = {"velocity": 0.0} if axis == "f_D_norm" else {}
             for value, inside in _edges("float", table.get(axis, _F_D_NORM).metadata):
-                yield pytest.param(name, axis, {"sweep": axis, "sweep_values": (value,)},
+                yield pytest.param(name, axis, {"sweep": axis, "sweep_values": (value,),
+                                                **reset},
                                    inside, id=f"{name}-sweep-{axis}={value}")
 
 

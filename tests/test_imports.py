@@ -1,5 +1,6 @@
 """Every name a module of the package or of its tests imports is used there,
-and every private name a package module defines is read somewhere."""
+every private name a package module defines is read somewhere, and so is
+every method and property of a package class."""
 
 import ast
 from pathlib import Path
@@ -58,6 +59,24 @@ def _references(path: Path) -> set:
     return refs
 
 
+def _class_members(path: Path) -> set:
+    """``Class.name`` of each method and property (not ``__x__``) of the
+    classes defined in ``path``.  Annotated dataclass fields are not members
+    here: a field can be read through ``vars()`` rather than by name."""
+    return {f"{node.name}.{item.name}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and not (item.name.startswith("__") and item.name.endswith("__"))}
+
+
+def _attributes_read(path: Path) -> set:
+    """Names ``path`` reads as an attribute, ``x.name``."""
+    return {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_no_module_imports_a_name_it_never_uses():
     modules = _modules()
     unused = {str(p.relative_to(ROOT)): names for p in modules
@@ -71,3 +90,11 @@ def test_every_private_package_name_is_read():
     unread = {str(p.relative_to(ROOT)): sorted(names) for p in modules
               if p.parent.name == "otfspn" and (names := _private_definitions(p) - read)}
     assert unread == {}
+
+
+def test_every_package_class_member_is_read():
+    modules = _modules()
+    read = set().union(*map(_attributes_read, modules))
+    unread = sorted(f"{p.stem}.{m}" for p in modules if p.parent.name == "otfspn"
+                    for m in _class_members(p) if m.partition(".")[2] not in read)
+    assert unread == []
