@@ -1,4 +1,4 @@
-"""Delay-Doppler phase-noise operator, its statistics, and SINR expressions.
+"""Delay-Doppler phase-noise coefficients, their statistics, and SINR expressions.
 
 A unit-modulus phase path psi multiplies the received samples in the
 delay-time domain.  Seen from the delay-Doppler grid the multiplication
@@ -8,11 +8,13 @@ built from the coefficients
     phi_n[m] = (1/N) sum_k psi[m + k*M] exp(-j*2*pi*n*k/N),
 
 the N-point DFT (scaled by 1/N) of the phase samples seen by delay bin m.
-Doppler bin 0 carries the common rotation of every symbol, the other bins
-leak energy between Doppler bins (inter-Doppler interference).  Because the
-DFT samples the phase at a spacing of M samples, the relevant phase
-decorrelation lag is M times larger than in an OFDM system over the same
-bandwidth, which is why OTFS is the more phase-noise-sensitive of the two.
+``dd_coefficients`` forms them for one path or a batch of paths; the
+operator is never built here.  Doppler bin 0 carries the common rotation of
+every symbol, the other bins leak energy between Doppler bins
+(inter-Doppler interference).  Because the DFT samples the phase at a
+spacing of M samples, the relevant phase decorrelation lag is M times larger
+than in an OFDM system over the same bandwidth, which is why OTFS is the
+more phase-noise-sensitive of the two.
 
 All second-order quantities reduce to the mean rotation factor
 ``expected_rotation(model, lag)``; the interference power needs only the
@@ -21,8 +23,9 @@ oscillator that diagonal has an exact closed form (a pair of finite
 geometric sums), evaluated here in O(1) per entry.
 
 ``measured_sinr`` checks these expressions by Monte Carlo.  It draws each
-phase path once and splits it for both OTFS and OFDM, so the two measured
-curves come from the same paths (common random numbers).
+phase path once and splits it for both OTFS (through ``dd_coefficients``)
+and OFDM, so the two measured curves come from the same paths (common
+random numbers).
 """
 
 from __future__ import annotations
@@ -40,38 +43,22 @@ from .oscillator import PhaseNoiseModel, expected_rotation, sample_paths
 _CHUNK = 512
 
 
-@dataclass
-class DdPhaseOperator:
-    """Block-circulant delay-Doppler phase-noise operator.
+def dd_coefficients(psi: np.ndarray, cfg: GridConfig) -> np.ndarray:
+    """Coefficients phi_n[m] of a phase path, or of a batch of paths, as an
+    (..., M, N) array: ``phi[..., m, n]`` is the coefficient of block n at
+    delay m.
 
-    ``phi[m, n]`` is the coefficient of block n at delay m; the full matrix
-    (never materialized) has block (p, q) equal to ``diag(phi[:, (p-q) mod N])``.
-    """
-
-    phi: np.ndarray  # (M, N)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Multiply a vectorized delay-Doppler frame by the operator.
-
-        Per delay bin this is a circular convolution along Doppler, done
-        with FFTs; identical to demodulate(psi * modulate(x)).
-        """
-        X = np.asarray(x).reshape(self.phi.shape, order="F")
-        Y = np.fft.ifft(np.fft.fft(X, axis=1) * np.fft.fft(self.phi, axis=1), axis=1)
-        return Y.reshape(-1, order="F")
-
-
-def dd_coefficients(psi: np.ndarray, cfg: GridConfig) -> DdPhaseOperator:
-    """Coefficients phi_n[m] of one phase path psi on the given grid.
-
-    Uses the trailing M*N samples of the path, i.e. the post-CP-removal
-    window of a full frame path.
+    The last axis of ``psi`` holds the samples; the trailing M*N are used,
+    i.e. the post-CP-removal window of a full frame path.
     """
     mn = cfg.frame_len
-    if psi.size < mn:
-        raise ValueError(f"path too short: {psi.size} < {mn}")
-    psig = psi[-mn:].reshape(cfg.M, cfg.N, order="F")
-    return DdPhaseOperator(np.fft.fft(psig, axis=1) / cfg.N)
+    if psi.shape[-1] < mn:
+        raise ValueError(f"path too short: {psi.shape[-1]} < {mn}")
+    # (..., M, N): column k holds the k-th block of M samples
+    view = psi[..., -mn:].reshape(*psi.shape[:-1], cfg.N, cfg.M).swapaxes(-1, -2)
+    phi = np.fft.fft(view, axis=-1)
+    phi /= cfg.N
+    return phi
 
 
 def _diag_from_rotation(r: np.ndarray, size: int, p: int) -> float:
@@ -89,11 +76,6 @@ def _rotation_diag(model: PhaseNoiseModel, size: int, lag_scale: int) -> np.ndar
     """size x size K_phi diagonal for phase samples ``lag_scale`` apart, any kind."""
     r = expected_rotation(model, np.arange(size) * lag_scale)
     return np.array([_diag_from_rotation(r, size, p) for p in range(size)])
-
-
-def k_phi_diag(model: PhaseNoiseModel, cfg: GridConfig) -> np.ndarray:
-    """Diagonal of K_phi for any oscillator kind (O(N) per entry)."""
-    return _rotation_diag(model, cfg.N, cfg.M)
 
 
 def _fro_closed_form(alpha: float, size: int, p: int) -> float:
@@ -124,13 +106,6 @@ def _fro_closed_form(alpha: float, size: int, p: int) -> float:
 def _fro_alpha(model: PhaseNoiseModel, lag_scale: int) -> float:
     """Rotation factor of a free-running oscillator over ``lag_scale`` samples."""
     return float(np.exp(-2.0 * np.pi * model.beta_pn * model.T_s * lag_scale))
-
-
-def k_phi_fro_closed_form(model: PhaseNoiseModel, cfg: GridConfig, p: int) -> float:
-    """Exact K[p,p] for a free-running oscillator, O(1) evaluation."""
-    if model.kind != "FRO":
-        raise ValueError("closed form only holds for the FRO model")
-    return _fro_closed_form(_fro_alpha(model, cfg.M), cfg.N, p)
 
 
 @dataclass
@@ -175,14 +150,6 @@ def sinr_ofdm(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float) -> Sinr
     return _sinr(model, noise_var, cfg.M, 1)
 
 
-def _power(phi: np.ndarray, scale: int) -> np.ndarray:
-    """|phi / scale|^2, reusing phi for the division and the modulus for the square."""
-    phi /= scale
-    p2 = np.abs(phi)
-    p2 **= 2
-    return p2
-
-
 def measured_sinr(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float,
                   trials: int, seed) -> dict:
     """Monte Carlo counterpart of the analytic SINR, for OTFS and for OFDM.
@@ -204,18 +171,20 @@ def measured_sinr(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float,
         np.cos(theta, out=psi.real)
         np.sin(theta, out=psi.imag)
         del theta
-        # (n, M, N): column k holds the k-th block of M samples
-        grid = psi.reshape(n, cfg.N, cfg.M).transpose(0, 2, 1)
-        # OTFS: Doppler DFT over the M-spaced samples of each delay bin
-        p2 = _power(np.fft.fft(grid, axis=2), cfg.N)
+        # OTFS: Doppler DFT over the M-spaced samples of each delay bin;
+        # the modulus and the square reuse one array
+        p2 = np.abs(dd_coefficients(psi, cfg))
+        p2 **= 2
         sums["otfs"] += (p2[:, :, 0].mean(axis=1).sum(),
                          p2[:, :, 1:].sum(axis=2).mean(axis=1).sum())
         del p2
         # OFDM: each M-sample block is one symbol, DFT over its subcarriers
-        phi = np.fft.fft(grid, axis=1)
-        del psi, grid
-        p2 = _power(phi, cfg.M)
+        phi = np.fft.fft(psi.reshape(n, cfg.N, cfg.M).transpose(0, 2, 1), axis=1)
+        del psi
+        phi /= cfg.M
+        p2 = np.abs(phi)
         del phi
+        p2 **= 2
         sums["ofdm"] += (p2[:, 0, :].mean(axis=1).sum(),
                          p2[:, 1:, :].sum(axis=1).mean(axis=1).sum())
         del p2

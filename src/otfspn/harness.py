@@ -656,8 +656,7 @@ _LSMR_500 = dict(velocity=500.0, equalizer="lsmr_ic", sweep="snr_db",
 _CODED = dict(_LSMR_500, coded=True, snr_is_ebn0=True, sweep_values=_EBN0_AXIS)
 # figure -> (Scenario fields, curves after the four OTFS estimators)
 _PRESETS = {
-    "fig6": (_PN_MMSE, ()),                  # EVM
-    "fig7": (_PN_MMSE, ()),                  # NMSE
+    "fig6": (_PN_MMSE, ()),                  # EVM, and fig7's NMSE
     "fig8": (dict(_PN_MMSE, snr_db=24.0, sweep_values=(1e2, 1e3, 2e3, 5e3, 1e4, 2e4)),
              ("ofdm_ptrp",)),
     "fig9": (dict(snr_db=20.0, beta_pn=0.0, equalizer="lsmr_ic", sweep="f_D_norm",
@@ -668,13 +667,14 @@ _PRESETS = {
     "fig13": (dict(_CODED, beta_pn=1e4, qam_order=4), ()),
     "fig14": (dict(_CODED, beta_pn=5e3, qam_order=16), ()),
 }
-PRESETS = ("fig5", *_PRESETS)
+PRESETS = tuple(f"fig{i}" for i in range(5, 15))
 
 
 def preset(name: str, trials: int | None = None, seed: int = 0,
            full: bool = False) -> list:
     """Scenario list for one reference figure, desk scale unless ``full``:
-    one curve per estimator, or for fig5 one SINR scenario."""
+    one curve per estimator, or for fig5 one SINR scenario.  fig7 is fig6's
+    experiment: one simulation gives fig6's EVM and fig7's NMSE."""
     grid = {"M": 128, "N": 32} if full else {"M": 32, "N": 16}
     if name == "fig5":
         return [Scenario(name="fig5", kind="sinr", oscillator="FRO", snr_db=20.0,
@@ -682,6 +682,8 @@ def preset(name: str, trials: int | None = None, seed: int = 0,
                          sweep_values=(0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1e3),
                          trials=trials if trials is not None else (10_000 if full else 2000),
                          seed=seed, **grid)]
+    if name == "fig7":
+        name = "fig6"
     if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}")
     kw, extra = _PRESETS[name]

@@ -22,13 +22,26 @@ def effective_dd_channel(taps, psi, cfg):
     return dd_transform(banded_circular(effective_channel(taps, psi)).toarray(), cfg)
 
 
-def as_dense(op):
-    """Dense DdPhaseOperator: block (p, q) is diag(phi[:, (p-q) mod N])."""
-    M, N = op.phi.shape
+def dd_apply(phi, x):
+    """Multiply a vectorized delay-Doppler frame by the block-circulant
+    phase-noise operator of the (M, N) coefficients ``phi``.
+
+    Per delay bin this is a circular convolution along Doppler, done with
+    FFTs; identical to demodulate(psi * modulate(x)).
+    """
+    X = np.asarray(x).reshape(phi.shape, order="F")
+    Y = np.fft.ifft(np.fft.fft(X, axis=1) * np.fft.fft(phi, axis=1), axis=1)
+    return Y.reshape(-1, order="F")
+
+
+def as_dense(phi):
+    """Dense phase-noise operator of the (M, N) coefficients ``phi``:
+    block (p, q) is diag(phi[:, (p-q) mod N])."""
+    M, N = phi.shape
     out = np.zeros((M * N, M * N), dtype=complex)
     for p in range(N):
         for q in range(N):
-            blk = np.diag(op.phi[:, (p - q) % N])
+            blk = np.diag(phi[:, (p - q) % N])
             out[p * M:(p + 1) * M, q * M:(q + 1) * M] = blk
     return out
 

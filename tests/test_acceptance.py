@@ -29,10 +29,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from oracles import as_dense, effective_dd_channel
+from oracles import as_dense, dd_apply, effective_dd_channel
 from otfspn.channel import (ChannelProfile, apply_channel, doppler_from_velocity,
                             effective_channel, realize_channel)
-from otfspn.dd_analysis import (dd_coefficients, k_phi_fro_closed_form,
+from otfspn.dd_analysis import (_fro_alpha, _fro_closed_form, dd_coefficients,
                                 measured_sinr, sinr_ofdm, sinr_otfs)
 from otfspn.equalization import ber, lsmr_ic_equalize, nmse
 from otfspn.estimation import (PilotLayout, bem_estimate,
@@ -80,7 +80,7 @@ def test_criterion_01_closed_form_vs_brute_force():
         k, l = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
         brute = float(np.real(np.sum(
             alpha ** np.abs(k - l) * np.exp(-2j * np.pi * p * (k - l) / N))) / N**2)
-        closed = k_phi_fro_closed_form(model, cfg, p)
+        closed = _fro_closed_form(_fro_alpha(model, cfg.M), cfg.N, p)
         worst = max(worst, abs(closed - brute) / abs(brute))
     elapsed = time.time() - t0
     ok = worst < 1e-9 and elapsed < 10.0
@@ -173,13 +173,13 @@ def test_criterion_05_operator_oracles():
     rng = np.random.default_rng(505)
     model = PhaseNoiseModel("FRO", 2e3, TS)
     psi = sample_path(model, mn + cfg.n_cp, rng)
-    op = dd_coefficients(psi, cfg)
+    phi = dd_coefficients(psi, cfg)
     F = np.fft.fft(np.eye(8)) / np.sqrt(8)
     A = np.kron(F, np.eye(8))
     dense = A @ np.diag(psi[-mn:]) @ A.conj().T
-    e_op = np.abs(as_dense(op) - dense).max()
+    e_op = np.abs(as_dense(phi) - dense).max()
     x = rng.standard_normal(mn) + 1j * rng.standard_normal(mn)
-    e_apply = np.abs(op.apply(x) - dense @ x).max()
+    e_apply = np.abs(dd_apply(phi, x) - dense @ x).max()
 
     taps = realize_channel(ChannelProfile.tdl_c(100e-9, 2e3), cfg, rng)
     G = effective_dd_channel(taps, psi, cfg)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import as_dense, dd_transform, k_phi
-from otfspn.dd_analysis import (dd_coefficients, k_phi_diag, k_phi_fro_closed_form,
-                                measured_sinr, sinr_ofdm, sinr_otfs)
+from oracles import as_dense, dd_apply, dd_transform, k_phi
+from otfspn.dd_analysis import (_fro_alpha, _fro_closed_form, _rotation_diag,
+                                dd_coefficients, measured_sinr, sinr_ofdm, sinr_otfs)
 from otfspn.grid import GridConfig, otfs_demodulate, otfs_modulate
 from otfspn.oscillator import PhaseNoiseModel, sample_paths
 
@@ -19,22 +19,22 @@ def _dense_reference(psi, M, N):
 def test_constant_phase_gives_cpe_only():
     cfg = GridConfig(M=8, N=8, n_cp=0)
     theta0 = 0.7
-    op = dd_coefficients(np.exp(1j * np.full(64, theta0)), cfg)
-    np.testing.assert_allclose(op.phi[:, 0], np.exp(1j * theta0), atol=1e-12)
-    assert np.abs(op.phi[:, 1:]).max() < 1e-12
+    phi = dd_coefficients(np.exp(1j * np.full(64, theta0)), cfg)
+    np.testing.assert_allclose(phi[:, 0], np.exp(1j * theta0), atol=1e-12)
+    assert np.abs(phi[:, 1:]).max() < 1e-12
     x = np.arange(64) + 0.0j
-    np.testing.assert_allclose(op.apply(x), np.exp(1j * theta0) * x, atol=1e-10)
+    np.testing.assert_allclose(dd_apply(phi, x), np.exp(1j * theta0) * x, atol=1e-10)
 
 
 def test_operator_matches_dense_triple_product():
     rng = np.random.default_rng(0)
     cfg = GridConfig(M=8, N=8, n_cp=0)
     theta = rng.standard_normal(64).cumsum() * 0.1
-    op = dd_coefficients(np.exp(1j * theta), cfg)
+    phi = dd_coefficients(np.exp(1j * theta), cfg)
     dense = _dense_reference(np.exp(1j * theta), 8, 8)
-    assert np.abs(as_dense(op) - dense).max() < 1e-10
+    assert np.abs(as_dense(phi) - dense).max() < 1e-10
     x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    assert np.abs(op.apply(x) - dense @ x).max() < 1e-10
+    assert np.abs(dd_apply(phi, x) - dense @ x).max() < 1e-10
 
 
 def test_operator_equals_mod_demod_pipeline():
@@ -43,18 +43,18 @@ def test_operator_equals_mod_demod_pipeline():
         cfg = GridConfig(M=M, N=N, n_cp=0)
         theta = rng.standard_normal(M * N).cumsum() * 0.05
         psi = np.exp(1j * theta)
-        op = dd_coefficients(psi, cfg)
+        phi = dd_coefficients(psi, cfg)
         x = rng.standard_normal(M * N) + 1j * rng.standard_normal(M * N)
         s = otfs_modulate(x.reshape(M, N, order="F"), cfg, with_cp=False)
         y = otfs_demodulate(psi * s, cfg).reshape(-1, order="F")
-        assert np.abs(op.apply(x) - y).max() < 1e-10
+        assert np.abs(dd_apply(phi, x) - y).max() < 1e-10
 
 
 def test_parseval_per_delay_bin():
     rng = np.random.default_rng(2)
     cfg = GridConfig(M=8, N=8, n_cp=0)
-    op = dd_coefficients(np.exp(1j * rng.standard_normal(64).cumsum()), cfg)
-    np.testing.assert_allclose((np.abs(op.phi) ** 2).sum(axis=1), 1.0, atol=1e-9)
+    phi = dd_coefficients(np.exp(1j * rng.standard_normal(64).cumsum()), cfg)
+    np.testing.assert_allclose((np.abs(phi) ** 2).sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_idi_row_decomposition():
@@ -63,20 +63,36 @@ def test_idi_row_decomposition():
     cfg = GridConfig(M=8, N=8, n_cp=0)
     theta = rng.standard_normal(64).cumsum() * 0.2
     psi = np.exp(1j * theta)
-    op = dd_coefficients(psi, cfg)
+    phi = dd_coefficients(psi, cfg)
     X = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     s = otfs_modulate(X, cfg, with_cp=False)
     Y = otfs_demodulate(psi * s, cfg)
     for m in range(8):
         for n in range(8):
-            val = sum(op.phi[m, i] * X[m, (n - i) % 8] for i in range(8))
+            val = sum(phi[m, i] * X[m, (n - i) % 8] for i in range(8))
             assert abs(val - Y[m, n]) < 1e-12
+
+
+@pytest.mark.parametrize("M, N", [(32, 16), (128, 32)])
+def test_batch_coefficients_equal_per_path_calls(M, N):
+    # paths that carry a CP prefix: a batch drops it from every path, as a
+    # call per path does, and gives the same bits
+    cfg = GridConfig(M=M, N=N, n_cp=16)
+    rng = np.random.default_rng(4)
+    model = PhaseNoiseModel("FRO", 2e3, TS)
+    psi = np.exp(1j * sample_paths(model, 3, cfg.n_cp + cfg.frame_len, rng))
+    batch = dd_coefficients(psi, cfg)
+    assert batch.shape == (3, M, N)
+    for path, phi in zip(psi, batch):
+        assert np.array_equal(dd_coefficients(path, cfg), phi)
 
 
 def test_short_path_rejected():
     cfg = GridConfig(M=8, N=8, n_cp=0)
     with pytest.raises(ValueError):
         dd_coefficients(np.ones(63, dtype=complex), cfg)
+    with pytest.raises(ValueError):
+        dd_coefficients(np.ones((3, 63), dtype=complex), cfg)
 
 
 def test_k_phi_no_phase_noise():
@@ -96,8 +112,8 @@ def test_k_phi_structure():
         w = np.linalg.eigvalsh(K)
         assert w.min() > -1e-10
         assert np.trace(K).real == pytest.approx(1.0, abs=1e-9)
-        np.testing.assert_allclose(K.diagonal().real, k_phi_diag(model, cfg),
-                                   atol=1e-12)
+        np.testing.assert_allclose(K.diagonal().real,
+                                   _rotation_diag(model, cfg.N, cfg.M), atol=1e-12)
 
 
 @pytest.mark.slow
@@ -114,19 +130,20 @@ def test_k_phi_diag_monte_carlo():
         grid = np.exp(1j * theta).reshape(chunk, 32, 128).transpose(0, 2, 1)
         acc += (np.abs(np.fft.fft(grid, axis=2) / 32) ** 2).mean(axis=1).sum(axis=0)
     emp = acc / trials
-    diag = k_phi_diag(model, cfg)
+    diag = _rotation_diag(model, cfg.N, cfg.M)
     np.testing.assert_allclose(emp, diag, rtol=0.02)
 
 
 def test_closed_form_limits():
     cfg = GridConfig(M=128, N=32, n_cp=0)
     zero = PhaseNoiseModel("FRO", 0.0, TS)
-    assert k_phi_fro_closed_form(zero, cfg, 0) == 1.0
-    assert k_phi_fro_closed_form(zero, cfg, 5) == 0.0
+    assert _fro_closed_form(_fro_alpha(zero, cfg.M), cfg.N, 0) == 1.0
+    assert _fro_closed_form(_fro_alpha(zero, cfg.M), cfg.N, 5) == 0.0
     # alpha -> 0: energy spread uniformly, K[p,p] -> 1/N
     hot = PhaseNoiseModel("FRO", 1e6, TS)
     for p in (0, 1, 17):
-        assert k_phi_fro_closed_form(hot, cfg, p) == pytest.approx(1 / 32, rel=1e-6)
+        assert (_fro_closed_form(_fro_alpha(hot, cfg.M), cfg.N, p)
+                == pytest.approx(1 / 32, rel=1e-6))
 
 
 def test_closed_form_vs_double_sum():
@@ -137,9 +154,8 @@ def test_closed_form_vs_double_sum():
     for p in (0, 1, 7, 31):
         brute = np.real(np.sum(alpha ** np.abs(k - l)
                                * np.exp(-2j * np.pi * p * (k - l) / 32))) / 32**2
-        assert k_phi_fro_closed_form(model, cfg, p) == pytest.approx(brute, rel=1e-10)
-    with pytest.raises(ValueError):
-        k_phi_fro_closed_form(PhaseNoiseModel("CPLL", 100.0, TS, 1e6), cfg, 0)
+        assert (_fro_closed_form(_fro_alpha(model, cfg.M), cfg.N, p)
+                == pytest.approx(brute, rel=1e-10))
 
 
 def test_sinr_no_phase_noise_is_snr():

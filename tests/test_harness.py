@@ -252,7 +252,7 @@ def test_caches_do_not_leak_between_geometries():
 GOLDEN_PRESET_SHA256 = {
     "fig5": "6113ebea3b6a0ac94e073eed0959b43b9dc68b6b94f6da68c130eb3742d80e26",
     "fig6": "f794674aa5f222209e5f493970dfb1663a659f5f64da3f0f0fbe51cbc0012be2",
-    "fig7": "5e5f8d5a7434d54ac9d145212425751be8a1ffc07523b57c09b03f89b6f9d838",
+    "fig7": "f794674aa5f222209e5f493970dfb1663a659f5f64da3f0f0fbe51cbc0012be2",
     "fig8": "37a544385deaf9fc22bf0bb5034379206e63e7ad8718ddc6ab95acdb30680371",
     "fig9": "8653a0dfdd6bda890d96cf341e30078c76f30f32f17cfb733b9f167b4e4f4000",
     "fig10": "8658f7de4bad1816e0a45d76bc07a9a038410f482026164590c17d601c0dc14e",
@@ -331,7 +331,7 @@ def test_every_preset_scenario_is_pinned():
     blob = "".join(s.hash() for name in PRESETS for full in (False, True)
                    for s in preset(name, full=full))
     assert hashlib.sha256(blob.encode()).hexdigest() == (
-        "7a4b3de9ac215b2f23bb35d8e464774db6e52e389adf0f2800e794c73150fcdd")
+        "09bb2e987e42bf8b06c7e12719f24f14e9db5b8caf8d287837e0e7b14ec796d6")
 
 
 def test_awgn_matches_q_function():
@@ -406,6 +406,15 @@ def test_presets_constructible():
                 assert s.trials == 2
     with pytest.raises(ValueError):
         preset("fig99")
+
+
+def test_fig7_is_fig6():
+    """fig7 plots the NMSE of fig6's simulation, so both names give one
+    experiment: the same scenarios under the same hashes, at both scales."""
+    for full in (False, True):
+        fig6, fig7 = (preset(name, trials=2, full=full) for name in ("fig6", "fig7"))
+        assert fig7 == fig6
+        assert [s.hash() for s in fig7] == [s.hash() for s in fig6]
 
 
 def test_preset_full_flag_switches_grid():
@@ -589,6 +598,27 @@ _EDGE_BASES = {
 }
 # a check that relates several fields may name another of them
 _RELATED = {"bandwidth": ("n_cp", "f_pll"), "delay_spread": ("n_cp",)}
+# The generated cases whose value is inside its field's domain but that a rule
+# relating fields, or one that needs the grid, rejects.  Every other in-domain
+# case must run, so a new rule that rejects a running case fails the test
+# until its cases are added here.
+_REJECTED_INSIDE = frozenset("""
+    otfs-kind=sinr otfs-M=2 otfs-n_cp=0 otfs-f_c=1e+300 otfs-bandwidth=1e-300
+    otfs-bandwidth=1e+300 otfs-delay_spread=1e+300 otfs-velocity=1e+300
+    otfs-f_D=1e+300 otfs-pilot_L=1 otfs-pilot_boost_db=-1e+300
+    otfs-pilot_boost_db=1e+300 otfs-sweep=f_D_norm otfs-sweep-snr_db=-1e+300
+    otfs-sweep-snr_db=1e+300 otfs-sweep-f_D=1e+300 otfs-sweep-f_D_norm=1e+300
+    otfs-sweep-velocity=1e+300
+    ofdm-kind=sinr ofdm-M=2 ofdm-n_cp=0 ofdm-f_c=1e+300 ofdm-bandwidth=1e-300
+    ofdm-bandwidth=1e+300 ofdm-f_pll=1e-300 ofdm-f_pll=1e+300
+    ofdm-delay_spread=1e+300 ofdm-velocity=1e+300 ofdm-f_D=1e+300
+    ofdm-ptrp_spacing=1 ofdm-sweep=f_D_norm ofdm-sweep-snr_db=-1e+300
+    ofdm-sweep-snr_db=1e+300 ofdm-sweep-f_pll=1e-300 ofdm-sweep-f_pll=1e+300
+    ofdm-sweep-f_D=1e+300 ofdm-sweep-f_D_norm=1e+300 ofdm-sweep-velocity=1e+300
+    sinr-snr_db=-1e+300 sinr-snr_db=1e+300 sinr-sweep=f_pll sinr-sweep=f_D
+    sinr-sweep=f_D_norm sinr-sweep=velocity sinr-sweep-snr_db=-1e+300
+    sinr-sweep-snr_db=1e+300 sinr-sweep-f_pll=1e-300 sinr-sweep-f_pll=1e+300
+""".split())
 
 
 def _edges(annotation: str, row) -> list:
@@ -631,11 +661,13 @@ def _edge_cases():
 
 
 @pytest.mark.parametrize("base,key,kw,inside", list(_edge_cases()))
-def test_every_field_edge_fails_before_any_trial_or_runs_finite(monkeypatch, base,
-                                                                key, kw, inside):
+def test_every_field_edge_fails_before_any_trial_or_runs_finite(monkeypatch, request,
+                                                                base, key, kw, inside):
     """Generated from the Scenario table: a value is rejected with a
     ValueError naming its key before the first trial, or it runs and writes
-    a finite BER and EVM.  A value outside its domain is always rejected."""
+    a finite BER and EVM.  A value outside its domain is always rejected,
+    and one inside it is rejected exactly when ``_REJECTED_INSIDE`` lists it."""
+    case = request.node.callspec.id
     calls = _count_trials(monkeypatch)
     try:
         s = replace(_EDGE_BASES[base], **kw)
@@ -647,8 +679,10 @@ def test_every_field_edge_fails_before_any_trial_or_runs_finite(monkeypatch, bas
         assert calls == []
         names = "|".join((key, *_RELATED.get(key, ())))
         assert re.search(rf"\b({names})\b", str(e)), str(e)
+        assert not inside or case in _REJECTED_INSIDE, f"{case} rejected: {e}"
         return
     assert inside, f"{kw} ran"
+    assert case not in _REJECTED_INSIDE, f"{case} ran"
     assert all(np.isfinite(r.value) for r in rows
                if r.metric.endswith(("ber", "evm"))), rows
 
