@@ -1,5 +1,5 @@
-"""Dense references the tests compare the library against (small grids only:
-each forms an MN x MN or N x N matrix)."""
+"""References the tests compare the library against.  The dense ones form an
+MN x MN or N x N matrix, so they take small grids only."""
 
 import numpy as np
 
