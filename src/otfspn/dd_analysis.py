@@ -25,7 +25,9 @@ geometric sums), evaluated here in O(1) per entry.
 ``measured_sinr`` checks these expressions by Monte Carlo.  It draws each
 phase path once and splits it for both OTFS (through ``dd_coefficients``)
 and OFDM, so the two measured curves come from the same paths (common
-random numbers).
+random numbers).  Chunks of ``_CHUNK`` paths set its random stream; it
+draws, transforms and scores ``_BLOCK`` paths at a time, so its memory
+does not grow with the number of paths.
 """
 
 from __future__ import annotations
@@ -36,11 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import GridConfig
-from .oscillator import PhaseNoiseModel, expected_rotation, sample_paths
+from .oscillator import PhaseNoiseModel, expected_rotation, path_blocks
 
-# phase paths drawn per batch by measured_sinr; another value would reorder
-# the draws of the CPLL and DPLL models, which take a first sample per path
+# phase paths per chunk of measured_sinr's random stream; another value would
+# reorder the draws of the CPLL and DPLL models, which take the first sample
+# of every path in a chunk before the rest
 _CHUNK = 512
+# paths drawn, transformed and scored at a time: bounds the working set (8
+# full-grid paths of complex samples take 512 KB) and moves no byte
+_BLOCK = 8
 
 
 def dd_coefficients(psi: np.ndarray, cfg: GridConfig) -> np.ndarray:
@@ -154,40 +160,45 @@ def measured_sinr(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float,
                   trials: int, seed) -> dict:
     """Monte Carlo counterpart of the analytic SINR, for OTFS and for OFDM.
 
-    Draws phase paths in chunks of ``_CHUNK`` and splits the coefficients of
-    each path twice: over the Doppler DFT of each delay bin (OTFS) and over
-    the subcarrier DFT of each M-sample block (OFDM).  Both waveforms see
-    the same paths (common random numbers), so each path is drawn once.
-    Returns ``{"otfs": SinrReport, "ofdm": SinrReport}`` with the signal and
-    interference powers averaged over the paths.
+    Splits the coefficients of each phase path twice: over the Doppler DFT
+    of each delay bin (OTFS) and over the subcarrier DFT of each M-sample
+    block (OFDM).  Both waveforms see the same paths (common random
+    numbers), so each path is drawn once.  The paths are drawn in chunks of
+    ``_CHUNK``, which sets the random stream, and are drawn, transformed and
+    scored ``_BLOCK`` at a time, which bounds the working set: memory does
+    not grow with ``trials``.  Returns ``{"otfs": SinrReport, "ofdm":
+    SinrReport}`` with the signal and interference powers averaged over the
+    paths.
     """
     rng = np.random.default_rng(seed)
-    sums = {"otfs": np.zeros(2), "ofdm": np.zeros(2)}   # (signal, interference)
+    totals = np.zeros(4)    # OTFS signal, OTFS IDI, OFDM signal, OFDM IDI
     done = 0
     while done < trials:
         n = min(_CHUNK, trials - done)
-        theta = sample_paths(model, n, cfg.frame_len, rng)
-        psi = np.empty(theta.shape, dtype=complex)   # exp(1j*theta), bit for bit
-        np.cos(theta, out=psi.real)
-        np.sin(theta, out=psi.imag)
-        del theta
-        # OTFS: Doppler DFT over the M-spaced samples of each delay bin;
-        # the modulus and the square reuse one array
-        p2 = np.abs(dd_coefficients(psi, cfg))
-        p2 **= 2
-        sums["otfs"] += (p2[:, :, 0].mean(axis=1).sum(),
-                         p2[:, :, 1:].sum(axis=2).mean(axis=1).sum())
-        del p2
-        # OFDM: each M-sample block is one symbol, DFT over its subcarriers
-        phi = np.fft.fft(psi.reshape(n, cfg.N, cfg.M).transpose(0, 2, 1), axis=1)
-        del psi
-        phi /= cfg.M
-        p2 = np.abs(phi)
-        del phi
-        p2 **= 2
-        sums["ofdm"] += (p2[:, 0, :].mean(axis=1).sum(),
-                         p2[:, 1:, :].sum(axis=1).mean(axis=1).sum())
-        del p2
+        per_path = np.empty((4, n))     # rows as in totals, summed per chunk
+        lo = 0
+        for theta in path_blocks(model, n, cfg.frame_len, rng, _BLOCK):
+            hi = lo + len(theta)
+            psi = np.empty(theta.shape, dtype=complex)   # exp(1j*theta), bit for bit
+            np.cos(theta, out=psi.real)
+            np.sin(theta, out=psi.imag)
+            # OTFS: Doppler DFT over the M-spaced samples of each delay bin;
+            # the modulus and the square reuse one array
+            p2 = np.abs(dd_coefficients(psi, cfg))
+            p2 **= 2
+            per_path[0, lo:hi] = p2[:, :, 0].mean(axis=1)
+            per_path[1, lo:hi] = p2[:, :, 1:].sum(axis=2).mean(axis=1)
+            # OFDM: each M-sample block is one symbol, DFT over its subcarriers
+            phi = np.fft.fft(psi.reshape(hi - lo, cfg.N, cfg.M).transpose(0, 2, 1),
+                             axis=1)
+            phi /= cfg.M
+            p2 = np.abs(phi)
+            p2 **= 2
+            per_path[2, lo:hi] = p2[:, 0, :].mean(axis=1)
+            per_path[3, lo:hi] = p2[:, 1:, :].sum(axis=1).mean(axis=1)
+            lo = hi
+        totals += [row.sum() for row in per_path]
         done += n
-    return {wave: SinrReport(sig / trials, idi / trials, noise_var)
-            for wave, (sig, idi) in sums.items()}
+    sig_otfs, idi_otfs, sig_ofdm, idi_ofdm = totals / trials
+    return {"otfs": SinrReport(sig_otfs, idi_otfs, noise_var),
+            "ofdm": SinrReport(sig_ofdm, idi_ofdm, noise_var)}

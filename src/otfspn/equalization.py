@@ -22,7 +22,7 @@ detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf, nan, sqrt
+from math import floor, inf, nan, sqrt
 
 import numpy as np
 
@@ -325,6 +325,25 @@ def _harden(x_dd: np.ndarray, mask: np.ndarray, qam: QamConfig) -> np.ndarray:
     return hard
 
 
+def _quantile(values: np.ndarray, q: float) -> np.float64:
+    """``np.quantile(values, q)`` bit for bit from two order statistics:
+    numpy 2.4's 'linear' virtual index, partition points, NaN rule and
+    ``_lerp``, without its general machinery."""
+    n = values.size
+    virtual = (n - 1) * q
+    prev = floor(virtual)
+    nxt = prev + 1
+    if virtual >= n - 1:
+        prev = nxt = -1
+    part = np.partition(values, sorted({0, -1, prev, nxt}))
+    if np.isnan(part[-1]):          # a NaN sorts last and makes the quantile NaN
+        return np.float64(nan)
+    a, b = part[prev], part[nxt]
+    t = virtual - prev
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
+
+
 def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
                      cfg: GridConfig, layout: PilotLayout, qam: QamConfig,
                      i_ic: int = 10, i_lsmr: int = 20) -> DetectionResult:
@@ -353,7 +372,7 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
         if frac < 1.0:
             # cancel only the most reliable decisions on early passes
             err = np.abs(x_dd - hard)[mask]
-            cut = np.quantile(err, frac)
+            cut = _quantile(err, frac)
             keep = np.zeros_like(mask)
             keep[mask] = err <= cut
             hard = np.where(keep, hard, 0.0)

@@ -85,21 +85,32 @@ def frozen_cache(fn):
     return frozen
 
 
-# OpenBLAS hands a GEMM to its thread pool once M*N*K reaches this; waking
-# the parked pool costs milliseconds, far more than a trial's small products
+# OpenBLAS hands a GEMM to its thread pool once M*N*K reaches _POOL_MNK, and
+# a complex GEMV (a product with one column) once its matrix holds _POOL_MV
+# entries; waking the parked pool costs milliseconds, far more than a
+# trial's small products
 _POOL_MNK = 65536
+_POOL_MV = 4096
 
 
 def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` bit for bit, as equal row blocks of ``a`` (column blocks of
     ``b`` if longer) under OpenBLAS's threading cut-off, on this thread.  A
-    block of one row or column would be a GEMV; then the product stays whole."""
+    block of one row or column would change the kernel (GEMM to GEMV, GEMV
+    to a dot product); then the product stays whole.  So does one row times
+    a matrix: its column blocks did not keep the bits."""
     m, k = a.shape
     n = b.shape[1]
     size, other = (m, n) if m >= n else (n, m)
-    if m * n * k < _POOL_MNK or other < 2:
+    if other > 1:
+        cut = _POOL_MNK
+    elif n == 1:
+        cut = _POOL_MV
+    else:
         return a @ b
-    parts = -(-size // max((_POOL_MNK - 1) // (other * k), 1))
+    if m * n * k < cut:
+        return a @ b
+    parts = -(-size // max((cut - 1) // (other * k), 1))
     if size // parts < 2:
         return a @ b
     out = np.empty((m, n), dtype=np.result_type(a, b))

@@ -19,10 +19,16 @@ zero-mean Gaussian processes the mean rotation of a data symbol is
 ``E[exp(j*dtheta)] = exp(-sigma2(delta)/2)``.  Sample-path generation is
 exact in second-order statistics, so Monte Carlo runs reproduce the
 analytical interference expressions without discretization bias.
+
+``path_blocks`` draws a batch of independent paths as angle matrices of a
+chosen number of rows, in the same random stream whatever that number, so
+a caller can hold a few paths at a time; ``sample_path`` gives one path as
+the rotation ``exp(j*theta)``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,25 +114,38 @@ def expected_rotation(model: PhaseNoiseModel, delta) -> np.ndarray:
     return np.exp(-0.5 * v)
 
 
-def sample_paths(model: PhaseNoiseModel, n_paths: int, length: int, seed) -> np.ndarray:
-    """(n_paths, length) matrix of phase angles, rows independent paths;
-    exact stationary statistics.
+def path_blocks(model: PhaseNoiseModel, n_paths: int, length: int, seed,
+                rows: int) -> Iterator[np.ndarray]:
+    """Phase angles of ``n_paths`` independent paths of ``length`` samples,
+    exact stationary statistics, yielded in blocks of ``rows`` paths (the
+    last block may hold fewer): (rows, length) matrices, one path per row.
 
-    ``seed`` may be an integer (counter-style per-trial seeding) or an
-    existing numpy Generator.
+    The blocks, stacked, are the same bits for every ``rows``; ``rows =
+    n_paths`` yields the whole matrix at once.  The random stream is read
+    in path order: CPLL and DPLL first draw every path's start, then the
+    innovations block by block.  ``seed`` may be an integer (counter-style
+    per-trial seeding) or an existing numpy Generator, drawn from as the
+    blocks are read.
     """
-    rng = np.random.default_rng(seed)
     if length < 1:
         raise ValueError("path length must be >= 1")
+    if rows < 1:
+        raise ValueError("rows must be >= 1")
+    rng = np.random.default_rng(seed)
+    spans = [(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
     if model.beta_pn == 0.0:
-        return np.zeros((n_paths, length))
+        for lo, hi in spans:
+            yield np.zeros((hi - lo, length))
+        return
     if model.kind == "FRO":
-        theta = np.empty((n_paths, length))
-        theta[:, 0] = 0.0
-        if length > 1:
-            eps = rng.normal(0.0, np.sqrt(model.nu2_pn), size=(n_paths, length - 1))
-            np.cumsum(eps, axis=1, out=theta[:, 1:])
-        return theta
+        for lo, hi in spans:
+            theta = np.empty((hi - lo, length))
+            theta[:, 0] = 0.0
+            if length > 1:
+                eps = rng.normal(0.0, np.sqrt(model.nu2_pn), size=(hi - lo, length - 1))
+                np.cumsum(eps, axis=1, out=theta[:, 1:])
+            yield theta
+        return
 
     if model.kind == "CPLL":
         rho = np.exp(-model.f_pll * model.T_s)
@@ -135,21 +154,22 @@ def sample_paths(model: PhaseNoiseModel, n_paths: int, length: int, seed) -> np.
         rho = model.a_pll**2
         var0 = float(dpll_autocovariance(model, 0))
     theta0 = rng.normal(0.0, np.sqrt(var0), size=n_paths)
-    theta = np.empty((n_paths, length))
-    theta[:, 0] = theta0
     if length > 1:
         # Imported here: scipy.signal also loads scipy.stats and scipy.optimize,
         # which would more than double the package's import time for FRO runs.
         from scipy.signal import lfilter
-
-        innov = rng.normal(0.0, np.sqrt(var0 * (1.0 - rho**2)),
-                           size=(n_paths, length - 1))
-        theta[:, 1:], _ = lfilter([1.0], [1.0, -rho], innov, axis=1,
-                                  zi=(rho * theta0)[:, None])
-    return theta
+    for lo, hi in spans:
+        theta = np.empty((hi - lo, length))
+        theta[:, 0] = theta0[lo:hi]
+        if length > 1:
+            innov = rng.normal(0.0, np.sqrt(var0 * (1.0 - rho**2)),
+                               size=(hi - lo, length - 1))
+            theta[:, 1:], _ = lfilter([1.0], [1.0, -rho], innov, axis=1,
+                                      zi=(rho * theta0[lo:hi])[:, None])
+        yield theta
 
 
 def sample_path(model: PhaseNoiseModel, length: int, seed) -> np.ndarray:
     """One phase path of ``length`` samples as the unit-modulus rotation
     psi = exp(j*theta) that multiplies the received samples."""
-    return np.exp(1j * sample_paths(model, 1, length, seed)[0])
+    return np.exp(1j * next(path_blocks(model, 1, length, seed, 1))[0])

@@ -44,7 +44,7 @@ from otfspn.grid import GridConfig, QamConfig, otfs_demodulate, \
     otfs_modulate, qam_demap, qam_map
 from otfspn.harness import Scenario, emit_csv, run_scenarios
 from otfspn.oscillator import (PhaseNoiseModel, dpll_autocovariance,
-                               expected_rotation, sample_path, sample_paths)
+                               expected_rotation, path_blocks, sample_path)
 
 TS = 1.0 / 7.68e6
 FULL = GridConfig(M=128, N=32, n_cp=16)
@@ -101,7 +101,7 @@ def test_criterion_02_rotation_factor_monte_carlo():
         rng = np.random.default_rng(seed)
         zs = {d: [] for d in lags}
         for _ in range(n_paths // chunk):
-            theta = sample_paths(model, chunk, 1281, rng)
+            theta = next(path_blocks(model, chunk, 1281, rng, chunk))
             for d in lags:
                 zs[d].append(np.exp(1j * (theta[:, d] - theta[:, 0])))
         for d in lags:
@@ -128,7 +128,7 @@ def test_criterion_03_dpll_autocovariance():
     model = PhaseNoiseModel("DPLL", 2e3, TS, 1e6)
     rng = np.random.default_rng(303)
     length, lag_max = 562, 50
-    theta = sample_paths(model, 20_000, length, rng)
+    theta = next(path_blocks(model, 20_000, length, rng, 20_000))
     k0 = float(dpll_autocovariance(model, 0))
     worst = 0.0
     for lag in range(lag_max + 1):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from oracles import as_dense, dd_apply, dd_transform, k_phi
 from otfspn.dd_analysis import (_fro_alpha, _fro_closed_form, _rotation_diag,
                                 dd_coefficients, measured_sinr, sinr_ofdm, sinr_otfs)
 from otfspn.grid import GridConfig, otfs_demodulate, otfs_modulate
-from otfspn.oscillator import PhaseNoiseModel, sample_paths
+from otfspn.oscillator import PhaseNoiseModel, path_blocks
 
 TS = 1.0 / 7.68e6
 
@@ -80,7 +82,7 @@ def test_batch_coefficients_equal_per_path_calls(M, N):
     cfg = GridConfig(M=M, N=N, n_cp=16)
     rng = np.random.default_rng(4)
     model = PhaseNoiseModel("FRO", 2e3, TS)
-    psi = np.exp(1j * sample_paths(model, 3, cfg.n_cp + cfg.frame_len, rng))
+    psi = np.exp(1j * next(path_blocks(model, 3, cfg.n_cp + cfg.frame_len, rng, 3)))
     batch = dd_coefficients(psi, cfg)
     assert batch.shape == (3, M, N)
     for path, phi in zip(psi, batch):
@@ -126,7 +128,7 @@ def test_k_phi_diag_monte_carlo():
     trials = 100_000
     chunk = 4000
     for start in range(0, trials, chunk):
-        theta = sample_paths(model, chunk, cfg.frame_len, rng)
+        theta = next(path_blocks(model, chunk, cfg.frame_len, rng, chunk))
         grid = np.exp(1j * theta).reshape(chunk, 32, 128).transpose(0, 2, 1)
         acc += (np.abs(np.fft.fft(grid, axis=2) / 32) ** 2).mean(axis=1).sum(axis=0)
     emp = acc / trials
@@ -204,13 +206,14 @@ def test_measured_sinr_matches_analytic():
 
 def _per_waveform_measured_sinr(model, cfg, trials, seed, waveform):
     """The earlier measured_sinr, one waveform per call: 512-path chunks from
-    one generator, psi = exp(1j*theta), signal and IDI split of that waveform."""
+    one generator, each drawn whole, psi = exp(1j*theta), signal and IDI
+    split of that waveform."""
     rng = np.random.default_rng(seed)
     sig = idi = 0.0
     done = 0
     while done < trials:
         n = min(512, trials - done)
-        psi = np.exp(1j * sample_paths(model, n, cfg.frame_len, rng))
+        psi = np.exp(1j * next(path_blocks(model, n, cfg.frame_len, rng, n)))
         grid = psi.reshape(n, cfg.N, cfg.M).transpose(0, 2, 1)
         if waveform == "otfs":
             p2 = np.abs(np.fft.fft(grid, axis=2) / cfg.N) ** 2
@@ -224,18 +227,40 @@ def _per_waveform_measured_sinr(model, cfg, trials, seed, waveform):
     return sig / trials, idi / trials
 
 
-@pytest.mark.parametrize("kind", ["FRO", "CPLL"])
-def test_measured_sinr_equals_per_waveform_reference(kind):
-    # 1100 paths = three chunks; one shared draw must give each waveform
-    # exactly what a draw of its own from the same seed gave
-    cfg = GridConfig(M=8, N=4, n_cp=0)
+@pytest.mark.parametrize("M, N, trials", [(8, 4, 1100), (128, 32, 521)])
+@pytest.mark.parametrize("kind", ["FRO", "CPLL", "DPLL"])
+def test_measured_sinr_equals_per_waveform_reference(kind, M, N, trials):
+    # 1100 paths = three chunks, the last of 76 paths in blocks of 8 and 4;
+    # 521 = a chunk and 9 paths, the last block one path.  One shared draw,
+    # scored block by block, must give each waveform exactly what a whole
+    # draw of its own per chunk from the same seed gave
+    cfg = GridConfig(M=M, N=N, n_cp=0)
     model = PhaseNoiseModel(kind, 2e4, TS)
-    got = measured_sinr(model, cfg, 0.01, 1100, 21)
+    got = measured_sinr(model, cfg, 0.01, trials, 21)
     assert sorted(got) == ["ofdm", "otfs"]
     for wave, rep in got.items():
-        ref = _per_waveform_measured_sinr(model, cfg, 1100, 21, wave)
+        ref = _per_waveform_measured_sinr(model, cfg, trials, 21, wave)
         assert (rep.signal_power, rep.idi_power) == ref
         assert rep.noise_power == 0.01
+
+
+def test_measured_sinr_memory_does_not_grow_with_trials():
+    # full-grid paths are drawn, transformed and scored a block at a time,
+    # so a call's peak stays near one block's working set (78 MB at 500
+    # paths when a whole chunk was held at once)
+    cfg = GridConfig(M=128, N=32, n_cp=0)
+    model = PhaseNoiseModel("FRO", 300.0, TS)
+    measured_sinr(model, cfg, 0.01, 1, 0)      # first-call set-up
+    peaks = {}
+    for trials in (50, 500):
+        tracemalloc.start()
+        try:
+            measured_sinr(model, cfg, 0.01, trials, 0)
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[500] <= 8 * 2**20, peaks
+    assert abs(peaks[500] - peaks[50]) < 2**20, peaks
 
 
 def test_dd_transform_unitary():

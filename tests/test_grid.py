@@ -190,14 +190,16 @@ def test_serial_matmul_is_matmul_bit_for_bit(M, N):
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    # Wiener stage 2: W @ g_hat.T, the snapshots (L, N) transposed
-    products = [(cplx(mn, N), cplx(n_taps, N).T)]
+    # Wiener stage 2: W @ g_hat.T, the snapshots (L, N) transposed; with one
+    # tap (channel: awgn) a GEMV, split under OpenBLAS's GEMV cut-off
+    products = [(cplx(mn, N), cplx(L, N).T) for L in (n_taps, 1)]
     # BEM: basis @ least-squares coefficients, every order up to N
     pilots = PilotLayout(n_taps).resolved(cfg).pilot_indices(cfg)
     for q in range(2, N + 1):
         basis = _ce_basis(mn, q, 1.0 * mn)
-        coef = np.linalg.lstsq(basis[pilots], cplx(n_taps, N).T, rcond=None)[0]
-        products.append((basis, coef))
+        for L in (n_taps, 1):
+            coef = np.linalg.lstsq(basis[pilots], cplx(L, N).T, rcond=None)[0]
+            products.append((basis, coef))
     # Jakes draw: complex weights @ the real factor transposed, at fig11's
     # 500 km/h and fig9's largest Doppler
     for f_d_norm in (doppler_from_velocity(500.0, 5.9e9) * cfg.T_s, 2.0 / mn):
@@ -207,6 +209,9 @@ def test_serial_matmul_is_matmul_bit_for_bit(M, N):
     # cut-off (1023 columns here, 511 rows for the desk Wiener product)
     # would leave a last block of one column or row
     products.append((cplx(8, 8), cplx(8, 1024)))
+    # one row times a matrix, and a GEMV whose blocks would be single rows,
+    # stay whole: column blocks of the first did not keep its bits
+    products += [(cplx(1, N), cplx(N, mn)), (cplx(2, 4096), cplx(4096, 1))]
     for a, b in products:
         want = a @ b
         got = _serial_matmul(a, b)

@@ -804,9 +804,9 @@ import hashlib
 import numpy as np
 from otfspn.estimation import PilotLayout, spline_estimate
 from otfspn.grid import GridConfig
-from otfspn.oscillator import PhaseNoiseModel, sample_paths
+from otfspn.oscillator import PhaseNoiseModel, path_blocks
 cfg = GridConfig(M=32, N=16, n_cp=16)
-thetas = [sample_paths(PhaseNoiseModel(kind, 1e3, 1e-7), 1, 512, 4)[0]
+thetas = [next(path_blocks(PhaseNoiseModel(kind, 1e3, 1e-7), 1, 512, 4, 1))[0]
           for kind in ("CPLL", "DPLL")]
 layout = PilotLayout(L=2).resolved(cfg)
 g_hat = np.random.default_rng(5).standard_normal((2, cfg.N)) + 0j
@@ -830,11 +830,13 @@ def _numpy_blas() -> str:
     return config.get("Build Dependencies", {}).get("blas", {}).get("name", "")
 
 
-# One fig11 trial per scale after a warm-up: each shared transmit, then every
-# OTFS estimator with MMSE and with LSMR-IC.  Prints the CPU nanoseconds that
-# threads other than the main one gained during the trials, and during one
-# product on OpenBLAS's threading cut-off.  An idle pool thread spins for a
-# while before it parks, so each reading starts and ends after 0.3 s idle.
+# One fig11 trial per scale and channel after a warm-up: each shared transmit,
+# then every OTFS estimator with MMSE and with LSMR-IC, over TDL-C and over
+# AWGN, whose one tap makes the stage-2 and BEM products GEMVs.  Prints the
+# CPU nanoseconds that threads other than the main one gained during the
+# trials, and during one product on OpenBLAS's threading cut-off.  An idle
+# pool thread spins for a while before it parks, so each reading starts and
+# ends after 0.3 s idle.
 _POOL_PROBE = """
 import os
 os.environ["OPENBLAS_NUM_THREADS"] = "2"    # before numpy loads OpenBLAS
@@ -858,16 +860,18 @@ def gained(before):
     return {t: ns - before.get(t, 0) for t, ns in others().items()
             if ns > before.get(t, 0)}
 
-scales = []
+groups = []
 for full in (False, True):
     curves = [s for s in harness.preset("fig11", trials=1, full=full)
               if not s.estimator.startswith("ofdm")]
     curves.append(replace(curves[0], estimator="perfect"))
-    scales.append([harness._resolve_point(replace(s, equalizer=e), 20.0)
-                   for s in curves for e in ("mmse", "lsmr_ic")])
+    for channel in ("tdl_c", "awgn"):
+        groups.append([harness._resolve_point(replace(s, channel=channel, equalizer=e),
+                                              20.0)
+                       for s in curves for e in ("mmse", "lsmr_ic")])
 
 def trial(seed):
-    for points in scales:
+    for points in groups:
         tx = harness._transmit(points[0], seed, True)
         for point in points:
             harness._receive(point, tx)
