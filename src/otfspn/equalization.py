@@ -364,7 +364,6 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
     x_dt = _lsmr(op, y, damp, i_lsmr)
     x_dd = otfs_demodulate(x_dt, cfg)
     best_res = float(np.linalg.norm(y - op.matvec(x_dt)))
-    best_dd = x_dd
     converged = True
     for t in range(1, i_ic + 1):
         hard = _harden(x_dd, mask, qam)
@@ -372,24 +371,14 @@ def lsmr_ic_equalize(r: np.ndarray, g_dt: np.ndarray, noise_var: float,
         if frac < 1.0:
             # cancel only the most reliable decisions on early passes
             err = np.abs(x_dd - hard)[mask]
-            cut = _quantile(err, frac)
-            keep = np.zeros_like(mask)
-            keep[mask] = err <= cut
-            hard = np.where(keep, hard, 0.0)
+            hard[mask] = np.where(err <= _quantile(err, frac), hard[mask], 0.0)
         s_hard = otfs_modulate(hard, cfg, with_cp=False)
-        resid = y - op.matvec(s_hard)
-        delta = _lsmr(op, resid, damp, i_lsmr)
-        cand_dt = s_hard + delta
-        cand_dd = otfs_demodulate(cand_dt, cfg)
+        cand_dt = s_hard + _lsmr(op, y - op.matvec(s_hard), damp, i_lsmr)
         cand_res = float(np.linalg.norm(y - op.matvec(cand_dt)))
-        if cand_res <= best_res:
-            best_res, best_dd = cand_res, cand_dd
-            x_dd = cand_dd
-            converged = True
-        else:
-            converged = False
-    return DetectionResult(extract_data(best_dd, layout, cfg), best_dd,
-                           best_res, converged)
+        converged = cand_res <= best_res
+        if converged:
+            best_res, x_dd = cand_res, otfs_demodulate(cand_dt, cfg)
+    return DetectionResult(extract_data(x_dd, layout, cfg), x_dd, best_res, converged)
 
 
 # --------------------------------------------------------------------------

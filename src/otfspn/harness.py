@@ -412,15 +412,15 @@ class _Transmit:
     data: np.ndarray                # data symbols
     r: np.ndarray                   # received samples
     g_true: np.ndarray | None       # OTFS: true effective taps (n, L)
-    g_hat: np.ndarray | None        # OTFS: stage-1 snapshots, if a receiver needs them
+    g_hat: np.ndarray | None        # OTFS: stage-1 snapshots (L, N)
     Y: np.ndarray | None            # OFDM: demodulated M x N grid
 
 
-def _transmit(point: SweepPoint, trial_seed: int, stage1: bool) -> _Transmit:
+def _transmit(point: SweepPoint, trial_seed: int) -> _Transmit:
     """One frame: bits (coded or not), OTFS or OFDM modulation, channel and
-    phase noise; then what every receiver of the waveform starts from, the
-    true taps and (if ``stage1``) the stage-1 snapshots for OTFS, the
-    demodulated grid for OFDM.  All of the trial's randomness is drawn here."""
+    phase noise; then what every receiver of the waveform starts from: for
+    OTFS the true taps and the stage-1 snapshots, for OFDM the demodulated
+    grid.  All of the trial's randomness is drawn here; stage 1 draws none."""
     rng = np.random.default_rng(trial_seed)
     s, cfg, qam, layout = point.scenario, point.cfg, point.qam, point.layout
     ofdm = isinstance(layout, est.PtrpLayout)
@@ -452,8 +452,7 @@ def _transmit(point: SweepPoint, trial_seed: int, stage1: bool) -> _Transmit:
         Y = ofdm_demodulate(r, cfg)
     else:
         g_true = ch.effective_channel(taps, psi)
-        if stage1:
-            g_hat = est.stage1_estimate(r, layout, cfg, point.noise_var)
+        g_hat = est.stage1_estimate(r, layout, cfg, point.noise_var)
     shared = _Transmit(bits, info, data, r, g_true, g_hat, Y)
     # a receiver that wrote into its input would corrupt the next one's
     for a in vars(shared).values():
@@ -523,12 +522,11 @@ def _run_link_points(points: list) -> list:
     transmit drawn once and shared: per member, the mean and 95 % interval
     of each per-trial metric as (metric, value, ci95)."""
     s = points[0].scenario
-    stage1 = any(p.scenario.estimator in _INTERPOLATORS for p in points)
     keys = _METRICS[:2] if isinstance(points[0].layout, est.PtrpLayout) else _METRICS
     # (member, metric, trial): each metric's trials are one contiguous row
     results = np.empty((len(points), len(keys), s.trials))
     for t in range(s.trials):
-        tx = _transmit(points[0], s.seed + t, stage1)
+        tx = _transmit(points[0], s.seed + t)
         for i, point in enumerate(points):
             results[i, :, t] = _receive(point, tx)
         del tx      # freed before the next trial's transmit is drawn

@@ -132,40 +132,32 @@ def path_blocks(model: PhaseNoiseModel, n_paths: int, length: int, seed,
     if rows < 1:
         raise ValueError("rows must be >= 1")
     rng = np.random.default_rng(seed)
-    spans = [(lo, min(lo + rows, n_paths)) for lo in range(0, n_paths, rows)]
-    if model.beta_pn == 0.0:
-        for lo, hi in spans:
-            yield np.zeros((hi - lo, length))
-        return
-    if model.kind == "FRO":
-        for lo, hi in spans:
-            theta = np.empty((hi - lo, length))
-            theta[:, 0] = 0.0
-            if length > 1:
-                eps = rng.normal(0.0, np.sqrt(model.nu2_pn), size=(hi - lo, length - 1))
-                np.cumsum(eps, axis=1, out=theta[:, 1:])
-            yield theta
-        return
-
-    if model.kind == "CPLL":
-        rho = np.exp(-model.f_pll * model.T_s)
-        var0 = np.pi * model.beta_pn / model.f_pll
-    else:  # DPLL: AR(1) matching the a^(2|n|) autocovariance exactly
-        rho = model.a_pll**2
-        var0 = float(dpll_autocovariance(model, 0))
-    theta0 = rng.normal(0.0, np.sqrt(var0), size=n_paths)
-    if length > 1:
-        # Imported here: scipy.signal also loads scipy.stats and scipy.optimize,
-        # which would more than double the package's import time for FRO runs.
-        from scipy.signal import lfilter
-    for lo, hi in spans:
-        theta = np.empty((hi - lo, length))
-        theta[:, 0] = theta0[lo:hi]
+    pll = model.kind != "FRO" and model.beta_pn > 0.0
+    if pll:
+        if model.kind == "CPLL":
+            rho = np.exp(-model.f_pll * model.T_s)
+            var0 = np.pi * model.beta_pn / model.f_pll
+        else:  # DPLL: AR(1) matching the a^(2|n|) autocovariance exactly
+            rho = model.a_pll**2
+            var0 = float(dpll_autocovariance(model, 0))
+        theta0 = rng.normal(0.0, np.sqrt(var0), size=n_paths)
         if length > 1:
-            innov = rng.normal(0.0, np.sqrt(var0 * (1.0 - rho**2)),
-                               size=(hi - lo, length - 1))
-            theta[:, 1:], _ = lfilter([1.0], [1.0, -rho], innov, axis=1,
-                                      zi=(rho * theta0[lo:hi])[:, None])
+            # Imported here: scipy.signal also loads scipy.stats and scipy.optimize,
+            # which would more than double the package's import time for FRO runs.
+            from scipy.signal import lfilter
+    for lo in range(0, n_paths, rows):
+        hi = min(lo + rows, n_paths)
+        theta = np.zeros((hi - lo, length))
+        if pll:
+            theta[:, 0] = theta0[lo:hi]
+            if length > 1:
+                innov = rng.normal(0.0, np.sqrt(var0 * (1.0 - rho**2)),
+                                   size=(hi - lo, length - 1))
+                theta[:, 1:], _ = lfilter([1.0], [1.0, -rho], innov, axis=1,
+                                          zi=(rho * theta0[lo:hi])[:, None])
+        elif length > 1 and model.beta_pn > 0.0:    # FRO: a Wiener walk from 0
+            eps = rng.normal(0.0, np.sqrt(model.nu2_pn), size=(hi - lo, length - 1))
+            np.cumsum(eps, axis=1, out=theta[:, 1:])
         yield theta
 
 
