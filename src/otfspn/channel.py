@@ -79,11 +79,8 @@ class ChannelProfile:
         """(tap sample indices, tap powers) on the T_s grid, coincident taps
         merged."""
         idx = np.rint(np.asarray(self.delays) / T_s).astype(int)
-        out = {}
-        for i, p in zip(idx, self.powers):
-            out[i] = out.get(i, 0.0) + p
-        keys = sorted(out)
-        return np.array(keys), np.array([out[k] for k in keys])
+        keys, which = np.unique(idx, return_inverse=True)
+        return keys, np.bincount(which, weights=self.powers)
 
     def length(self, cfg: GridConfig) -> int:
         """Channel length L (largest quantized delay + 1) on cfg's sample

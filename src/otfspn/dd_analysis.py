@@ -23,11 +23,13 @@ oscillator that diagonal has an exact closed form (a pair of finite
 geometric sums), evaluated here in O(1) per entry.
 
 ``measured_sinr`` checks these expressions by Monte Carlo.  It draws each
-phase path once and splits it for both OTFS (through ``dd_coefficients``)
-and OFDM, so the two measured curves come from the same paths (common
-random numbers).  Chunks of ``_CHUNK`` paths set its random stream; it
-draws, transforms and scores ``_BLOCK`` paths at a time, so its memory
-does not grow with the number of paths.
+phase path once and splits it for both waveforms with the DFT that
+``dd_coefficients`` uses (``_dft``): OTFS over the M-spaced samples of each
+delay bin, OFDM over the subcarriers of each M-sample symbol, so the two
+measured curves come from the same paths (common random numbers).  Chunks
+of ``_CHUNK`` paths set its random stream; it draws, transforms and scores
+``_BLOCK`` paths at a time, so its memory does not grow with the number of
+paths.
 """
 
 from __future__ import annotations
@@ -61,9 +63,13 @@ def dd_coefficients(psi: np.ndarray, cfg: GridConfig) -> np.ndarray:
     if psi.shape[-1] < mn:
         raise ValueError(f"path too short: {psi.shape[-1]} < {mn}")
     # (..., M, N): column k holds the k-th block of M samples
-    view = psi[..., -mn:].reshape(*psi.shape[:-1], cfg.N, cfg.M).swapaxes(-1, -2)
+    return _dft(psi[..., -mn:].reshape(*psi.shape[:-1], cfg.N, cfg.M).swapaxes(-1, -2))
+
+
+def _dft(view: np.ndarray) -> np.ndarray:
+    """DFT along the last axis, divided by that axis's length."""
     phi = np.fft.fft(view, axis=-1)
-    phi /= cfg.N
+    phi /= view.shape[-1]
     return phi
 
 
@@ -182,20 +188,15 @@ def measured_sinr(model: PhaseNoiseModel, cfg: GridConfig, noise_var: float,
             psi = np.empty(theta.shape, dtype=complex)   # exp(1j*theta), bit for bit
             np.cos(theta, out=psi.real)
             np.sin(theta, out=psi.imag)
-            # OTFS: Doppler DFT over the M-spaced samples of each delay bin;
-            # the modulus and the square reuse one array
-            p2 = np.abs(dd_coefficients(psi, cfg))
-            p2 **= 2
-            per_path[0, lo:hi] = p2[:, :, 0].mean(axis=1)
-            per_path[1, lo:hi] = p2[:, :, 1:].sum(axis=2).mean(axis=1)
-            # OFDM: each M-sample block is one symbol, DFT over its subcarriers
-            phi = np.fft.fft(psi.reshape(hi - lo, cfg.N, cfg.M).transpose(0, 2, 1),
-                             axis=1)
-            phi /= cfg.M
-            p2 = np.abs(phi)
-            p2 **= 2
-            per_path[2, lo:hi] = p2[:, 0, :].mean(axis=1)
-            per_path[3, lo:hi] = p2[:, 1:, :].sum(axis=1).mean(axis=1)
+            blocks = psi.reshape(hi - lo, cfg.N, cfg.M)
+            # OTFS splits each delay bin's M-spaced samples over Doppler (the
+            # (b, M, N) view), OFDM each M-sample symbol over its subcarriers
+            # (the (b, N, M) blocks); the modulus and the square reuse one array
+            for row, view in ((0, blocks.swapaxes(1, 2)), (2, blocks)):
+                p2 = np.abs(_dft(view))
+                p2 **= 2
+                per_path[row, lo:hi] = p2[..., 0].mean(axis=1)
+                per_path[row + 1, lo:hi] = p2[..., 1:].sum(axis=2).mean(axis=1)
             lo = hi
         totals += [row.sum() for row in per_path]
         done += n

@@ -390,44 +390,21 @@ CONV_GENS = (0o133, 0o171)
 _N_STATES = 1 << (CONV_K - 1)
 
 
-def _parity(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    while np.any(x):
-        out ^= x & 1
-        x = x >> 1
-    return out
-
-
-def _tables():
-    """The two output bits out[s, b, 0:2] of input b in state s; the next
-    state is ((b << (K-1)) | s) >> 1."""
-    states = np.arange(_N_STATES)
-    out = np.empty((_N_STATES, 2, 2), dtype=np.int64)
-    for b in (0, 1):
-        full = (b << (CONV_K - 1)) | states   # newest bit in the MSB
-        for i, g in enumerate(CONV_GENS):
-            out[:, b, i] = _parity(full & g)
-    return out
-
-
-_OUT = _tables()
+# out[s, b, i]: output bit i of input b in state s, the parity of generator
+# i's taps on the register (b << (K-1)) | s; the next state is that >> 1
+_OUT = np.array([[[(((b << (CONV_K - 1)) | s) & g).bit_count() & 1 for g in CONV_GENS]
+                  for b in (0, 1)] for s in range(_N_STATES)], dtype=np.int64)
 
 
 def conv_encode(bits) -> np.ndarray:
     """Zero-terminated rate-1/2 encoding; output has 2*(len(bits)+6) bits.
 
-    Output j of step i XORs inputs i-d over the set bits K-1-d of
-    generator j, as shifted slices of the zero-padded input."""
-    bits = np.asarray(bits, dtype=np.int64).ravel()
-    zeros = np.zeros(CONV_K - 1, dtype=np.int64)
-    reg = np.concatenate([zeros, bits, zeros])
-    n = bits.size + CONV_K - 1
-    out = np.zeros((n, 2), dtype=np.int64)
-    for j, g in enumerate(CONV_GENS):
-        for d in range(CONV_K):
-            if g >> (CONV_K - 1 - d) & 1:
-                out[:, j] ^= reg[CONV_K - 1 - d:CONV_K - 1 - d + n]
-    return out.ravel()
+    Output j of step i sums inputs i-d mod 2 over the set bits K-1-d of
+    generator j: the input convolved with the generator's taps.  An
+    appended zero, whose output is dropped, lets the input be empty."""
+    bits = np.append(np.asarray(bits, dtype=np.int64).ravel(), 0)
+    taps = (np.array(CONV_GENS)[:, None] >> np.arange(CONV_K - 1, -1, -1)) & 1
+    return (np.stack([np.convolve(bits, t)[:-1] for t in taps], axis=1) % 2).ravel()
 
 
 # For destination state d the input bit is its MSB and the two candidate

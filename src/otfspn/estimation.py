@@ -215,8 +215,7 @@ def stage2_estimate(g_hat: np.ndarray, wiener: WienerFilter) -> np.ndarray:
 
 def stage1_hold_estimate(g_hat: np.ndarray, cfg: GridConfig) -> np.ndarray:
     """Stage-1 only: hold each snapshot over its M-sample delay block."""
-    blocks = np.arange(cfg.frame_len) // cfg.M
-    return g_hat.T[blocks, :]
+    return np.repeat(g_hat.T, cfg.M, axis=0)
 
 
 def bem_order(cfg: GridConfig, f_D: float, beta_pn: float = 0.0,
@@ -228,12 +227,10 @@ def bem_order(cfg: GridConfig, f_D: float, beta_pn: float = 0.0,
     phase-noise bandwidth is added to the spread (useful only when the
     phase noise is slow enough for a basis expansion to track).
     """
-    mn_t = cfg.frame_len * cfg.T_s
-    if include_pn_bandwidth:
-        q = int(np.ceil(2.0 * k_over * mn_t * (f_D + beta_pn))) + 1
-    else:
-        q = int(np.ceil(2.0 * mn_t * k_over * f_D + 1.0))
-    return max(q, 1)
+    spread = f_D + beta_pn if include_pn_bandwidth else f_D
+    # fig9's points put 2*M*N*T_s*f_D exactly on integers, the edges of Q,
+    # where a product one ulp higher (another rounding) adds a tone
+    return int(np.ceil(2.0 * k_over * (cfg.frame_len * cfg.T_s) * spread + 1.0))
 
 
 def bem_estimate(g_hat: np.ndarray, cfg: GridConfig, layout: PilotLayout,
@@ -403,7 +400,9 @@ def ofdm_cpe_estimate(rx_freq: np.ndarray, layout: PtrpLayout, cfg: GridConfig,
     h_pil = Y[comb, :]                              # per-symbol comb estimates
     sym_T = (cfg.M + cfg.n_cp) * cfg.T_s
     q = max(int(np.ceil(2.0 * cfg.N * sym_T * f_D + 1.0)), 1)
-    q = min(q, cfg.N)
+    if q > cfg.N:
+        warnings.warn(f"OFDM interpolator order {q} exceeds the {cfg.N} pilot symbols; clamping")
+        q = cfg.N
     basis = _ce_basis(cfg.N, q, cfg.N)
     coef, *_ = np.linalg.lstsq(basis, h_pil.T, rcond=None)
     h_fit = (basis @ coef).T                        # (len(comb), N)

@@ -231,8 +231,9 @@ class ResultRow:
     seed: int
 
 
-CSV_COLUMNS = ("sweep_name", "sweep_value", "metric", "value", "ci95",
-               "trials", "scenario_hash", "seed")
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+# each column's type, from its field's annotation (a string here)
+_CSV_TYPES = tuple({"str": str, "float": float, "int": int}[f.type] for f in fields(ResultRow))
 
 
 @contextmanager
@@ -273,24 +274,16 @@ def emit_csv(rows, path_or_file) -> None:
     w = csv.writer(path_or_file, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     for r in rows:
-        w.writerow([r.sweep_name, repr(float(r.sweep_value)), r.metric,
-                    repr(float(r.value)), repr(float(r.ci95)),
-                    r.trials, r.scenario_hash, r.seed])
+        w.writerow([repr(float(getattr(r, c))) if t is float else getattr(r, c)
+                    for c, t in zip(CSV_COLUMNS, _CSV_TYPES)])
 
 
 def parse_csv(path_or_file) -> list:
-    """Inverse of emit_csv."""
-    if hasattr(path_or_file, "read"):
-        f = path_or_file
-        rows = _parse(f)
-    else:
+    """Inverse of emit_csv, from an open file or a path."""
+    if not hasattr(path_or_file, "read"):
         with open(path_or_file, encoding="utf-8", newline="") as f:
-            rows = _parse(f)
-    return rows
-
-
-def _parse(f) -> list:
-    rdr = csv.reader(f)
+            return parse_csv(f)
+    rdr = csv.reader(path_or_file)
     header = next(rdr, [])           # an empty file has no header either
     if tuple(header) != CSV_COLUMNS:
         raise ValueError(f"unexpected CSV header {header}")
@@ -299,8 +292,7 @@ def _parse(f) -> list:
         try:
             if len(r) != len(CSV_COLUMNS):
                 raise ValueError(f"{len(r)} fields, expected {len(CSV_COLUMNS)}")
-            rows.append(ResultRow(r[0], float(r[1]), r[2], float(r[3]), float(r[4]),
-                                  int(r[5]), r[6], int(r[7])))
+            rows.append(ResultRow(*(t(v) for t, v in zip(_CSV_TYPES, r))))
         except ValueError as e:
             raise ValueError(f"bad CSV row at line {rdr.line_num}: {e}") from None
     return rows

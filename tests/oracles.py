@@ -63,3 +63,14 @@ def harden(x_dd, mask, points):
     idx = np.argmin(np.abs(data[:, None] - points[None, :]), axis=1)
     hard[mask] = points[idx]
     return hard
+
+
+def merged_taps(profile, T_s):
+    """``ChannelProfile.quantized`` as a dict merge: each tap's power added,
+    in profile order, to its sample index's sum, which starts from 0.0."""
+    idx = np.rint(np.asarray(profile.delays) / T_s).astype(int)
+    out = {}
+    for i, p in zip(idx, profile.powers):
+        out[i] = out.get(i, 0.0) + p
+    keys = sorted(out)
+    return np.array(keys), np.array([out[k] for k in keys])

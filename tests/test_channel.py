@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from oracles import effective_dd_channel
+from oracles import effective_dd_channel, merged_taps
 from otfspn.channel import (ChannelProfile, SPEED_OF_LIGHT, _jakes_factor,
                             apply_channel, doppler_from_velocity, effective_channel,
                             realize_channel)
@@ -31,6 +31,29 @@ def test_profile_validation_and_quantization():
                        tuple(p_lin / p_lin.sum()))
     d2, p2 = q.quantized(TS)
     assert len(d2) == 2 and p2[0] > p2[1]
+
+
+def _assert_merge_exact(profile, T_s):
+    got, want = profile.quantized(T_s), merged_taps(profile, T_s)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("T_s", [TS, 1 / 30.72e6, 1 / 1.92e6])
+@pytest.mark.parametrize("delay_spread", [1e-8, 3e-8, 1e-7, 3e-7, 1e-6])
+def test_quantized_matches_dict_merge_tdl_c(delay_spread, T_s):
+    _assert_merge_exact(ChannelProfile.tdl_c(delay_spread), T_s)
+
+
+def test_quantized_matches_dict_merge_coincident_unsorted():
+    # five taps fall on sample 0, one on sample 1 and two on sample 2, out of order;
+    # unequal powers make the sums depend on the order of the additions
+    delays = np.array([50.0, 200.0, 0.0, 10.0, 260.0, 5.0, 190.0, 60.0]) * 1e-9
+    p = np.random.default_rng(4).uniform(0.1, 1.0, delays.size)
+    prof = ChannelProfile(tuple(delays), tuple(p / p.sum()))
+    delays_q, _ = prof.quantized(TS)
+    assert delays_q.tolist() == [0, 1, 2]
+    _assert_merge_exact(prof, TS)
 
 
 def test_doppler_from_velocity():

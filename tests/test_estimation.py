@@ -383,6 +383,13 @@ def test_ptrp_cpe_constant_phase():
     np.testing.assert_allclose(X_hat.T[mask.T], data, atol=1e-9)
 
 
+def test_ofdm_interpolator_order_clamped_with_warning():
+    # at desk scale the order passes the N = 16 symbols above f_D = 75 kHz
+    with pytest.warns(UserWarning, match="clamp"):
+        ofdm_cpe_estimate(np.ones((CFG.M, CFG.N), dtype=complex), PtrpLayout(spacing=8),
+                          CFG, f_D=1e5, interpolate=True)
+
+
 def test_ptrp_cpe_tracks_per_symbol_rotation():
     cfg = GridConfig(M=32, N=8, n_cp=8)
     layout = PtrpLayout(spacing=8)

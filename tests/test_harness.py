@@ -425,6 +425,27 @@ def test_preset_full_flag_switches_grid():
     assert (full.M, full.N) == (128, 32)
 
 
+# Q of the bem curve at every sweep point of each preset that has one, desk
+# and full grid; fig10-fig14 run Q = 2 (desk) and 4 (full) at every point.
+# No CSV is pinned at the full grid, and fig9's 2*M*N*T_s*f_D are exactly
+# 0.5, 1, 2, 3 and 4, on the integer edges of Q
+_BEM_ORDERS = {
+    False: {"fig6": [2, 2, 2, 2, 2, 3], "fig8": [2, 2, 2, 2, 3, 4], "fig9": [2, 2, 3, 4, 5]},
+    True: {"fig6": [2, 2, 3, 4, 7, 12], "fig8": [2, 3, 4, 7, 12, 23], "fig9": [2, 2, 3, 4, 5]},
+}
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["desk", "full"])
+@pytest.mark.parametrize("name", [f"fig{i}" for i in (6, *range(8, 15))])   # fig7 is fig6
+def test_bem_order_pinned_at_every_preset_point(name, full):
+    from otfspn import harness
+    s, = (s for s in preset(name, full=full) if s.estimator == "bem")
+    points = [harness._resolve_point(s, float(v)) for v in s.sweep_values]
+    orders = [est.bem_order(p.cfg, p.profile.f_D, p.model.beta_pn, s.bem_k_over,
+                            s.bem_include_pn) for p in points]
+    assert orders == _BEM_ORDERS[full].get(name, [4 if full else 2] * len(points))
+
+
 def test_preset_fig9_smoke():
     scenarios = preset("fig9", trials=3, seed=2)
     rows = run_scenarios(scenarios[:2])
