@@ -115,11 +115,6 @@ def _fro_closed_form(alpha: float, size: int, p: int) -> float:
     return (s1 - 1.0) / size - s2 / size**2
 
 
-def _fro_alpha(model: PhaseNoiseModel, lag_scale: int) -> float:
-    """Rotation factor of a free-running oscillator over ``lag_scale`` samples."""
-    return float(np.exp(-2.0 * np.pi * model.beta_pn * model.T_s * lag_scale))
-
-
 @dataclass
 class SinrReport:
     """Analytic signal/IDI/noise split and the resulting SINR."""
@@ -145,7 +140,7 @@ def _sinr(model: PhaseNoiseModel, noise_var: float, size: int,
     if model.beta_pn == 0.0:
         diag = np.array([1.0])          # no phase noise: no leakage
     elif model.kind == "FRO":
-        alpha = _fro_alpha(model, lag_scale)
+        alpha = float(expected_rotation(model, lag_scale))
         diag = np.array([_fro_closed_form(alpha, size, p) for p in range(size)])
     else:
         diag = _rotation_diag(model, size, lag_scale)

@@ -51,6 +51,13 @@ class GridConfig:
         return self.M * self.N
 
 
+# Gray-coded PAM levels per axis of each supported QAM order, indexed by the
+# Gray label's value, before the unit-power scaling.  Label 0 maps to +1 so
+# 4-QAM bits 00 land on (1+1j)/sqrt(2).
+_PAM = {4: (1.0, -1.0), 16: (3.0, 1.0, -3.0, -1.0)}
+QAM_ORDERS = tuple(_PAM)
+
+
 @dataclass(frozen=True)
 class QamConfig:
     """Square QAM with unit average power and per-axis Gray labelling."""
@@ -58,16 +65,12 @@ class QamConfig:
     order: int = 4
 
     def __post_init__(self):
-        if self.order not in (4, 16):
+        if self.order not in _PAM:
             raise ValueError(f"unsupported QAM order {self.order}")
 
     @property
     def bits_per_symbol(self) -> int:
         return int(np.log2(self.order))
-
-    @property
-    def levels_per_axis(self) -> int:
-        return int(np.sqrt(self.order))
 
 
 def frozen_cache(fn):
@@ -123,17 +126,11 @@ def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-# Gray-coded PAM levels per axis, indexed by the Gray label's value, before
-# the unit-power scaling.  Label 0 maps to +1 so 4-QAM bits 00 land on
-# (1+1j)/sqrt(2).
-_PAM = {2: (1.0, -1.0), 4: (3.0, 1.0, -3.0, -1.0)}
-
-
 @frozen_cache
 def _axis_tables(cfg: QamConfig):
     """(bits per axis, unit-power levels indexed by Gray label value) for one
     axis."""
-    levels = np.array(_PAM[cfg.levels_per_axis])
+    levels = np.array(_PAM[cfg.order])
     # unit average symbol power: E|s|^2 = 2 * E[level^2] * scale^2 = 1
     scale = 1.0 / np.sqrt(2.0 * np.mean(levels**2))
     return cfg.bits_per_symbol // 2, levels * scale
@@ -168,7 +165,7 @@ def _nearest_labels(symbols: np.ndarray, cfg: QamConfig) -> np.ndarray:
 
 def qam_demap(symbols, cfg: QamConfig) -> np.ndarray:
     """Hard-decision demapping (nearest level per axis), inverse of qam_map."""
-    k = cfg.bits_per_symbol // 2
+    k = _axis_tables(cfg)[0]
     labels = _nearest_labels(symbols, cfg)
     return ((labels[:, :, None] >> np.arange(k - 1, -1, -1)) & 1).ravel()
 

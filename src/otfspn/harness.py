@@ -33,7 +33,7 @@ from . import channel as ch
 from . import dd_analysis as dd
 from . import equalization as eq
 from . import estimation as est
-from .grid import (GridConfig, QamConfig, ofdm_demodulate, ofdm_modulate,
+from .grid import (QAM_ORDERS, GridConfig, QamConfig, ofdm_demodulate, ofdm_modulate,
                    otfs_modulate, qam_demap, qam_map)
 from .oscillator import KINDS, PhaseNoiseModel, sample_path
 
@@ -105,7 +105,7 @@ class Scenario:
     n_cp: int = _f(16, low=(">=", 0))
     f_c: float = _f(5.9e9, low=(">", 0))
     bandwidth: float = _f(7.68e6, low=(">", 0))
-    qam_order: int = _f(4, (4, 16))
+    qam_order: int = _f(4, QAM_ORDERS)
 
     oscillator: str = _f("FRO", KINDS)
     beta_pn: float = _f(2e3, low=(">=", 0))
@@ -633,7 +633,6 @@ def save_scenario(scenario: Scenario, path: str) -> None:
 # Figure presets
 # --------------------------------------------------------------------------
 
-_OTFS_CURVES = ("proposed", "bem", "spline", "stage1")
 _BETAS = (1e2, 3e2, 1e3, 2e3, 5e3, 1e4)
 _SNR_AXIS = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 _EBN0_AXIS = (0.0, 3.0, 6.0, 9.0, 12.0, 15.0)
@@ -644,7 +643,7 @@ _PN_MMSE = dict(snr_db=20.0, velocity=0.0, equalizer="mmse", bem_include_pn=True
 _LSMR_500 = dict(velocity=500.0, equalizer="lsmr_ic", sweep="snr_db",
                  sweep_values=_SNR_AXIS)
 _CODED = dict(_LSMR_500, coded=True, snr_is_ebn0=True, sweep_values=_EBN0_AXIS)
-# figure -> (Scenario fields, curves after the four OTFS estimators)
+# figure -> (Scenario fields, curves after the OTFS ones of _INTERPOLATORS)
 _PRESETS = {
     "fig6": (_PN_MMSE, ()),                  # EVM, and fig7's NMSE
     "fig8": (dict(_PN_MMSE, snr_db=24.0, sweep_values=(1e2, 1e3, 2e3, 5e3, 1e4, 2e4)),
@@ -681,4 +680,4 @@ def preset(name: str, trials: int | None = None, seed: int = 0,
         trials = 100_000 if full else 2000
     base = Scenario(name=name, trials=trials, seed=seed, **grid, **kw)
     return [replace(base, name=f"{name}-{tag}", label=tag, estimator=tag)
-            for tag in (*_OTFS_CURVES, *extra)]
+            for tag in (*_INTERPOLATORS, *extra)]

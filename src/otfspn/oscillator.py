@@ -96,11 +96,11 @@ def variogram(model: PhaseNoiseModel, delta) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     if np.any(delta < 0):
         raise ValueError("lag must be >= 0")
-    beta, T_s, f = model.beta_pn, model.T_s, model.f_pll
     if model.kind == "FRO":
-        out = 4.0 * np.pi * beta * T_s * delta
+        out = model.nu2_pn * delta
     elif model.kind == "CPLL":
-        out = (2.0 * np.pi * beta / f) * (1.0 - np.exp(-delta * f * T_s))
+        f = model.f_pll
+        out = (2.0 * np.pi * model.beta_pn / f) * (1.0 - np.exp(-delta * f * model.T_s))
     else:  # DPLL: increment variance of the stationary AR output, 2*(K(0)-K(d))
         k = dpll_autocovariance(model, delta)
         k0 = dpll_autocovariance(model, 0)

@@ -32,7 +32,7 @@ from scipy.stats import norm
 from oracles import as_dense, dd_apply, effective_dd_channel
 from otfspn.channel import (ChannelProfile, apply_channel, doppler_from_velocity,
                             effective_channel, realize_channel)
-from otfspn.dd_analysis import (_fro_alpha, _fro_closed_form, dd_coefficients,
+from otfspn.dd_analysis import (_fro_closed_form, dd_coefficients,
                                 measured_sinr, sinr_ofdm, sinr_otfs)
 from otfspn.equalization import ber, lsmr_ic_equalize, nmse
 from otfspn.estimation import (PilotLayout, bem_estimate,
@@ -80,7 +80,7 @@ def test_criterion_01_closed_form_vs_brute_force():
         k, l = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
         brute = float(np.real(np.sum(
             alpha ** np.abs(k - l) * np.exp(-2j * np.pi * p * (k - l) / N))) / N**2)
-        closed = _fro_closed_form(_fro_alpha(model, cfg.M), cfg.N, p)
+        closed = _fro_closed_form(float(expected_rotation(model, cfg.M)), cfg.N, p)
         worst = max(worst, abs(closed - brute) / abs(brute))
     elapsed = time.time() - t0
     ok = worst < 1e-9 and elapsed < 10.0

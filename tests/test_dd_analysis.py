@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from oracles import as_dense, dd_apply, dd_transform, k_phi
-from otfspn.dd_analysis import (_fro_alpha, _fro_closed_form, _rotation_diag,
+from otfspn.dd_analysis import (_fro_closed_form, _rotation_diag,
                                 dd_coefficients, measured_sinr, sinr_ofdm, sinr_otfs)
 from otfspn.grid import GridConfig, otfs_demodulate, otfs_modulate
-from otfspn.oscillator import PhaseNoiseModel, path_blocks
+from otfspn.oscillator import PhaseNoiseModel, expected_rotation, path_blocks
 
 TS = 1.0 / 7.68e6
 
@@ -139,12 +139,12 @@ def test_k_phi_diag_monte_carlo():
 def test_closed_form_limits():
     cfg = GridConfig(M=128, N=32, n_cp=0)
     zero = PhaseNoiseModel("FRO", 0.0, TS)
-    assert _fro_closed_form(_fro_alpha(zero, cfg.M), cfg.N, 0) == 1.0
-    assert _fro_closed_form(_fro_alpha(zero, cfg.M), cfg.N, 5) == 0.0
+    assert _fro_closed_form(float(expected_rotation(zero, cfg.M)), cfg.N, 0) == 1.0
+    assert _fro_closed_form(float(expected_rotation(zero, cfg.M)), cfg.N, 5) == 0.0
     # alpha -> 0: energy spread uniformly, K[p,p] -> 1/N
     hot = PhaseNoiseModel("FRO", 1e6, TS)
     for p in (0, 1, 17):
-        assert (_fro_closed_form(_fro_alpha(hot, cfg.M), cfg.N, p)
+        assert (_fro_closed_form(float(expected_rotation(hot, cfg.M)), cfg.N, p)
                 == pytest.approx(1 / 32, rel=1e-6))
 
 
@@ -156,7 +156,7 @@ def test_closed_form_vs_double_sum():
     for p in (0, 1, 7, 31):
         brute = np.real(np.sum(alpha ** np.abs(k - l)
                                * np.exp(-2j * np.pi * p * (k - l) / 32))) / 32**2
-        assert (_fro_closed_form(_fro_alpha(model, cfg.M), cfg.N, p)
+        assert (_fro_closed_form(float(expected_rotation(model, cfg.M)), cfg.N, p)
                 == pytest.approx(brute, rel=1e-10))
 
 

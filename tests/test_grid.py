@@ -1,11 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from otfspn.channel import _jakes_factor, doppler_from_velocity
 from otfspn.estimation import PilotLayout, _ce_basis
-from otfspn.grid import (GridConfig, QamConfig, _serial_matmul, constellation,
-                         ofdm_demodulate, ofdm_modulate, otfs_demodulate,
-                         otfs_modulate, qam_demap, qam_map)
+from otfspn.grid import (QAM_ORDERS, GridConfig, QamConfig, _serial_matmul,
+                         constellation, ofdm_demodulate, ofdm_modulate,
+                         otfs_demodulate, otfs_modulate, qam_demap, qam_map)
+from otfspn.harness import Scenario
 
 
 def test_grid_config_validation():
@@ -16,6 +19,19 @@ def test_grid_config_validation():
     cfg = GridConfig(M=128, N=32, n_cp=16)
     assert cfg.T_s * cfg.bandwidth == pytest.approx(1.0)
     assert cfg.doppler_spacing == pytest.approx(1.0 / (128 * 32 * cfg.T_s))
+
+
+def test_qam_config_accepts_only_the_table_orders():
+    """QamConfig checks its order itself, not only through Scenario, and
+    Scenario's qam_order choices are the same table."""
+    for order in (2, 6, 8, 64):
+        with pytest.raises(ValueError, match="unsupported QAM order"):
+            QamConfig(order)
+    assert QAM_ORDERS == (4, 16)
+    for order in QAM_ORDERS:
+        QamConfig(order)
+    row = next(f for f in fields(Scenario) if f.name == "qam_order").metadata
+    assert row["choices"] == QAM_ORDERS
 
 
 def test_qam_canonical_corner():

@@ -131,6 +131,21 @@ def test_cpll_is_exact_ou_discretization():
         assert emp == pytest.approx(variogram(m, lag), rel=0.03)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11: CPLL's 1 - exp(-delta*F*T_s) "
+                   "and its AR pole cancel to zero phase noise when F*T_s is tiny")
+def test_cpll_keeps_its_phase_noise_at_a_tiny_loop_coefficient():
+    """At f_pll = 1e-12 the loop barely acts, so CPLL's variogram at lag 63
+    is the stable form (2*pi*beta/F)*(-expm1(-delta*F*T_s)) = 0.1031, and a
+    path is not constant.  Today both cancel: the variogram reads 0.0 and
+    every sample equals the first."""
+    m = PhaseNoiseModel("CPLL", 2e3, TS, 1e-12)
+    stable = (2 * np.pi * 2e3 / 1e-12) * -np.expm1(-63 * 1e-12 * TS)
+    assert stable == pytest.approx(0.1031, abs=1e-4)
+    assert variogram(m, 63) == pytest.approx(stable, rel=1e-6)
+    psi = sample_path(m, 256, 0)
+    assert not np.all(psi == psi[0])
+
+
 def test_rotation_monte_carlo_small():
     # sample-mean oracle for E[exp(j dTheta)] at a moderate path count
     for kind in ("FRO", "CPLL", "DPLL"):
